@@ -6,7 +6,7 @@ and Incomplete Box Suppression, COCO/VOC-style evaluation, and a synthetic
 scene generator with an oracle detector for closed-loop verification.
 """
 
-from .boxgeom import AffineMap2D, Box, ScoredBox, apply_map, area, clip, intersect, invert_map, iou
+from .boxgeom import AffineMap2D, Box, ScoredBox, apply_map, area, clip, intersect, iou
 from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval, voc_ap_at
 from .focal import FocalRegion, RefinedCrop, eip_regions, make_detector_map, refine_gt, regions_from_clusters
@@ -50,7 +50,6 @@ __all__ = [
     "generate_scene",
     "ibs",
     "intersect",
-    "invert_map",
     "iou",
     "make_detector_map",
     "merge_pipeline",

@@ -92,8 +92,6 @@ class AffineMap2D:
         )
 
 
-IDENTITY_MAP = AffineMap2D(1.0, 1.0, 0.0, 0.0)
-
 
 def area(b: Box) -> float:
     return b.width * b.height
@@ -136,6 +134,3 @@ def apply_map(b: Box, m: AffineMap2D) -> Box:
     x2, y2 = m.apply_point(b.x2, b.y2)
     return Box(x1, y1, x2, y2)
 
-
-def invert_map(m: AffineMap2D) -> AffineMap2D:
-    return m.invert()

@@ -12,6 +12,7 @@ import io
 import json
 import secrets
 import sys
+import zlib
 from pathlib import Path
 from typing import Optional
 
@@ -19,10 +20,10 @@ import click
 
 from . import serialize, visdrone
 from .config import PipelineConfig
-from .evalkit import coco_eval, precision_recall_points, report_table, voc_ap_at
+from .evalkit import GtAnnotation, coco_eval, precision_recall_points, report_table, voc_ap_at
 from .fuse import merge_pipeline
-from .pipeline import refine_image, regions_for_image
-from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
+from .pipeline import refine_image, regions_for_image, run_image
+from .scenes import OracleSpec, SceneSpec, generate_scene
 from .visdrone import VisDroneFormatError
 
 
@@ -93,6 +94,11 @@ def _resolve_seed(seed: Optional[int]) -> int:
     return seed if seed is not None else secrets.randbelow(2**31)
 
 
+def _image_seed(seed: int, image_id: str) -> int:
+    """One image's EM seed, from the base seed and its id, not its corpus position."""
+    return zlib.crc32(image_id.encode("utf-8"), seed % 2**32)
+
+
 @click.group()
 def cli() -> None:
     """Focal-region search pipeline: cluster, crop, merge, evaluate."""
@@ -130,8 +136,6 @@ def synth_cmd(out_dir, seed, num_scenes, image_width, image_height, n_clusters,
         except ValueError as e:
             raise DataError(str(e)) from e
         image_id = f"scene{i:04d}"
-        from .evalkit import GtAnnotation
-
         gts[image_id] = [GtAnnotation(box=b, class_id=c) for b, c in scene.annotations]
         sizes[image_id] = scene.image_size
     visdrone.write_annotations(out / "annotations", gts)
@@ -155,10 +159,11 @@ def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, *
     config = _load_config(config_path, **overrides)
     gts, sizes = _load_annotations(annotations_path, sizes_path)
     per_image = {}
-    for i, image_id in enumerate(sorted(gts)):
+    for image_id in sorted(gts):
         try:
             regions = regions_for_image(
-                gts[image_id], sizes[image_id], config, image_id=image_id, seed=seed + i
+                gts[image_id], sizes[image_id], config, image_id=image_id,
+                seed=_image_seed(seed, image_id),
             )
         except ValueError as e:
             raise DataError(f"{image_id}: {e}") from e
@@ -241,7 +246,7 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
         raise DataError(str(e)) from e
     doc = report.to_json_dict()
     if voc_iou is not None:
-        doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou)
+        doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
         doc["voc_iou"] = voc_iou
     serialize.write_json_atomic(out_path, doc)
     names = visdrone.load_class_names(class_names_path) if class_names_path else None
@@ -280,10 +285,6 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
     ctx.invoke(synth_cmd, out_dir=str(out), seed=seed, num_scenes=num_scenes)
     gts, sizes = serialize.annotations_from_doc(_load_json(str(out / "annotations.json")))
 
-    regions_per_image = {}
-    crops_per_image = {}
-    rds_per_image = {}
-    merged = {}
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
     oracle = OracleSpec(
         localization_noise=localization_noise,
@@ -293,21 +294,20 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
         n_classes=classes,
         rng_seed=seed,
     )
-    for i, image_id in enumerate(sorted(gts)):
-        regions = regions_for_image(
-            gts[image_id], sizes[image_id], config, image_id=image_id, seed=seed + i
-        )
-        crops = refine_image(regions, gts[image_id], config)
-        rds = [oracle_detect(crop, oracle) for crop in crops]
-        regions_per_image[image_id] = (sizes[image_id], regions)
-        crops_per_image[image_id] = crops
-        rds_per_image[image_id] = rds
-        merged[image_id] = merge_pipeline(rds, config.fuse_config(), apply_ibs=not no_ibs)
+    runs = {
+        image_id: run_image(gts[image_id], sizes[image_id], oracle, config, image_id=image_id,
+                            seed=_image_seed(seed, image_id), apply_ibs=not no_ibs)
+        for image_id in sorted(gts)
+    }
+    regions = {image_id: (sizes[image_id], run.regions) for image_id, run in runs.items()}
+    crops = {image_id: run.crops for image_id, run in runs.items()}
+    rds = {image_id: run.region_detections for image_id, run in runs.items()}
+    merged = {image_id: run.merged for image_id, run in runs.items()}
 
-    serialize.write_json_atomic(out / "regions.json", serialize.regions_doc(regions_per_image))
-    serialize.write_json_atomic(out / "crops.json", serialize.crops_doc(crops_per_image))
+    serialize.write_json_atomic(out / "regions.json", serialize.regions_doc(regions))
+    serialize.write_json_atomic(out / "crops.json", serialize.crops_doc(crops))
     serialize.write_json_atomic(
-        out / "region_detections.json", serialize.region_detections_doc(rds_per_image)
+        out / "region_detections.json", serialize.region_detections_doc(rds)
     )
     serialize.write_json_atomic(out / "merged.json", serialize.merged_detections_doc(merged))
     visdrone.write_detections(out / "results", merged)

@@ -93,6 +93,3 @@ class PipelineConfig:
                 raise ValueError(f"unknown config overrides: {sorted(unknown)}")
             values.update({k: v for k, v in overrides.items() if v is not None})
         return cls(**values)
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)

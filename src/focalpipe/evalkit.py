@@ -253,21 +253,15 @@ def voc_ap_at(
     dets: DetectionSet,
     gts: GroundTruthSet,
     iou_threshold: float = 0.7,
-    merge_classes: bool = True,
     max_dets: int = 500,
 ) -> float:
     """PASCAL-VOC all-point interpolated AP (percentage) at one IoU threshold.
 
-    With merge_classes, every box is treated as one category, matching the
-    UAVDT single-vehicle-class convention.
+    Every box is treated as one category, matching the UAVDT
+    single-vehicle-class convention.
     """
-    if merge_classes:
-        dets = {
-            k: [ScoredBox(d.box, 0, d.score) for d in v] for k, v in dets.items()
-        }
-        gts = {
-            k: [GtAnnotation(g.box, 0, g.ignore) for g in v] for k, v in gts.items()
-        }
+    dets = {k: [ScoredBox(d.box, 0, d.score) for d in v] for k, v in dets.items()}
+    gts = {k: [GtAnnotation(g.box, 0, g.ignore) for g in v] for k, v in gts.items()}
     classes = sorted({g.class_id for anns in gts.values() for g in anns})
     n_dets = sum(len(v) for v in dets.values())
     if not classes and n_dets == 0:

@@ -45,10 +45,8 @@ class RefinedCrop:
     dropped_zero_area: int = 0
 
 
-def make_detector_map(rect: Box | FocalRegion, detector_w: float, detector_h: float) -> AffineMap2D:
+def make_detector_map(rect: Box, detector_w: float, detector_h: float) -> AffineMap2D:
     """Affine map sending a region rectangle onto (0, 0, detector_w, detector_h)."""
-    if isinstance(rect, FocalRegion):
-        rect = rect.rect
     if area(rect) <= 0:
         raise ValueError("cannot build a detector map for a zero-area region")
     if detector_w <= 0 or detector_h <= 0:

@@ -81,7 +81,6 @@ class MixtureModel:
     weights: np.ndarray
     means: np.ndarray
     variances: np.ndarray
-    grid: Optional[FeatureGrid] = None
     log_likelihood: float = float("-inf")
     ll_history: list[float] = field(default_factory=list)
 
@@ -92,35 +91,6 @@ class MixtureModel:
     @property
     def dim(self) -> int:
         return self.means.shape[1]
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "weights": self.weights.tolist(),
-            "means": self.means.tolist(),
-            "variances": self.variances.tolist(),
-            "log_likelihood": self.log_likelihood,
-        }
-        if self.grid is not None:
-            out["grid"] = {
-                "rows": self.grid.rows,
-                "cols": self.grid.cols,
-                "image_width": self.grid.image_width,
-                "image_height": self.grid.image_height,
-            }
-        return out
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MixtureModel":
-        grid = None
-        if "grid" in d:
-            grid = FeatureGrid(**d["grid"])
-        return cls(
-            weights=np.asarray(d["weights"], dtype=float),
-            means=np.asarray(d["means"], dtype=float),
-            variances=np.asarray(d["variances"], dtype=float),
-            grid=grid,
-            log_likelihood=float(d.get("log_likelihood", float("-inf"))),
-        )
 
 
 class Posterior(NamedTuple):
@@ -228,7 +198,6 @@ def fit_em(
     features: np.ndarray | Sequence[Sequence[float]],
     k: int,
     cfg: EmConfig = EmConfig(),
-    grid: Optional[FeatureGrid] = None,
 ) -> MixtureModel:
     """Fit a k-component diagonal Gaussian mixture by expectation maximization.
 
@@ -252,7 +221,6 @@ def fit_em(
         if best is None or model.log_likelihood > best.log_likelihood:
             best = model
     assert best is not None
-    best.grid = grid
     return best
 
 

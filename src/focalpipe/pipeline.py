@@ -4,7 +4,7 @@ detect (oracle or external), merge, evaluate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .boxgeom import Box, ScoredBox
@@ -13,7 +13,7 @@ from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
 from .fuse import RegionDetections, merge_pipeline
 from .mixture import FeatureGrid, assign_clusters, featurize, fit_em, num_focal_regions
-from .scenes import OracleSpec, Scene, SceneSpec, generate_scene, oracle_detect
+from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 
 def cluster_boxes(
@@ -31,7 +31,7 @@ def cluster_boxes(
     )
     features = featurize(boxes, grid)
     k = num_focal_regions(len(boxes))
-    model = fit_em(features, k, config.em_config(rng_seed=seed), grid=grid)
+    model = fit_em(features, k, config.em_config(rng_seed=seed))
     return assign_clusters(model, features)
 
 
@@ -67,15 +67,38 @@ def refine_image(
 
 
 @dataclass
-class SceneRun:
-    """All artifacts of one synthetic scene pushed through the pipeline."""
+class ImageRun:
+    """All artifacts of one image pushed through the pipeline."""
 
-    scene: Scene
+    annotations: list[GtAnnotation]
     regions: list[FocalRegion]
     crops: list[RefinedCrop]
     region_detections: list[RegionDetections]
     merged: list[ScoredBox]
-    merged_no_ibs: list[ScoredBox] = field(default_factory=list)
+    merged_no_ibs: list[ScoredBox]
+
+
+def run_image(
+    annotations: Sequence[GtAnnotation],
+    image_size: tuple[float, float],
+    oracle_spec: OracleSpec,
+    config: PipelineConfig = PipelineConfig(),
+    image_id: str = "",
+    seed: int = 0,
+    apply_ibs: bool = True,
+    with_no_ibs: bool = False,
+) -> ImageRun:
+    """Focus, refine, oracle detect and merge one image; `seed` seeds EM, and
+    `merged_no_ibs` is filled only `with_no_ibs`, for the IBS ablation."""
+    regions = regions_for_image(annotations, image_size, config, image_id=image_id, seed=seed)
+    crops = refine_image(regions, annotations, config)
+    rds = [oracle_detect(crop, oracle_spec) for crop in crops]
+    fuse_config = config.fuse_config()
+    return ImageRun(
+        list(annotations), regions, crops, rds,
+        merged=merge_pipeline(rds, fuse_config, apply_ibs=apply_ibs),
+        merged_no_ibs=merge_pipeline(rds, fuse_config, apply_ibs=False) if with_no_ibs else [],
+    )
 
 
 def run_scene(
@@ -84,38 +107,22 @@ def run_scene(
     config: PipelineConfig = PipelineConfig(),
     image_id: str = "scene",
     with_no_ibs: bool = False,
-) -> SceneRun:
-    """Synthesize one scene and run focus, refine, oracle detect and merge."""
+) -> ImageRun:
+    """Synthesize one scene and run it through `run_image`, EM seeded by the scene."""
     scene = generate_scene(scene_spec)
     annotations = [GtAnnotation(box=b, class_id=c) for b, c in scene.annotations]
-    regions = regions_for_image(
-        annotations, scene.image_size, config, image_id=image_id, seed=scene_spec.rng_seed
-    )
-    crops = refine_image(regions, annotations, config)
-    region_detections = [oracle_detect(crop, oracle_spec) for crop in crops]
-    merged = merge_pipeline(region_detections, config.fuse_config(), apply_ibs=True)
-    run = SceneRun(
-        scene=scene,
-        regions=regions,
-        crops=crops,
-        region_detections=region_detections,
-        merged=merged,
-    )
-    if with_no_ibs:
-        run.merged_no_ibs = merge_pipeline(
-            region_detections, config.fuse_config(), apply_ibs=False
-        )
-    return run
+    return run_image(annotations, scene.image_size, oracle_spec, config, image_id=image_id,
+                     seed=scene_spec.rng_seed, with_no_ibs=with_no_ibs)
 
 
 def evaluate_runs(
-    runs: Sequence[SceneRun], config: PipelineConfig = PipelineConfig(), use_ibs: bool = True
+    runs: Sequence[ImageRun], config: PipelineConfig = PipelineConfig(), use_ibs: bool = True
 ) -> EvalReport:
-    """COCO report over a corpus of scene runs treated as one dataset."""
+    """COCO report over a corpus of image runs treated as one dataset."""
     gts = {}
     dets = {}
     for i, run in enumerate(runs):
         image_id = f"scene{i:04d}"
-        gts[image_id] = [GtAnnotation(box=b, class_id=c) for b, c in run.scene.annotations]
+        gts[image_id] = run.annotations
         dets[image_id] = run.merged if use_ibs else run.merged_no_ibs
     return coco_eval(dets, gts, max_dets=config.max_dets)

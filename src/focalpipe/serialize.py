@@ -12,7 +12,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, TextIO
 
 from .boxgeom import AffineMap2D, Box, ScoredBox
 from .evalkit import GtAnnotation
@@ -20,33 +20,31 @@ from .focal import FocalRegion, RefinedCrop
 from .fuse import RegionDetections
 
 
-def write_json_atomic(path: str | Path, obj: Any) -> None:
+def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Call `write` on a temp file beside `path`, then rename it over `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as f:
-            json.dump(obj, f, indent=2, sort_keys=True)
-            f.write("\n")
+            write(f)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str | Path, obj: Any) -> None:
+    def dump(f: TextIO) -> None:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+    _write_atomic(path, dump)
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    _write_atomic(path, lambda f: f.write(text))
 
 
 def box_to_list(b: Box) -> list[float]:

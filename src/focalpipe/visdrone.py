@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 from importlib import resources
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Callable, Mapping, Sequence
 
 from .boxgeom import Box, ScoredBox
 from .evalkit import GtAnnotation
+from .serialize import write_text_atomic
 
 IGNORED_REGION_CATEGORY = 0
 
@@ -122,17 +123,20 @@ def format_detection_line(d: ScoredBox) -> str:
     )
 
 
-def write_annotations(out_dir: str | Path, per_image: Mapping[str, list[GtAnnotation]]) -> None:
+def _write_per_image(
+    out_dir: str | Path, per_image: Mapping[str, Sequence[Any]], format_line: Callable[[Any], str]
+) -> None:
+    """One `<image_id>.txt` per image, each written atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for image_id in sorted(per_image):
-        lines = [format_annotation_line(a) for a in per_image[image_id]]
-        (out_dir / f"{image_id}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+        text = "".join(format_line(x) + "\n" for x in per_image[image_id])
+        write_text_atomic(out_dir / f"{image_id}.txt", text)
+
+
+def write_annotations(out_dir: str | Path, per_image: Mapping[str, list[GtAnnotation]]) -> None:
+    _write_per_image(out_dir, per_image, format_annotation_line)
 
 
 def write_detections(out_dir: str | Path, per_image: Mapping[str, list[ScoredBox]]) -> None:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for image_id in sorted(per_image):
-        lines = [format_detection_line(d) for d in per_image[image_id]]
-        (out_dir / f"{image_id}.txt").write_text("\n".join(lines) + ("\n" if lines else ""))
+    _write_per_image(out_dir, per_image, format_detection_line)

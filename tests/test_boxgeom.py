@@ -11,7 +11,6 @@ from focalpipe.boxgeom import (
     area,
     clip,
     intersect,
-    invert_map,
     iou,
 )
 
@@ -172,6 +171,6 @@ class TestAffine:
     @given(real_boxes, affine_maps)
     @settings(max_examples=200)
     def test_round_trip(self, b, m):
-        back = apply_map(apply_map(b, m), invert_map(m))
+        back = apply_map(apply_map(b, m), m.invert())
         for got, want in zip(back.as_tuple(), b.as_tuple()):
             assert got == pytest.approx(want, abs=1e-9)

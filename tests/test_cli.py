@@ -3,10 +3,13 @@ from pathlib import Path
 
 from focalpipe import serialize
 from focalpipe.boxgeom import Box, ScoredBox
-from focalpipe.cli import main
+from focalpipe.cli import _image_seed, main
+from focalpipe.config import PipelineConfig
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import FocalRegion, make_detector_map
 from focalpipe.fuse import RegionDetections
+from focalpipe.pipeline import run_image
+from focalpipe.scenes import OracleSpec
 
 
 def run(*argv) -> int:
@@ -163,6 +166,24 @@ class TestEval:
         header = (tmp_path / "pr.csv").read_text().splitlines()[0]
         assert header == "class_id,score,precision,recall"
 
+    def test_voc_iou_respects_max_dets(self, tmp_path, capsys):
+        gts = {"img": [GtAnnotation(Box(10, 10, 50, 50), 1)]}
+        ann = tmp_path / "annotations.json"
+        write_annotations_doc(ann, gts, {"img": (200, 200)})
+        # the higher-scored detection is a false positive, so a cap of one
+        # detection per image leaves nothing to match the ground truth
+        dets = {"img": [ScoredBox(Box(120, 120, 160, 160), 1, 0.9),
+                        ScoredBox(Box(10, 10, 50, 50), 1, 0.8)]}
+        det_path = tmp_path / "merged.json"
+        serialize.write_json_atomic(det_path, serialize.merged_detections_doc(dets))
+        voc = {}
+        for max_dets in ("1", "2"):
+            out = tmp_path / f"report{max_dets}.json"
+            assert run("eval", "--detections", str(det_path), "--annotations", str(ann),
+                       "--out", str(out), "--voc-iou", "0.7", "--max-dets", max_dets) == 0
+            voc[max_dets] = json.loads(out.read_text())["voc_ap"]
+        assert voc == {"1": 0.0, "2": 50.0}
+
 
 class TestPipelineDeterminism:
     def test_same_seed_is_byte_identical(self, tmp_path, capsys):
@@ -185,3 +206,65 @@ class TestPipelineDeterminism:
         doc = json.loads((out / "report.json").read_text())
         assert doc["seed"] == 5
         assert doc["ibs"] is False
+
+
+def regions_by_image(path: Path) -> dict:
+    return json.loads(path.read_text())["images"]
+
+
+class TestImageSeeds:
+    def test_regions_do_not_depend_on_other_images(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert run("synth", "--out", str(corpus), "--seed", "2", "--num-scenes", "3") == 0
+        ann = corpus / "annotations.json"
+        alone = tmp_path / "alone.json"
+        assert run("gen-regions", "--annotations", str(ann), "--out", str(alone),
+                   "--seed", "9") == 0
+        # an extra image whose id sorts before every other one
+        doc = json.loads(ann.read_text())
+        doc["images"]["aaa"] = doc["images"]["scene0002"]
+        grown_ann = tmp_path / "grown_annotations.json"
+        grown_ann.write_text(json.dumps(doc))
+        grown = tmp_path / "grown.json"
+        assert run("gen-regions", "--annotations", str(grown_ann), "--out", str(grown),
+                   "--seed", "9") == 0
+        grown_regions = regions_by_image(grown)
+        del grown_regions["aaa"]
+        assert grown_regions == regions_by_image(alone)
+
+    def test_pipeline_regions_equal_gen_regions(self, tmp_path, capsys):
+        out = tmp_path / "p"
+        assert run("pipeline", "--seed", "6", "--num-scenes", "3", "--out", str(out)) == 0
+        regions = tmp_path / "regions.json"
+        assert run("gen-regions", "--annotations", str(out / "annotations.json"),
+                   "--out", str(regions), "--seed", "6") == 0
+        assert regions.read_bytes() == (out / "regions.json").read_bytes()
+
+
+class TestOneRunPath:
+    def test_pipeline_files_equal_run_image(self, tmp_path, capsys):
+        seed = 8
+        out = tmp_path / "p"
+        assert run("pipeline", "--seed", str(seed), "--num-scenes", "3", "--out", str(out)) == 0
+        gts, sizes = serialize.annotations_from_doc(
+            json.loads((out / "annotations.json").read_text())
+        )
+        classes = max(g.class_id for anns in gts.values() for g in anns) + 1
+        oracle = OracleSpec(localization_noise=2.0, miss_rate=0.05, false_positive_rate=0.5,
+                            class_flip_rate_truncated=0.5, n_classes=classes, rng_seed=seed)
+        runs = {
+            image_id: run_image(gts[image_id], sizes[image_id], oracle, PipelineConfig(),
+                                image_id=image_id, seed=_image_seed(seed, image_id))
+            for image_id in sorted(gts)
+        }
+        expected = {
+            "regions.json": serialize.regions_doc(
+                {i: (sizes[i], r.regions) for i, r in runs.items()}),
+            "crops.json": serialize.crops_doc({i: r.crops for i, r in runs.items()}),
+            "region_detections.json": serialize.region_detections_doc(
+                {i: r.region_detections for i, r in runs.items()}),
+            "merged.json": serialize.merged_detections_doc(
+                {i: r.merged for i, r in runs.items()}),
+        }
+        for name, doc in expected.items():
+            assert json.loads((out / name).read_text()) == json.loads(json.dumps(doc)), name

@@ -179,7 +179,7 @@ class TestVocAp:
         # wrong class but perfect geometry still counts once merged
         gt = {"a": [GtAnnotation(Box(0, 0, 50, 50), 1)]}
         det = {"a": [ScoredBox(Box(0, 0, 50, 50), 2, 0.9)]}
-        assert voc_ap_at(det, gt, 0.7, merge_classes=True) == 100.0
+        assert voc_ap_at(det, gt, 0.7) == 100.0
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_reference(self, seed):

@@ -124,16 +124,6 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(x, 1, EmConfig())
 
-    def test_json_round_trip(self):
-        rng = np.random.default_rng(2)
-        x, _ = two_cluster_data(rng)
-        grid = FeatureGrid(rows=2, cols=2, image_width=100, image_height=80)
-        model = fit_em(x[:, :2], 2, EmConfig(rng_seed=2), grid=None)
-        model.grid = grid
-        clone = MixtureModel.from_json_dict(model.to_json_dict())
-        assert np.array_equal(clone.means, model.means)
-        assert clone.grid == grid
-
 
 def diagonal_density(x, mean, var):
     """Independent scalar-Gaussian product, evaluated one dimension at a time."""

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from focalpipe.boxgeom import Box, ScoredBox
@@ -114,6 +116,19 @@ class TestRoundTrip:
         }
         write_detections(tmp_path / "res", per_image)
         assert parse_detections(tmp_path / "res") == per_image
+
+    @pytest.mark.parametrize("write, record", [
+        (write_annotations, GtAnnotation(box=Box(10, 20, 40, 60), class_id=4)),
+        (write_detections, ScoredBox(box=Box(10, 20, 40, 60), class_id=4, score=0.5)),
+    ])
+    def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write, record):
+        def fail(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename failed"):
+            write(tmp_path / "out", {"img1": [record]})
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_line_formats(self):
         a = GtAnnotation(box=Box(10, 20, 40, 60), class_id=4)
