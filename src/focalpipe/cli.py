@@ -14,14 +14,14 @@ import secrets
 import sys
 import zlib
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 import click
 
 from . import serialize, visdrone
 from .config import PipelineConfig
 from .evalkit import GtAnnotation, coco_eval, precision_recall_points, report_table, voc_ap_at
-from .fuse import merge_pipeline
+from .fuse import ingest_detections, merge_pipeline
 from .pipeline import refine_image, regions_for_image, run_image
 from .scenes import OracleSpec, SceneSpec, generate_scene
 from .visdrone import VisDroneFormatError
@@ -64,21 +64,17 @@ def _load_config(config_path: Optional[str], **overrides) -> PipelineConfig:
 def _load_annotations(path: str, sizes_path: Optional[str]):
     """Ground truth from an annotations JSON doc or a VisDrone directory."""
     p = Path(path)
+    if not p.is_dir():
+        return _load_doc(path, serialize.annotations_from_doc)
     try:
-        if p.is_dir():
-            gts = visdrone.parse_annotations(p)
-            if sizes_path is None:
-                raise DataError(
-                    "VisDrone directories carry no image dimensions; pass --image-sizes"
-                )
-            sizes = {
-                k: tuple(v) for k, v in json.loads(Path(sizes_path).read_text()).items()
-            }
-            missing = set(gts) - set(sizes)
-            if missing:
-                raise DataError(f"no image size for: {sorted(missing)[:5]}")
-            return gts, sizes
-        return serialize.annotations_from_doc(json.loads(p.read_text()))
+        gts = visdrone.parse_annotations(p)
+        if sizes_path is None:
+            raise DataError("VisDrone directories carry no image dimensions; pass --image-sizes")
+        sizes = {k: tuple(v) for k, v in json.loads(Path(sizes_path).read_text()).items()}
+        missing = set(gts) - set(sizes)
+        if missing:
+            raise DataError(f"no image size for: {sorted(missing)[:5]}")
+        return gts, sizes
     except (VisDroneFormatError, ValueError, KeyError, OSError) as e:
         raise DataError(str(e)) from e
 
@@ -88,6 +84,16 @@ def _load_json(path: str) -> dict:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
         raise DataError(str(e)) from e
+
+
+def _load_doc(path: str, from_doc: Callable[[dict], Any]) -> Any:
+    """Read a stage document and convert it with a `serialize.*_from_doc`
+    function; a document that does not fit the schema is a data error."""
+    doc = _load_json(path)
+    try:
+        return from_doc(doc)
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+        raise DataError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
 
 
 def _resolve_seed(seed: Optional[int]) -> int:
@@ -182,7 +188,7 @@ def refine_gt_cmd(annotations_path, sizes_path, regions_path, out_path, config_p
     """Clip and filter ground truth into focal-region crops."""
     config = _load_config(config_path, **overrides)
     gts, _ = _load_annotations(annotations_path, sizes_path)
-    regions = serialize.regions_from_doc(_load_json(regions_path))
+    regions = _load_doc(regions_path, serialize.regions_from_doc)
     per_image = {}
     for image_id in sorted(regions):
         if image_id not in gts:
@@ -202,13 +208,13 @@ def refine_gt_cmd(annotations_path, sizes_path, regions_path, out_path, config_p
 def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides) -> None:
     """Merge per-region detections into image-level results (NMS then IBS)."""
     config = _load_config(config_path, **overrides)
-    per_image = serialize.region_detections_from_doc(_load_json(rd_path))
+    per_image = _load_doc(rd_path, serialize.region_detections_from_doc)
     merged = {}
     for image_id in sorted(per_image):
+        # external detectors may overrun the detector frame; clamp to it first
+        rds = [ingest_detections(rd.region, rd.detections) for rd in per_image[image_id]]
         try:
-            merged[image_id] = merge_pipeline(
-                per_image[image_id], config.fuse_config(), apply_ibs=not no_ibs
-            )
+            merged[image_id] = merge_pipeline(rds, config.fuse_config(), apply_ibs=not no_ibs)
         except ValueError as e:
             raise DataError(f"{image_id}: {e}") from e
     serialize.write_json_atomic(out_path, serialize.merged_detections_doc(merged))
@@ -240,7 +246,7 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
         if p.is_dir():
             dets = visdrone.parse_detections(p)
         else:
-            dets = serialize.merged_detections_from_doc(_load_json(det_path))
+            dets = _load_doc(det_path, serialize.merged_detections_from_doc)
         report = coco_eval(dets, gts, max_dets=config.max_dets)
     except (VisDroneFormatError, ValueError) as e:
         raise DataError(str(e)) from e
@@ -283,7 +289,7 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
     out = Path(out_dir)
 
     ctx.invoke(synth_cmd, out_dir=str(out), seed=seed, num_scenes=num_scenes)
-    gts, sizes = serialize.annotations_from_doc(_load_json(str(out / "annotations.json")))
+    gts, sizes = _load_doc(str(out / "annotations.json"), serialize.annotations_from_doc)
 
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
     oracle = OracleSpec(

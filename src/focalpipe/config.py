@@ -19,6 +19,8 @@ from .mixture import EmConfig
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    # the grid acts only through its point count: the clustering density power
+    # is grid_rows * grid_cols (see `mixture`), so 4 x 4 and 2 x 8 cluster alike
     grid_rows: int = 4
     grid_cols: int = 4
     margin: float = 20.0

@@ -1,19 +1,21 @@
-"""Grid-distance featurization of boxes and Gaussian-mixture clustering by EM.
+"""Gaussian-mixture clustering of box centers by EM.
 
-Each ground-truth box is described by the vector of offsets from a fixed grid
-of image points to the box center. A diagonal-covariance Gaussian mixture is
-fit to these vectors per image; the number of components grows
-logarithmically with the number of boxes.
+The clustering feature of a box is its center's offsets from a fixed grid of
+P image points (`featurize`). Those differ from the center by constants, so
+a diagonal Gaussian log density on the feature is exactly P times a 2-D one
+on the center, and EM on the feature is EM on the centers with every
+component log density multiplied by P. The pipeline fits that 2-D mixture
+(`density_power=P`); `featurize` stays as the reference the equivalence
+tests compare against. The component count grows as log2 of the box count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .boxgeom import Box
 
@@ -38,10 +40,6 @@ class FeatureGrid:
             raise ValueError("grid must have at least one row and column")
         if self.image_width <= 0 or self.image_height <= 0:
             raise ValueError("image dimensions must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.rows * self.cols
 
     def points(self) -> np.ndarray:
         """Grid points in row-major order, shape (rows*cols, 2)."""
@@ -76,6 +74,8 @@ class MixtureModel:
 
     weights: (k,), sums to 1. means: (k, dim). variances: (k, dim), the
     diagonals of the component covariances, floored during fitting.
+    density_power: factor on every component log density, in the fit and in
+    `posterior` and `assign_clusters`.
     """
 
     weights: np.ndarray
@@ -83,6 +83,7 @@ class MixtureModel:
     variances: np.ndarray
     log_likelihood: float = float("-inf")
     ll_history: list[float] = field(default_factory=list)
+    density_power: float = 1.0
 
     @property
     def n_components(self) -> int:
@@ -120,15 +121,26 @@ def featurize(boxes: Sequence[Box], grid: FeatureGrid) -> np.ndarray:
         raise ValueError("featurize requires at least one box")
     centers = np.array([b.center for b in boxes], dtype=float)  # (n, 2)
     deltas = centers[:, None, :] - grid.points()[None, :, :]  # (n, P, 2)
-    return deltas.reshape(len(boxes), grid.dim)
+    return deltas.reshape(len(boxes), -1)
 
 
-def _log_gaussians(x: np.ndarray, means: np.ndarray, variances: np.ndarray) -> np.ndarray:
-    """Per-component diagonal-Gaussian log densities; x (n, d) -> (n, k)."""
+def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
+               variances: np.ndarray, power: float) -> np.ndarray:
+    """log weight + power * diagonal-Gaussian log density; x (n, d) -> (n, k)."""
     diff = x[:, None, :] - means[None, :, :]  # (n, k, d)
     maha = np.sum(diff * diff / variances[None, :, :], axis=2)
     log_norm = np.sum(np.log(variances), axis=1) + variances.shape[1] * LOG_2PI
-    return -0.5 * (maha + log_norm[None, :])
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights)
+    return log_w[None, :] + power * (-0.5 * (maha + log_norm[None, :]))
+
+
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """Row-wise log(sum(exp(a))), shifted by the row max; -inf for all -inf rows."""
+    shift = a.max(axis=1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return shift[:, 0] + np.log(np.exp(a - shift).sum(axis=1))
 
 
 def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -148,7 +160,7 @@ def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _em_single_run(
-    x: np.ndarray, k: int, cfg: EmConfig, rng: np.random.Generator
+    x: np.ndarray, k: int, cfg: EmConfig, power: float, rng: np.random.Generator
 ) -> MixtureModel:
     n, d = x.shape
     means = _kmeanspp_means(x, k, rng)
@@ -159,14 +171,13 @@ def _em_single_run(
     history: list[float] = []
     prev_ll = float("-inf")
     for _ in range(cfg.max_iterations):
-        log_joint = np.log(weights)[None, :] + _log_gaussians(x, means, variances)
-        log_norm = logsumexp(log_joint, axis=1)
+        log_joint = _log_joint(x, weights, means, variances, power)
+        log_norm = _logsumexp(log_joint)
         ll = float(np.sum(log_norm))
         history.append(ll)
         resp = np.exp(log_joint - log_norm[:, None])  # (n, k)
 
-        nk = resp.sum(axis=0)
-        nk = np.maximum(nk, 1e-12)
+        nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / n
         means = (resp.T @ x) / nk[:, None]
         diff2 = (x[:, None, :] - means[None, :, :]) ** 2
@@ -177,32 +188,23 @@ def _em_single_run(
             break
         prev_ll = ll
 
-    final_ll = float(
-        np.sum(
-            logsumexp(
-                np.log(weights)[None, :] + _log_gaussians(x, means, variances), axis=1
-            )
-        )
-    )
+    final_ll = float(np.sum(_logsumexp(_log_joint(x, weights, means, variances, power))))
     history.append(final_ll)
-    return MixtureModel(
-        weights=weights,
-        means=means,
-        variances=variances,
-        log_likelihood=final_ll,
-        ll_history=history,
-    )
+    return MixtureModel(weights, means, variances, log_likelihood=final_ll,
+                        ll_history=history, density_power=power)
 
 
 def fit_em(
     features: np.ndarray | Sequence[Sequence[float]],
     k: int,
     cfg: EmConfig = EmConfig(),
+    density_power: float = 1.0,
 ) -> MixtureModel:
     """Fit a k-component diagonal Gaussian mixture by expectation maximization.
 
-    Runs cfg.restarts seeded restarts and returns the run with the best final
-    log likelihood. Deterministic for a fixed cfg.rng_seed.
+    Every component log density is multiplied by `density_power`. Runs
+    cfg.restarts seeded restarts and returns the run with the best final log
+    likelihood. Deterministic for a fixed cfg.rng_seed.
     """
     x = np.asarray(features, dtype=float)
     if x.ndim != 2:
@@ -213,15 +215,13 @@ def fit_em(
         raise ValueError("k must be >= 1")
     if len(x) < k:
         raise ValueError(f"cannot fit {k} components to {len(x)} samples")
+    if not (math.isfinite(density_power) and density_power > 0):
+        raise ValueError("density_power must be positive and finite")
 
-    best: Optional[MixtureModel] = None
-    root = np.random.SeedSequence(cfg.rng_seed)
-    for child in root.spawn(cfg.restarts):
-        model = _em_single_run(x, k, cfg, np.random.default_rng(child))
-        if best is None or model.log_likelihood > best.log_likelihood:
-            best = model
-    assert best is not None
-    return best
+    runs = (_em_single_run(x, k, cfg, density_power, np.random.default_rng(child))
+            for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts))
+    # max keeps the first of equal bests, as restarts are tried in order
+    return max(runs, key=lambda model: model.log_likelihood)
 
 
 def posterior(model: MixtureModel, x: np.ndarray | Sequence[float]) -> Posterior:
@@ -233,12 +233,8 @@ def posterior(model: MixtureModel, x: np.ndarray | Sequence[float]) -> Posterior
     v = np.asarray(x, dtype=float)
     if v.shape != (model.dim,):
         raise ValueError(f"feature length {v.shape} does not match model dim {model.dim}")
-    with np.errstate(divide="ignore"):
-        log_joint = np.log(model.weights) + _log_gaussians(
-            v[None, :], model.means, model.variances
-        )[0]
-    # max-shifted log-sum-exp inline: scipy's logsumexp carries too much
-    # per-call overhead for this hot single-vector path
+    log_joint = _log_joint(v[None, :], model.weights, model.means, model.variances,
+                           model.density_power)[0]
     shift = log_joint.max()
     if np.isfinite(shift):
         norm = shift + np.log(np.exp(log_joint - shift).sum())
@@ -256,6 +252,17 @@ def posterior(model: MixtureModel, x: np.ndarray | Sequence[float]) -> Posterior
 def assign_clusters(
     model: MixtureModel, features: np.ndarray | Sequence[Sequence[float]]
 ) -> list[int]:
-    """Hard cluster assignment: argmax posterior, ties to the lowest index."""
-    x = np.asarray(features, dtype=float)
-    return [int(np.argmax(posterior(model, row).probs)) for row in x]
+    """Hard cluster assignment: argmax posterior, ties to the lowest index.
+
+    All rows are scored at once; only rows whose mixture density underflows
+    go through `posterior` for its nearest-mean fallback.
+    """
+    x = np.asarray(features, dtype=float).reshape(len(features), model.dim)
+    log_joint = _log_joint(x, model.weights, model.means, model.variances, model.density_power)
+    norm = _logsumexp(log_joint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        labels = np.argmax(np.exp(log_joint - norm[:, None]), axis=1)
+        underflow = ~np.isfinite(norm) | (np.exp(norm) == 0.0)
+    for i in np.flatnonzero(underflow):
+        labels[i] = np.argmax(posterior(model, x[i]).probs)
+    return labels.tolist()

@@ -7,32 +7,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .boxgeom import Box, ScoredBox
 from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
 from .fuse import RegionDetections, merge_pipeline
-from .mixture import FeatureGrid, assign_clusters, featurize, fit_em, num_focal_regions
+from .mixture import assign_clusters, fit_em, num_focal_regions
 from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 
-def cluster_boxes(
-    boxes: Sequence[Box],
-    image_size: tuple[float, float],
-    config: PipelineConfig,
-    seed: int = 0,
-) -> list[int]:
-    """Featurize boxes and fit the per-image mixture; returns cluster labels."""
-    grid = FeatureGrid(
-        rows=config.grid_rows,
-        cols=config.grid_cols,
-        image_width=image_size[0],
-        image_height=image_size[1],
-    )
-    features = featurize(boxes, grid)
+def cluster_boxes(boxes: Sequence[Box], config: PipelineConfig, seed: int = 0) -> list[int]:
+    """Cluster labels of the mixture fit on box centers, density power rows x cols."""
+    centers = np.array([b.center for b in boxes], dtype=float)
     k = num_focal_regions(len(boxes))
-    model = fit_em(features, k, config.em_config(rng_seed=seed))
-    return assign_clusters(model, features)
+    model = fit_em(centers, k, config.em_config(rng_seed=seed),
+                   density_power=config.grid_rows * config.grid_cols)
+    return assign_clusters(model, centers)
 
 
 def regions_for_image(
@@ -46,7 +38,7 @@ def regions_for_image(
     boxes = [a.box for a in annotations if not a.ignore]
     if not boxes:
         return []
-    labels = cluster_boxes(boxes, image_size, config, seed=seed)
+    labels = cluster_boxes(boxes, config, seed=seed)
     return regions_from_clusters(
         boxes,
         labels,

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from focalpipe import serialize
 from focalpipe.boxgeom import Box, ScoredBox
 from focalpipe.cli import _image_seed, main
@@ -136,6 +138,61 @@ class TestMerge:
         assert run("merge", "--region-detections", str(rd), "--out", str(tmp_path / "m.json"),
                    "--out-visdrone", str(tmp_path / "results")) == 0
         assert (tmp_path / "results" / "img.txt").exists()
+
+
+class TestMergeClampsToDetectorFrame:
+    def test_detection_past_frame_edge_is_clamped(self, tmp_path, capsys):
+        rect = Box(100, 50, 400, 250)
+        region = FocalRegion(rect=rect, region_id=0, image_id="img",
+                             to_detector=make_detector_map(rect, 600, 400))
+        # runs 60 px past the right edge of the 600 x 400 detector frame
+        overrun = ScoredBox(box=Box(500, 100, 660, 200), class_id=0, score=0.8)
+        rd = tmp_path / "rd.json"
+        serialize.write_json_atomic(rd, serialize.region_detections_doc(
+            {"img": [RegionDetections(region=region, detections=[overrun])]}))
+        out = tmp_path / "merged.json"
+        assert run("merge", "--region-detections", str(rd), "--out", str(out)) == 0
+        [merged] = serialize.merged_detections_from_doc(json.loads(out.read_text()))["img"]
+        assert merged.box == Box(350, 100, 400, 150)
+        assert rect.x1 <= merged.box.x1 and merged.box.x2 <= rect.x2
+
+
+def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
+    """Write the input files of one malformed-document case; returns the
+    command line and the path of the malformed file."""
+    rd_doc = TestMerge().region_detection_doc()
+    ann_doc = serialize.annotations_doc(
+        {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]}, {"img": (100, 100)})
+    if case == "region-without-id":
+        del rd_doc["images"]["img"][0]["region"]["region_id"]
+    elif case == "score-above-one":
+        rd_doc["images"]["img"][0]["detections"][0]["score"] = 1.5
+    elif case == "images-is-a-list":
+        rd_doc = {"images": []}
+    elif case == "three-number-bbox":
+        ann_doc["images"]["img"]["annotations"][0]["bbox"] = [0, 0, 10]
+    rd, ann = tmp_path / "rd.json", tmp_path / "ann.json"
+    serialize.write_json_atomic(rd, rd_doc)
+    serialize.write_json_atomic(ann, ann_doc)
+    out = str(tmp_path / "out.json")
+    if case == "three-number-bbox":
+        return ["gen-regions", "--annotations", str(ann), "--out", out], ann
+    if case == "regions-given-region-detections":
+        return ["refine-gt", "--annotations", str(ann), "--regions", str(rd), "--out", out], rd
+    return ["merge", "--region-detections", str(rd), "--out", out], rd
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", [
+        "region-without-id", "score-above-one", "images-is-a-list", "three-number-bbox",
+        "regions-given-region-detections",
+    ])
+    def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
+        argv, bad = malformed_case(case, tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
 
 
 class TestEval:

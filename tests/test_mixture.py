@@ -124,6 +124,11 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(x, 1, EmConfig())
 
+    @pytest.mark.parametrize("power", [0.0, -2.0, math.inf, math.nan])
+    def test_bad_density_power_rejected(self, power):
+        with pytest.raises(ValueError, match="density_power"):
+            fit_em(np.zeros((5, 2)), 1, EmConfig(), density_power=power)
+
 
 def diagonal_density(x, mean, var):
     """Independent scalar-Gaussian product, evaluated one dimension at a time."""
@@ -154,16 +159,18 @@ class TestPosterior:
         assert p.probs == pytest.approx([0.5, 0.5], abs=1e-12)
 
     def test_matches_scalar_density_oracle(self):
-        model = MixtureModel(
-            weights=np.array([0.3, 0.7]),
-            means=np.array([[1.0, -2.0, 0.5], [4.0, 1.0, -1.0]]),
-            variances=np.array([[0.5, 2.0, 1.0], [1.5, 0.25, 3.0]]),
-        )
         x = [2.0, 0.0, 0.0]
-        num = [w * diagonal_density(x, m, v)
-               for w, m, v in zip(model.weights, model.means, model.variances)]
-        expected = np.array(num) / sum(num)
-        assert posterior(model, x).probs == pytest.approx(expected, abs=1e-9)
+        for power in (1.0, 3.0):
+            model = MixtureModel(
+                weights=np.array([0.3, 0.7]),
+                means=np.array([[1.0, -2.0, 0.5], [4.0, 1.0, -1.0]]),
+                variances=np.array([[0.5, 2.0, 1.0], [1.5, 0.25, 3.0]]),
+                density_power=power,
+            )
+            num = [w * diagonal_density(x, m, v) ** power
+                   for w, m, v in zip(model.weights, model.means, model.variances)]
+            expected = np.array(num) / sum(num)
+            assert posterior(model, x).probs == pytest.approx(expected, abs=1e-9)
 
     def test_underflow_falls_back_to_nearest_mean(self):
         model = MixtureModel(
@@ -239,3 +246,32 @@ class TestAssignClusters:
             variances=base.variances,
         )
         assert assign_clusters(base, x) == assign_clusters(scaled, x)
+
+    @given(st.integers(0, 10_000), st.floats(0.1, 32.0).filter(lambda p: p != 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_batched_equals_per_row_posterior(self, seed, power):
+        rng = np.random.default_rng(seed)
+        k, d = int(rng.integers(1, 12)), int(rng.integers(1, 5))
+        w = rng.uniform(0.1, 1.0, k)
+        model = MixtureModel(
+            weights=w / w.sum(),
+            means=rng.normal(0, 10, (k, d)),
+            variances=rng.uniform(0.1, 5.0, (k, d)),
+            density_power=power,
+        )
+        # rows 1e4 from every mean: the mixture density underflows to zero
+        far = rng.normal(0, 10, (5, d)) + rng.choice([-1e4, 1e4], (5, d))
+        x = np.vstack([rng.normal(0, 10, (30, d)), far])
+        per_row = [posterior(model, row) for row in x]
+        assert all(p.nearest_mean_fallback for p in per_row[30:])
+        assert assign_clusters(model, x) == [int(np.argmax(p.probs)) for p in per_row]
+
+    def test_empty_and_mismatched_features(self):
+        model = MixtureModel(
+            weights=np.array([1.0]),
+            means=np.array([[0.0, 0.0]]),
+            variances=np.array([[1.0, 1.0]]),
+        )
+        assert assign_clusters(model, []) == []
+        with pytest.raises(ValueError):
+            assign_clusters(model, [[1.0], [2.0]])

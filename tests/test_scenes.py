@@ -5,7 +5,14 @@ import pytest
 
 from focalpipe.boxgeom import Box
 from focalpipe.config import PipelineConfig
-from focalpipe.mixture import EmConfig, FeatureGrid, assign_clusters, featurize, fit_em
+from focalpipe.mixture import (
+    EmConfig,
+    FeatureGrid,
+    assign_clusters,
+    featurize,
+    fit_em,
+    num_focal_regions,
+)
 from focalpipe.pipeline import cluster_boxes, refine_image, regions_for_image, run_scene
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import refine_gt, regions_from_clusters
@@ -72,6 +79,41 @@ class TestGenerateScene:
                 best = max(best, sum(perm[g] == t for g, t in zip(got, scene.labels)))
             agreements.append(best / len(scene.labels))
         assert float(np.mean(agreements)) >= 0.95
+
+
+# the IBS-ablation scenes (about 48 boxes) and the dense benchmark scenes
+# (about 600 boxes, k = 11)
+ABLATION_SPEC = dict(image_size=(1200, 900), n_clusters=3, boxes_per_cluster=(12, 20),
+                     cluster_spread=120.0, box_size_range=(16.0, 40.0),
+                     size_multiplier_range=(0.8, 1.5))
+DENSE_SPEC = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25, 35),
+                  box_size_range=(10.0, 30.0), size_multiplier_range=(0.5, 1.5), classes=10)
+
+
+class TestCenterFitEqualsGridFeatureFit:
+    """`cluster_boxes` fits box centers with density power rows x cols; the
+    reference fits the 2*rows*cols grid-offset feature `featurize` with power 1."""
+
+    @pytest.mark.parametrize("spec,rows,cols,n_scenes", [
+        (ABLATION_SPEC, 4, 4, 40),
+        (DENSE_SPEC, 4, 4, 8),
+        (ABLATION_SPEC, 2, 3, 10),
+    ], ids=["ablation-4x4", "dense-4x4", "ablation-2x3"])
+    def test_same_labels_and_likelihood(self, spec, rows, cols, n_scenes):
+        config = PipelineConfig(grid_rows=rows, grid_cols=cols)
+        for seed in range(n_scenes):
+            scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
+            boxes = [b for b, _ in scene.annotations]
+            k = num_focal_regions(len(boxes))
+            em = config.em_config(rng_seed=seed)
+            features = featurize(boxes, FeatureGrid(rows, cols, *scene.image_size))
+            reference = fit_em(features, k, em)
+            centers = np.array([b.center for b in boxes])
+            model = fit_em(centers, k, em, density_power=rows * cols)
+            assert cluster_boxes(boxes, config, seed=seed) == assign_clusters(
+                reference, features), f"seed {seed}"
+            assert model.log_likelihood == pytest.approx(reference.log_likelihood, rel=1e-9)
+            assert len(model.ll_history) == len(reference.ll_history)
 
 
 class TestOracleDetect:
@@ -189,6 +231,6 @@ class TestRunScene:
     def test_cluster_boxes_labels_in_range(self):
         scene = generate_scene(separated_spec(11))
         boxes = [b for b, _ in scene.annotations]
-        labels = cluster_boxes(boxes, scene.image_size, PipelineConfig(), seed=11)
+        labels = cluster_boxes(boxes, PipelineConfig(), seed=11)
         assert len(labels) == len(boxes)
         assert all(0 <= l for l in labels)
