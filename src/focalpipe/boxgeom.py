@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Box:
@@ -92,7 +94,6 @@ class AffineMap2D:
         )
 
 
-
 def area(b: Box) -> float:
     return b.width * b.height
 
@@ -122,6 +123,22 @@ def iou(a: Box, b: Box) -> float:
     if union <= 0.0:
         return 0.0
     return ai / union
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each (x1, y1, x2, y2) row of `a` (n, 4) against each row of `b` (m, 4),
+    as an (n, m) array equal bit for bit to `iou` of each pair: same operations, same order."""
+    ax1, ay1, ax2, ay2 = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
+    bx1, by1, bx2, by2 = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
+    x1 = np.maximum(ax1, bx1)
+    y1 = np.maximum(ay1, by1)
+    x2 = np.minimum(ax2, bx2)
+    y2 = np.minimum(ay2, by2)
+    inter = (x2 - x1) * (y2 - y1)
+    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    # `not union <= 0` as in `iou`, rather than `union > 0`: they differ on NaN
+    valid = (x1 < x2) & (y1 < y2) & ~(union <= 0.0)
+    return np.divide(inter, union, out=np.zeros_like(inter), where=valid)
 
 
 def clip(b: Box, frame: Box) -> Optional[Box]:

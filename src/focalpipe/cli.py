@@ -70,7 +70,7 @@ def _load_annotations(path: str, sizes_path: Optional[str]):
         gts = visdrone.parse_annotations(p)
         if sizes_path is None:
             raise DataError("VisDrone directories carry no image dimensions; pass --image-sizes")
-        sizes = {k: tuple(v) for k, v in json.loads(Path(sizes_path).read_text()).items()}
+        sizes = _load_image_sizes(sizes_path)
         missing = set(gts) - set(sizes)
         if missing:
             raise DataError(f"no image size for: {sorted(missing)[:5]}")
@@ -79,11 +79,22 @@ def _load_annotations(path: str, sizes_path: Optional[str]):
         raise DataError(str(e)) from e
 
 
+def _load_image_sizes(path: str) -> dict[str, tuple[float, float]]:
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object of image_id -> [width, height]")
+    for image_id, size in doc.items():
+        if not (isinstance(size, list) and len(size) == 2
+                and all(isinstance(v, (int, float)) for v in size)):
+            raise DataError(f"{path}: size of {image_id!r} is not a [width, height] pair")
+    return {k: tuple(v) for k, v in doc.items()}
+
+
 def _load_json(path: str) -> dict:
     try:
         return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as e:
-        raise DataError(str(e)) from e
+        raise DataError(f"{path}: {e}") from e
 
 
 def _load_doc(path: str, from_doc: Callable[[dict], Any]) -> Any:
@@ -241,6 +252,10 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
     """Score merged detections against ground truth."""
     config = _load_config(config_path, **overrides)
     gts, _ = _load_annotations(annotations_path, sizes_path)
+    try:
+        names = visdrone.load_class_names(class_names_path) if class_names_path else None
+    except (ValueError, OSError) as e:
+        raise DataError(f"{class_names_path}: {e}") from e
     p = Path(det_path)
     try:
         if p.is_dir():
@@ -255,7 +270,6 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
         doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
         doc["voc_iou"] = voc_iou
     serialize.write_json_atomic(out_path, doc)
-    names = visdrone.load_class_names(class_names_path) if class_names_path else None
     table = report_table(report, class_names=names)
     if table_path:
         serialize.write_text_atomic(table_path, table)

@@ -1,20 +1,27 @@
 """Detection scoring: COCO-style AP family and PASCAL-VOC AP at a fixed IoU.
 
-Matching is greedy per image at each IoU threshold: detections in descending
-score order, each ground-truth box matched at most once, ignore-flagged
-ground truth absorbs matches without contributing positives or penalties.
-COCO AP uses 101-point interpolated precision averaged over IoU thresholds
+All evaluators share one matching core. Each image keeps its `max_dets`
+best-scored detections across classes (pycocotools caps per category).
+Matching is greedy per image and class, detections in descending score
+order; each detection's IoU row against the class's ground truth is computed
+once and serves every IoU threshold and area range. A detection takes the
+best-IoU unmatched unignored ground truth at or above the threshold, else an
+ignored one: ignore-flagged ground truth, and ground truth outside the area
+range, absorbs matches without contributing positives or penalties. COCO AP
+uses 101-point interpolated precision averaged over IoU thresholds
 0.50:0.05:0.95; size buckets split ground truth at areas 32^2 and 96^2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .boxgeom import Box, ScoredBox, area, iou
+# `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
+# IOU_SITES) rebinds `evalkit.iou` to count scalar calls and fails without it
+from .boxgeom import Box, ScoredBox, area, iou, pairwise_iou  # noqa: F401
 
 COCO_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]
 SMALL_MAX = 32.0 * 32.0
@@ -52,16 +59,9 @@ class EvalReport:
     empty: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "ap": self.ap,
-            "ap50": self.ap50,
-            "ap75": self.ap75,
-            "ap_small": self.ap_small,
-            "ap_medium": self.ap_medium,
-            "ap_large": self.ap_large,
-            "per_class_ap50": {str(k): v for k, v in sorted(self.per_class_ap50.items())},
-            "empty": self.empty,
-        }
+        doc = asdict(self)
+        doc["per_class_ap50"] = {str(k): v for k, v in sorted(self.per_class_ap50.items())}
+        return doc
 
 
 @dataclass
@@ -73,46 +73,85 @@ class _MatchRecord:
     n_positive: int = 0
 
 
-def _match_image(
+def _match(
+    dets: DetectionSet,
+    gts: GroundTruthSet,
+    keys: Sequence[tuple[float, str]],
+    max_dets: int,
+    class_key: Callable[[int], int] = lambda class_id: class_id,
+) -> dict[int, dict[tuple[float, str], _MatchRecord]]:
+    """The matching core: class -> (IoU threshold, area range name) -> record.
+
+    Classes are the ground-truth class ids mapped through `class_key`; a
+    detection of any other class is an error. Empty when both sides are.
+    """
+    if max_dets < 1:
+        raise ValueError("max_dets must be >= 1")
+    classes = sorted({class_key(g.class_id) for anns in gts.values() for g in anns})
+    records = {c: {k: _MatchRecord() for k in keys} for c in classes}
+    for image_id, image_dets in dets.items():
+        for d in image_dets:
+            if class_key(d.class_id) not in records:
+                raise ValueError(
+                    f"unknown class id {d.class_id} in detections for image {image_id!r}"
+                )
+    for image_id in sorted(set(gts) | set(dets)):
+        by_class: dict[int, tuple[list[ScoredBox], list[GtAnnotation]]] = {}
+        for g in gts.get(image_id, []):
+            by_class.setdefault(class_key(g.class_id), ([], []))[1].append(g)
+        # a stable sort on score alone keeps ties in input order
+        for d in sorted(dets.get(image_id, []), key=lambda d: -d.score)[:max_dets]:
+            by_class.setdefault(class_key(d.class_id), ([], []))[0].append(d)
+        for c, (class_dets, class_gts) in by_class.items():
+            _match_class(class_dets, class_gts, records[c])
+    return records
+
+
+def _match_class(
     dets: Sequence[ScoredBox],
     gts: Sequence[GtAnnotation],
-    iou_thr: float,
-    area_range: tuple[float, float],
-    record: _MatchRecord,
+    records: dict[tuple[float, str], _MatchRecord],
 ) -> None:
-    """Greedy matching for one image and one class, appended into record."""
-    lo, hi = area_range
-    gt_ignore = [g.ignore or not (lo <= area(g.box) < hi) for g in gts]
-    record.n_positive += sum(1 for ig in gt_ignore if not ig)
+    """Greedy matching of one image's detections of one class, in descending
+    score order, at every key of `records` at once."""
+    min_thr = min(t for t, _ in records)
+    gt_xy = np.array([g.box.as_tuple() for g in gts], dtype=np.float64).reshape(-1, 4)
+    gt_areas = [area(g.box) for g in gts]
+    states = []
+    for (t, a), record in records.items():
+        lo, hi = AREA_RANGES[a]
+        ignore = [g.ignore or not (lo <= ga < hi) for g, ga in zip(gts, gt_areas)]
+        record.n_positive += ignore.count(False)
+        states.append((t, ignore, [False] * len(gts), lo, hi, record))
 
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    matched = [False] * len(gts)
-
-    def best_match(d: ScoredBox, want_ignore: bool) -> int:
-        best_j, best_v = -1, -1.0
-        for j, g in enumerate(gts):
-            if matched[j] or gt_ignore[j] != want_ignore:
-                continue
-            v = iou(d.box, g.box)
-            if v >= iou_thr and v > best_v:
-                best_j, best_v = j, v
-        return best_j
-
-    for i in order:
-        d = dets[i]
-        j = best_match(d, want_ignore=False)
-        if j >= 0:
-            matched[j] = True
-            record.scores.append(d.score)
-            record.is_tp.append(True)
-            continue
-        j = best_match(d, want_ignore=True)
-        if j >= 0:
-            matched[j] = True  # absorbed by ignore region, no penalty
-        elif lo <= area(d.box) < hi:
-            record.scores.append(d.score)
-            record.is_tp.append(False)
-        # detections outside the area bucket are ignored, not penalized
+    for d in dets:
+        row = pairwise_iou(d.box.as_tuple(), gt_xy)[0]
+        hits = np.flatnonzero(row >= min_thr)
+        # best first (descending IoU, ties to the lower index): the first usable one wins
+        candidates = sorted(zip(row[hits].tolist(), hits.tolist()), key=lambda p: (-p[0], p[1]))
+        d_area = area(d.box)
+        for t, ignore, matched, lo, hi, record in states:
+            take = absorb = -1
+            for v, j in candidates:
+                if v < t:
+                    break
+                if matched[j]:
+                    continue
+                if not ignore[j]:
+                    take = j
+                    break
+                if absorb < 0:
+                    absorb = j
+            if take >= 0:
+                matched[take] = True
+                record.scores.append(d.score)
+                record.is_tp.append(True)
+            elif absorb >= 0:
+                matched[absorb] = True  # absorbed by ignore region, no penalty
+            elif lo <= d_area < hi:
+                record.scores.append(d.score)
+                record.is_tp.append(False)
+            # detections outside the area bucket are ignored, not penalized
 
 
 def _precision_recall(record: _MatchRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -155,46 +194,6 @@ def _ap_all_points(record: _MatchRecord) -> Optional[float]:
     return float(np.sum((mrec[changes + 1] - mrec[changes]) * mpre[changes + 1]))
 
 
-def _cap_detections(dets: Sequence[ScoredBox], max_dets: int) -> list[ScoredBox]:
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    return [dets[i] for i in order[:max_dets]]
-
-
-def _collect_records(
-    dets: DetectionSet,
-    gts: GroundTruthSet,
-    classes: Sequence[int],
-    thresholds: Sequence[float],
-    area_names: Sequence[str],
-    max_dets: int,
-) -> dict[tuple[int, float, str], _MatchRecord]:
-    records = {
-        (c, t, a): _MatchRecord() for c in classes for t in thresholds for a in area_names
-    }
-    image_ids = sorted(set(gts) | set(dets))
-    for image_id in image_ids:
-        image_gts = list(gts.get(image_id, []))
-        image_dets = _cap_detections(list(dets.get(image_id, [])), max_dets)
-        for c in classes:
-            class_dets = [d for d in image_dets if d.class_id == c]
-            class_gts = [g for g in image_gts if g.class_id == c]
-            for t in thresholds:
-                for a in area_names:
-                    _match_image(
-                        class_dets, class_gts, t, AREA_RANGES[a], records[(c, t, a)]
-                    )
-    return records
-
-
-def _validate_classes(dets: DetectionSet, classes: set[int]) -> None:
-    for image_id, image_dets in dets.items():
-        for d in image_dets:
-            if d.class_id not in classes:
-                raise ValueError(
-                    f"unknown class id {d.class_id} in detections for image {image_id!r}"
-                )
-
-
 def _mean_over_classes(values: Sequence[Optional[float]]) -> float:
     present = [v for v in values if v is not None]
     if not present:
@@ -209,34 +208,27 @@ def coco_eval(dets: DetectionSet, gts: GroundTruthSet, max_dets: int = 500) -> E
     any other class id is an error. When both sides are empty the report is
     all zeros with the empty flag set.
     """
-    if max_dets < 1:
-        raise ValueError("max_dets must be >= 1")
-    classes = sorted({g.class_id for anns in gts.values() for g in anns})
-    n_dets = sum(len(v) for v in dets.values())
-    if not classes and n_dets == 0:
+    keys = [(t, a) for t in COCO_IOU_THRESHOLDS for a in AREA_RANGES]
+    records = _match(dets, gts, keys, max_dets)
+    if not records:
         return EvalReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, empty=True)
-    _validate_classes(dets, set(classes))
-
-    records = _collect_records(
-        dets, gts, classes, COCO_IOU_THRESHOLDS, list(AREA_RANGES), max_dets
-    )
     aps = {
-        key: _ap_interpolated_101(record) for key, record in records.items()
+        c: {key: _ap_interpolated_101(record) for key, record in recs.items()}
+        for c, recs in records.items()
     }
 
     def mean_ap(thresholds: Sequence[float], area_name: str) -> float:
         per_class = []
-        for c in classes:
-            vals = [aps[(c, t, area_name)] for t in thresholds]
+        for class_aps in aps.values():
+            vals = [class_aps[(t, area_name)] for t in thresholds]
             vals = [v for v in vals if v is not None]
             per_class.append(float(np.mean(vals)) if vals else None)
         return _mean_over_classes(per_class)
 
-    per_class_ap50 = {}
-    for c in classes:
-        v = aps[(c, 0.5, "all")]
-        if v is not None:
-            per_class_ap50[c] = 100.0 * v
+    per_class_ap50 = {
+        c: 100.0 * class_aps[(0.5, "all")] for c, class_aps in aps.items()
+        if class_aps[(0.5, "all")] is not None
+    }
 
     return EvalReport(
         ap=mean_ap(COCO_IOU_THRESHOLDS, "all"),
@@ -260,16 +252,9 @@ def voc_ap_at(
     Every box is treated as one category, matching the UAVDT
     single-vehicle-class convention.
     """
-    dets = {k: [ScoredBox(d.box, 0, d.score) for d in v] for k, v in dets.items()}
-    gts = {k: [GtAnnotation(g.box, 0, g.ignore) for g in v] for k, v in gts.items()}
-    classes = sorted({g.class_id for anns in gts.values() for g in anns})
-    n_dets = sum(len(v) for v in dets.values())
-    if not classes and n_dets == 0:
-        return 0.0
-    _validate_classes(dets, set(classes))
-    records = _collect_records(dets, gts, classes, [iou_threshold], ["all"], max_dets)
-    per_class = [_ap_all_points(records[(c, iou_threshold, "all")]) for c in classes]
-    return _mean_over_classes(per_class)
+    key = (iou_threshold, "all")
+    records = _match(dets, gts, [key], max_dets, class_key=lambda class_id: 0)
+    return _mean_over_classes([_ap_all_points(recs[key]) for recs in records.values()])
 
 
 def precision_recall_points(
@@ -279,18 +264,15 @@ def precision_recall_points(
     max_dets: int = 500,
 ) -> list[tuple[int, float, float, float]]:
     """Pooled (class_id, score, precision, recall) points for CSV export."""
-    classes = sorted({g.class_id for anns in gts.values() for g in anns})
-    _validate_classes(dets, set(classes))
-    records = _collect_records(dets, gts, classes, [iou_threshold], ["all"], max_dets)
+    key = (iou_threshold, "all")
     out = []
-    for c in classes:
-        record = records[(c, iou_threshold, "all")]
+    for c, recs in _match(dets, gts, [key], max_dets).items():
+        record = recs[key]
         if record.n_positive == 0 or not record.scores:
             continue
         precision, recall = _precision_recall(record)
         scores = sorted(record.scores, reverse=True)
-        for s, p, r in zip(scores, precision, recall):
-            out.append((c, float(s), float(p), float(r)))
+        out.extend((c, float(s), float(p), float(r)) for s, p, r in zip(scores, precision, recall))
     return out
 
 

@@ -31,9 +31,16 @@ def default_class_names() -> dict[int, str]:
 
 
 def load_class_names(path: str | Path | None = None) -> dict[int, str]:
+    """The shipped class-id -> name mapping, or the JSON object at `path`."""
     if path is None:
         return default_class_names()
-    return {int(k): v for k, v in json.loads(Path(path).read_text()).items()}
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
+        raise VisDroneFormatError("class names must be a JSON object of class id -> name")
+    try:
+        return {int(k): v for k, v in doc.items()}
+    except ValueError as e:
+        raise VisDroneFormatError(f"class id is not an integer: {e}") from e
 
 
 def _parse_line(line: str, path: Path, lineno: int) -> tuple[float, ...]:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from focalpipe.boxgeom import (
     clip,
     intersect,
     iou,
+    pairwise_iou,
 )
 
 
@@ -174,3 +176,62 @@ class TestAffine:
         back = apply_map(apply_map(b, m), m.invert())
         for got, want in zip(back.as_tuple(), b.as_tuple()):
             assert got == pytest.approx(want, abs=1e-9)
+
+
+def corners(boxes):
+    return [b.as_tuple() for b in boxes]
+
+
+# real-valued boxes packed close enough that most pairs overlap
+near_boxes = st.builds(
+    lambda x, y, w, h: Box(x, y, x + w, y + h),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 50.0),
+    st.floats(0.0, 50.0),
+)
+
+
+class TestPairwiseIou:
+    """The array kernel reproduces the scalar `iou` exactly, pair by pair."""
+
+    def test_named_cases(self):
+        a = [Box(0, 0, 10, 10)]
+        b = [
+            Box(0, 0, 10, 10),  # identical
+            Box(20, 0, 30, 10),  # disjoint
+            Box(10, 0, 20, 10),  # shares an edge
+            Box(10, 10, 20, 20),  # shares a corner
+            Box(5, 5, 5, 9),  # zero area, inside
+            Box(5, 0, 15, 10),  # a third
+        ]
+        got = pairwise_iou(corners(a), corners(b))
+        assert got.tolist() == [[iou(a[0], y) for y in b]]
+        assert got.tolist() == [[1.0, 0.0, 0.0, 0.0, 0.0, 1 / 3]]
+        degenerate = Box(1, 1, 1, 1)
+        assert pairwise_iou(corners([degenerate]), corners([degenerate])).tolist() == [[0.0]]
+
+    def test_empty_shapes(self):
+        boxes = corners([Box(0, 0, 1, 1), Box(2, 2, 3, 3)])
+        assert pairwise_iou(np.zeros((0, 4)), boxes).shape == (0, 2)
+        assert pairwise_iou(boxes, np.zeros((0, 4))).shape == (2, 0)
+        assert pairwise_iou([], []).shape == (0, 0)
+
+    @given(st.lists(int_boxes, max_size=6), st.lists(int_boxes, max_size=6))
+    @settings(max_examples=300)
+    def test_equals_scalar_on_lattice_boxes(self, a, b):
+        # small integer boxes: identical, touching, disjoint and zero-area pairs are common
+        got = pairwise_iou(corners(a), corners(b))
+        assert got.shape == (len(a), len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert got[i, j] == iou(x, y)
+
+    @given(st.lists(near_boxes, max_size=6), st.lists(near_boxes, max_size=6))
+    @settings(max_examples=300)
+    def test_equals_scalar_on_real_boxes(self, a, b):
+        got = pairwise_iou(corners(a), corners(b))
+        assert got.shape == (len(a), len(b))
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                assert got[i, j] == iou(x, y)

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from focalpipe import serialize
+from focalpipe import serialize, visdrone
 from focalpipe.boxgeom import Box, ScoredBox
 from focalpipe.cli import _image_seed, main
 from focalpipe.config import PipelineConfig
@@ -175,6 +175,21 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     serialize.write_json_atomic(rd, rd_doc)
     serialize.write_json_atomic(ann, ann_doc)
     out = str(tmp_path / "out.json")
+    if case in ("image-size-not-a-pair", "image-sizes-is-a-list", "image-sizes-not-json"):
+        ann_dir, sizes = tmp_path / "visdrone", tmp_path / "sizes.json"
+        visdrone.write_annotations(ann_dir, {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]})
+        serialize.write_json_atomic(sizes, {"img": 5} if case == "image-size-not-a-pair" else [])
+        if case == "image-sizes-not-json":
+            sizes.write_text('{"img": [100, 100]')
+        return ["gen-regions", "--annotations", str(ann_dir), "--image-sizes", str(sizes),
+                "--out", out], sizes
+    if case in ("class-id-not-an-integer", "class-names-is-a-list"):
+        dets, names = tmp_path / "merged.json", tmp_path / "names.json"
+        serialize.write_json_atomic(dets, serialize.merged_detections_doc(
+            {"img": [ScoredBox(Box(0, 0, 10, 10), 1, 0.9)]}))
+        serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
+        return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
+                "--class-names", str(names)], names
     if case == "three-number-bbox":
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
     if case == "regions-given-region-detections":
@@ -185,7 +200,8 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
 class TestMalformedDocuments:
     @pytest.mark.parametrize("case", [
         "region-without-id", "score-above-one", "images-is-a-list", "three-number-bbox",
-        "regions-given-region-detections",
+        "regions-given-region-detections", "image-size-not-a-pair", "image-sizes-is-a-list",
+        "image-sizes-not-json", "class-id-not-an-integer", "class-names-is-a-list",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)

@@ -190,6 +190,37 @@ class TestVocAp:
         assert got == pytest.approx(want, abs=1e-6)
 
 
+class TestArgumentChecks:
+    """The three evaluators share one set of argument checks."""
+
+    gt = {"a": [GtAnnotation(Box(0, 0, 50, 50), 1)]}
+    det = {"a": [ScoredBox(Box(0, 0, 50, 50), 1, 0.9)]}
+
+    @pytest.mark.parametrize("evaluate", [coco_eval, voc_ap_at, precision_recall_points])
+    @pytest.mark.parametrize("max_dets", [0, -1])
+    def test_max_dets_below_one_rejected(self, evaluate, max_dets):
+        with pytest.raises(ValueError, match="max_dets"):
+            evaluate(self.det, self.gt, max_dets=max_dets)
+
+    @pytest.mark.parametrize("evaluate", [coco_eval, voc_ap_at, precision_recall_points])
+    def test_unknown_class_message_names_the_detection_class(self, evaluate):
+        det = {"a": [ScoredBox(Box(0, 0, 10, 10), 3, 0.9)]}
+        # with no ground truth there is no class at all, even with classes merged
+        with pytest.raises(ValueError, match="unknown class id 3 in detections for image 'a'"):
+            evaluate(det, {})
+
+
+class TestIouTies:
+    def test_tie_goes_to_lower_gt_index(self):
+        # the first detection overlaps A and B equally (IoU 1/3) and takes
+        # whichever comes first; only A first leaves B for the exact second
+        a = GtAnnotation(Box(0, 0, 10, 10), 1)
+        b = GtAnnotation(Box(10, 0, 20, 10), 1)
+        det = {"x": [ScoredBox(Box(5, 0, 15, 10), 1, 0.9), ScoredBox(Box(10, 0, 20, 10), 1, 0.8)]}
+        assert voc_ap_at(det, {"x": [a, b]}, 0.3) == 100.0
+        assert voc_ap_at(det, {"x": [b, a]}, 0.3) == 50.0
+
+
 class TestOutputs:
     def test_report_table_contains_metrics(self):
         report = EvalReport(50.0, 70.0, 45.0, 30.0, 55.0, 60.0, {1: 70.0})
