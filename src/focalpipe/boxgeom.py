@@ -79,8 +79,9 @@ class AffineMap2D:
     offset_y: float
 
     def __post_init__(self) -> None:
-        if self.scale_x <= 0 or self.scale_y <= 0:
-            raise ValueError("affine scales must be positive")
+        fields = (self.scale_x, self.scale_y, self.offset_x, self.offset_y)
+        if not all(map(math.isfinite, fields)) or self.scale_x <= 0 or self.scale_y <= 0:
+            raise ValueError(f"affine map needs finite fields and positive scales: {self}")
 
     def apply_point(self, x: float, y: float) -> tuple[float, float]:
         return (self.scale_x * x + self.offset_x, self.scale_y * y + self.offset_y)

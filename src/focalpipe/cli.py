@@ -70,24 +70,13 @@ def _load_annotations(path: str, sizes_path: Optional[str]):
         gts = visdrone.parse_annotations(p)
         if sizes_path is None:
             raise DataError("VisDrone directories carry no image dimensions; pass --image-sizes")
-        sizes = _load_image_sizes(sizes_path)
+        sizes = _load_doc(sizes_path, serialize.image_sizes_from_doc)
         missing = set(gts) - set(sizes)
         if missing:
             raise DataError(f"no image size for: {sorted(missing)[:5]}")
         return gts, sizes
     except (VisDroneFormatError, ValueError, KeyError, OSError) as e:
         raise DataError(str(e)) from e
-
-
-def _load_image_sizes(path: str) -> dict[str, tuple[float, float]]:
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: expected a JSON object of image_id -> [width, height]")
-    for image_id, size in doc.items():
-        if not (isinstance(size, list) and len(size) == 2
-                and all(isinstance(v, (int, float)) for v in size)):
-            raise DataError(f"{path}: size of {image_id!r} is not a [width, height] pair")
-    return {k: tuple(v) for k, v in doc.items()}
 
 
 def _load_json(path: str) -> dict:
@@ -222,12 +211,12 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
     per_image = _load_doc(rd_path, serialize.region_detections_from_doc)
     merged = {}
     for image_id in sorted(per_image):
-        # external detectors may overrun the detector frame; clamp to it first
-        rds = [ingest_detections(rd.region, rd.detections) for rd in per_image[image_id]]
         try:
+            # external detectors may overrun the detector frame; clamp to it first
+            rds = [ingest_detections(rd.region, rd.detections) for rd in per_image[image_id]]
             merged[image_id] = merge_pipeline(rds, config.fuse_config(), apply_ibs=not no_ibs)
         except ValueError as e:
-            raise DataError(f"{image_id}: {e}") from e
+            raise DataError(f"{rd_path}: {image_id}: {e}") from e
     serialize.write_json_atomic(out_path, serialize.merged_detections_doc(merged))
     if out_visdrone:
         visdrone.write_detections(out_visdrone, merged)

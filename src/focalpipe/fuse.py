@@ -12,8 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .boxgeom import Box, ScoredBox, apply_map, clip, iou
+import numpy as np
+
+# `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
+# IOU_SITES) rebinds `fuse.iou` to count scalar calls and fails without it
+from .boxgeom import Box, ScoredBox, apply_map, clip, iou, pairwise_iou  # noqa: F401
 from .focal import FocalRegion
+
+# rows per `pairwise_iou` call: larger blocks make fewer calls but larger arrays
+BLOCK = 8
 
 
 @dataclass
@@ -59,27 +66,36 @@ def remap_to_image(rd: RegionDetections) -> list[ScoredBox]:
     ]
 
 
+def _as_arrays(dets: Sequence[ScoredBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
+    classes = np.array([d.class_id for d in dets])
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return boxes, classes, scores
+
+
 def nms_indices(
     boxes: Sequence[ScoredBox], iou_threshold: float, per_class: bool = True
 ) -> list[int]:
     """Indices of NMS survivors, in selection order."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
-    order = sorted(range(len(boxes)), key=lambda i: (-boxes[i].score, i))
-    kept: list[int] = []
-    for i in order:
-        candidate = boxes[i]
-        suppressed = False
-        for j in kept:
-            keeper = boxes[j]
-            if per_class and keeper.class_id != candidate.class_id:
+    xy, classes, scores = _as_arrays(boxes)
+    order = np.argsort(-scores, kind="stable")  # ties keep the earlier index
+    xy, classes = xy[order], classes[order]
+    alive = np.ones(len(order), dtype=bool)
+    groups = classes if per_class else np.zeros_like(classes)
+    for group in set(groups.tolist()):  # not np.unique, which imports numpy.ma
+        pos = np.flatnonzero(groups == group)  # in score order
+        for start in range(0, len(pos), BLOCK):
+            rows, rest = pos[start:start + BLOCK], pos[start:]
+            if not alive[rows].any():
                 continue
-            if iou(keeper.box, candidate.box) > iou_threshold:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(i)
-    return kept
+            overlap = pairwise_iou(xy[rows], xy[rest]) > iou_threshold
+            for r, row in enumerate(rows):
+                if alive[row]:
+                    alive[rest[overlap[r]]] = False
+                    alive[row] = True  # kept, though its own IoU of 1 may clear it
+    return order[alive].tolist()
 
 
 def nms(
@@ -122,37 +138,32 @@ def ibs(per_region: Sequence[RegionDetections], cfg: FuseConfig) -> list[ScoredB
     """
     for rd in per_region:
         _check_in_region(rd)
+    rects = np.array([rd.region.rect.as_tuple() for rd in per_region]).reshape(-1, 4)
+    near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
 
-    overlapping: dict[int, list[int]] = {}
-    for i, rd_i in enumerate(per_region):
-        overlapping[i] = [
-            k
-            for k, rd_k in enumerate(per_region)
-            if k != i and iou(rd_i.region.rect, rd_k.region.rect) > cfg.ibs_region_iou
-        ]
-
-    survivors: list[ScoredBox] = []
-    for i, rd_i in enumerate(per_region):
-        # clipped competitor pool: boxes of overlapping regions, clipped to C_i
-        competitors: list[tuple[Box, int, float, int]] = []  # clip, class, score, region
-        for k in overlapping[i]:
-            for d in per_region[k].detections:
-                clipped = clip(d.box, rd_i.region.rect)
-                if clipped is not None:
-                    competitors.append((clipped, d.class_id, d.score, k))
-
-        for d in rd_i.detections:
-            suppressed = False
-            for c_box, c_class, c_score, c_region in competitors:
-                if cfg.per_class and c_class != d.class_id:
-                    continue
-                outranks = c_score > d.score or (c_score == d.score and c_region < i)
-                if outranks and iou(c_box, d.box) > cfg.ibs_box_iou:
-                    suppressed = True
-                    break
-            if not suppressed:
-                survivors.append(d)
-    return survivors
+    dets = [d for rd in per_region for d in rd.detections]
+    boxes, classes, scores = _as_arrays(dets)
+    counts = [len(rd.detections) for rd in per_region]
+    regions = np.repeat(np.arange(len(per_region)), counts)
+    # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
+    rank = np.argsort(np.lexsort((regions, -scores)))
+    keep = np.ones(len(dets), dtype=bool)
+    ends = np.cumsum(counts, dtype=int)
+    for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
+        rect, start, stop = rects[i], ends[i] - counts[i], ends[i]
+        comp = np.flatnonzero(near[i][regions])
+        # a competitor outside the rect is clipped onto its edge, with zero area
+        clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
+        positive = (clips[:, 0] < clips[:, 2]) & (clips[:, 1] < clips[:, 3])
+        comp, clips = comp[positive], clips[positive]
+        for row in range(start, stop, BLOCK):
+            rows = slice(row, min(row + BLOCK, stop))
+            hit = pairwise_iou(boxes[rows], clips) > cfg.ibs_box_iou
+            hit &= rank[comp] < rank[rows, None]
+            if cfg.per_class:
+                hit &= classes[comp] == classes[rows, None]
+            keep[rows] = ~hit.any(axis=1)
+    return [d for d, k in zip(dets, keep) if k]
 
 
 def merge_pipeline(
@@ -165,29 +176,14 @@ def merge_pipeline(
     Returns the surviving boxes sorted by descending score (ties by input
     order), so output is deterministic for a fixed input order.
     """
-    remapped = [
-        RegionDetections(region=rd.region, detections=remap_to_image(rd))
-        for rd in per_region
-    ]
-
-    flat: list[tuple[ScoredBox, int]] = []
-    for region_idx, rd in enumerate(remapped):
-        for d in rd.detections:
-            flat.append((d, region_idx))
-    kept = set(nms_indices([d for d, _ in flat], cfg.nms_iou, per_class=cfg.per_class))
-
+    remapped = [RegionDetections(rd.region, remap_to_image(rd)) for rd in per_region]
+    flat = [d for rd in remapped for d in rd.detections]
+    kept = np.zeros(len(flat), dtype=bool)
+    kept[nms_indices(flat, cfg.nms_iou, per_class=cfg.per_class)] = True
+    ends = np.cumsum([len(rd.detections) for rd in remapped], dtype=int)
     after_nms = [
-        RegionDetections(
-            region=rd.region,
-            detections=[
-                d for fi, (d, ri) in enumerate(flat) if ri == region_idx and fi in kept
-            ],
-        )
-        for region_idx, rd in enumerate(remapped)
+        RegionDetections(region=rd.region, detections=[d for d, k in zip(rd.detections, mask) if k])
+        for rd, mask in zip(remapped, np.split(kept, ends[:-1]))
     ]
-
-    if apply_ibs:
-        final = ibs(after_nms, cfg)
-    else:
-        final = [d for rd in after_nms for d in rd.detections]
+    final = ibs(after_nms, cfg) if apply_ibs else [d for rd in after_nms for d in rd.detections]
     return sorted(final, key=lambda d: -d.score)

@@ -217,13 +217,22 @@ def annotations_doc(
     }
 
 
+def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
+    """Image sizes, as `--image-sizes` files and annotation documents give them."""
+    if not isinstance(doc, dict):
+        raise ValueError("expected a JSON object of image_id -> [width, height]")
+    for image_id, v in doc.items():
+        if not (isinstance(v, list) and len(v) == 2
+                and all(isinstance(x, (int, float)) for x in v)):
+            raise ValueError(f"size of {image_id!r} is not a [width, height] pair: {v!r}")
+    return {image_id: (v[0], v[1]) for image_id, v in doc.items()}
+
+
 def annotations_from_doc(
     doc: Mapping,
 ) -> tuple[dict[str, list[GtAnnotation]], dict[str, tuple[float, float]]]:
     gts: dict[str, list[GtAnnotation]] = {}
-    sizes: dict[str, tuple[float, float]] = {}
     for image_id, entry in doc["images"].items():
-        sizes[image_id] = tuple(entry["image_size"])  # type: ignore[assignment]
         gts[image_id] = [
             GtAnnotation(
                 box=box_from_list(a["bbox"]),
@@ -232,4 +241,5 @@ def annotations_from_doc(
             )
             for a in entry["annotations"]
         ]
+    sizes = image_sizes_from_doc({k: e["image_size"] for k, e in doc["images"].items()})
     return gts, sizes

@@ -170,6 +170,14 @@ class TestAffine:
         with pytest.raises(ValueError):
             AffineMap2D(0.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("fields", [
+        (math.nan, 1.0, 0.0, 0.0), (1.0, math.inf, 0.0, 0.0),
+        (1.0, 1.0, math.nan, 0.0), (1.0, 1.0, 0.0, -math.inf),
+    ])
+    def test_non_finite_field_rejected(self, fields):
+        with pytest.raises(ValueError, match="finite"):
+            AffineMap2D(*fields)
+
     @given(real_boxes, affine_maps)
     @settings(max_examples=200)
     def test_round_trip(self, b, m):

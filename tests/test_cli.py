@@ -171,6 +171,12 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         rd_doc = {"images": []}
     elif case == "three-number-bbox":
         ann_doc["images"]["img"]["annotations"][0]["bbox"] = [0, 0, 10]
+    elif case in ("detector-scale-nan", "detector-scale-overflows"):
+        to_detector = rd_doc["images"]["img"][0]["region"]["to_detector"]
+        to_detector["scale_x"] = float("nan") if case == "detector-scale-nan" else 1e308
+    elif case.startswith("annotation-size-has-a-"):
+        bad_width = {"string": "x", "null": None, "list": [1]}[case.rsplit("-", 1)[1]]
+        ann_doc["images"]["img"]["image_size"] = [bad_width, 900]
     rd, ann = tmp_path / "rd.json", tmp_path / "ann.json"
     serialize.write_json_atomic(rd, rd_doc)
     serialize.write_json_atomic(ann, ann_doc)
@@ -190,7 +196,7 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--class-names", str(names)], names
-    if case == "three-number-bbox":
+    if case == "three-number-bbox" or case.startswith("annotation-size-has-a-"):
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
     if case == "regions-given-region-detections":
         return ["refine-gt", "--annotations", str(ann), "--regions", str(rd), "--out", out], rd
@@ -202,6 +208,8 @@ class TestMalformedDocuments:
         "region-without-id", "score-above-one", "images-is-a-list", "three-number-bbox",
         "regions-given-region-detections", "image-size-not-a-pair", "image-sizes-is-a-list",
         "image-sizes-not-json", "class-id-not-an-integer", "class-names-is-a-list",
+        "detector-scale-nan", "detector-scale-overflows", "annotation-size-has-a-string",
+        "annotation-size-has-a-null", "annotation-size-has-a-list",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)

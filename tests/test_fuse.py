@@ -1,7 +1,13 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from focalpipe.boxgeom import Box, ScoredBox, iou
+from focalpipe import boxgeom, evalkit, fuse, pipeline
+from focalpipe.boxgeom import Box, ScoredBox, clip, iou
 from focalpipe.focal import regions_from_clusters
 from focalpipe.fuse import (
     FuseConfig,
@@ -10,8 +16,10 @@ from focalpipe.fuse import (
     ingest_detections,
     merge_pipeline,
     nms,
+    nms_indices,
     remap_to_image,
 )
+from focalpipe.scenes import OracleSpec, SceneSpec
 
 
 def region_at(rect, region_id=0, detector_size=None, image=(2000, 2000)):
@@ -32,6 +40,81 @@ def reference_nms(boxes, iou_threshold, per_class=True):
         if ok:
             kept.append(i)
     return [boxes[i] for i in kept]
+
+
+def reference_ibs(per_region, cfg):
+    """Scalar IBS: every detection against every clipped competitor, one `iou`
+    call per pair. Inputs are assumed to lie in their regions."""
+    overlapping = {}
+    for i, rd_i in enumerate(per_region):
+        overlapping[i] = [
+            k
+            for k, rd_k in enumerate(per_region)
+            if k != i and iou(rd_i.region.rect, rd_k.region.rect) > cfg.ibs_region_iou
+        ]
+
+    survivors = []
+    for i, rd_i in enumerate(per_region):
+        competitors = []  # clip, class, score, region
+        for k in overlapping[i]:
+            for d in per_region[k].detections:
+                clipped = clip(d.box, rd_i.region.rect)
+                if clipped is not None:
+                    competitors.append((clipped, d.class_id, d.score, k))
+
+        for d in rd_i.detections:
+            suppressed = False
+            for c_box, c_class, c_score, c_region in competitors:
+                if cfg.per_class and c_class != d.class_id:
+                    continue
+                outranks = c_score > d.score or (c_score == d.score and c_region < i)
+                if outranks and iou(c_box, d.box) > cfg.ibs_box_iou:
+                    suppressed = True
+                    break
+            if not suppressed:
+                survivors.append(d)
+    return survivors
+
+
+# few distinct scores, so equal scores are common
+LATTICE_SCORES = st.sampled_from([0.0, 0.25, 0.5, 0.5, 1.0])
+
+
+@st.composite
+def lattice_detections(draw, frame=(0, 0, 14, 14), max_size=40):
+    """Integer boxes inside `frame` (exact IoU ties at 0.5 occur), one to three
+    classes, and a few exact duplicates."""
+    fx1, fy1, fx2, fy2 = frame
+    n_classes = draw(st.integers(1, 3))
+    corner = st.tuples(st.integers(fx1, fx2), st.integers(fy1, fy2))
+    raw = draw(st.lists(
+        st.tuples(corner, corner, st.integers(0, n_classes - 1), LATTICE_SCORES),
+        max_size=max_size,
+    ))
+    dets = [
+        ScoredBox(Box(min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)), c, s)
+        for (ax, ay), (bx, by), c, s in raw
+    ]
+    if dets:
+        # equal, but distinct objects, so the tests can tell which copy survived
+        copies = draw(st.lists(st.integers(0, len(dets) - 1), max_size=4))
+        dets += [replace(dets[i]) for i in copies]
+    return dets
+
+
+@st.composite
+def lattice_regions(draw):
+    """One to five regions on a lattice; any may be empty, and any may sit far
+    from the rest, with no overlapping neighbour."""
+    per_region = []
+    for region_id in range(draw(st.integers(1, 5))):
+        x, y = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        x += 1000 * draw(st.booleans())
+        w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        region = region_at(Box(x, y, x + w, y + h), region_id=region_id)
+        dets = draw(lattice_detections(frame=(x, y, x + w, y + h), max_size=12))
+        per_region.append(RegionDetections(region, dets))
+    return per_region
 
 
 def random_scored_boxes(rng, n, span=400.0):
@@ -74,6 +157,7 @@ class TestNms:
         b = Box(0, 0, 10, 10)
         boxes = [ScoredBox(b, 0, 0.7), ScoredBox(b, 0, 0.7)]
         assert nms(boxes, 0.5) == [boxes[0]]
+        assert nms_indices(boxes, 0.5) == [0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_reference(self, seed):
@@ -98,6 +182,26 @@ class TestNms:
         for c in {b.class_id for b in boxes}:
             top = max((b for b in boxes if b.class_id == c), key=lambda b: b.score)
             assert top in survivors
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        boxes=lattice_detections(),
+        threshold=st.sampled_from([0.0, 0.5, 1.0]),
+        per_class=st.booleans(),
+    )
+    def test_equals_reference_on_lattice_boxes(self, boxes, threshold, per_class):
+        expected = reference_nms(boxes, threshold, per_class)
+        kept = nms_indices(boxes, threshold, per_class)
+        assert [boxes[i] for i in kept] == expected
+        # the same boxes, not just equal ones: duplicates must keep the earlier index
+        assert [id(boxes[i]) for i in kept] == [id(b) for b in expected]
+
+    def test_block_boundary(self):
+        # nine duplicates of one class fill one 8-row block and spill into the next
+        b = Box(0, 0, 4, 4)
+        boxes = [ScoredBox(b, 0, 0.5) for _ in range(9)] + [ScoredBox(Box(2, 0, 6, 4), 0, 0.9)]
+        assert nms_indices(boxes, 0.5) == [9, 0]
+        assert nms_indices(boxes, 1.0) == [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]
 
 
 class TestRemap:
@@ -205,6 +309,7 @@ class TestIbs:
             FuseConfig(),
         )
         assert out == [d1]
+        assert out[0] is d1  # the lower-indexed region's box, not its equal twin
 
     def test_detection_outside_region_rejected(self):
         region = region_at(Box(0, 0, 100, 100))
@@ -229,6 +334,63 @@ class TestIbs:
         for c in {d.class_id for d in everything}:
             top = max((d for d in everything if d.class_id == c), key=lambda d: d.score)
             assert top in out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        per_region=lattice_regions(),
+        region_iou=st.sampled_from([0.0, 0.05, 0.5]),
+        box_iou=st.sampled_from([0.0, 0.5, 1.0]),
+        per_class=st.booleans(),
+    )
+    def test_equals_reference_on_lattice_regions(self, per_region, region_iou, box_iou,
+                                                 per_class):
+        cfg = FuseConfig(ibs_region_iou=region_iou, ibs_box_iou=box_iou, per_class=per_class)
+        out = ibs(per_region, cfg)
+        expected = reference_ibs(per_region, cfg)
+        assert [id(d) for d in out] == [id(d) for d in expected]
+
+    def test_empty_and_isolated_regions(self):
+        region_a, region_b, complete, truncated = fig5_scenario()
+        empty = region_at(Box(100, 0, 400, 200), region_id=2)
+        isolated = region_at(Box(1000, 1000, 1100, 1100), region_id=3)
+        lone = ScoredBox(Box(1010, 1010, 1050, 1050), 0, 0.1)
+        per_region = [
+            RegionDetections(region_a, [complete]),
+            RegionDetections(region_b, [truncated]),
+            RegionDetections(empty, []),
+            RegionDetections(isolated, [lone]),
+        ]
+        assert ibs(per_region, FuseConfig()) == reference_ibs(per_region, FuseConfig())
+        assert ibs(per_region, FuseConfig()) == [complete, lone]
+
+    def test_region_overlap_must_exceed_threshold(self):
+        # the two rects' IoU is exactly 0.5
+        region_a = region_at(Box(0, 0, 20, 10), region_id=0)
+        region_b = region_at(Box(0, 0, 10, 10), region_id=1)
+        high = ScoredBox(Box(2, 2, 8, 8), 0, 0.9)
+        low = ScoredBox(Box(2, 2, 8, 8), 0, 0.5)
+        per_region = [RegionDetections(region_a, [high]), RegionDetections(region_b, [low])]
+        assert ibs(per_region, FuseConfig(ibs_region_iou=0.5)) == [high, low]
+        assert ibs(per_region, FuseConfig(ibs_region_iou=0.49)) == [high]
+
+
+class TestOneIouKernel:
+    def test_run_path_never_calls_scalar_iou(self, monkeypatch):
+        """Merge and evaluation score box pairs with `pairwise_iou` only."""
+
+        def scalar_iou(a, b):
+            raise AssertionError("scalar iou called in the run path")
+
+        original = boxgeom.iou
+        for name, module in list(sys.modules.items()):
+            if name.startswith("focalpipe") and getattr(module, "iou", None) is original:
+                monkeypatch.setattr(module, "iou", scalar_iou)
+        assert fuse.iou is scalar_iou and evalkit.iou is scalar_iou
+        spec = SceneSpec(n_clusters=3, boxes_per_cluster=(8, 8), rng_seed=4)
+        run = pipeline.run_scene(spec, OracleSpec(rng_seed=4), with_no_ibs=True)
+        assert run.merged and run.merged_no_ibs
+        pipeline.evaluate_runs([run], use_ibs=True)
+        pipeline.evaluate_runs([run], use_ibs=False)
 
 
 class TestMergePipeline:
