@@ -256,7 +256,10 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
         raise DataError(str(e)) from e
     doc = report.to_json_dict()
     if voc_iou is not None:
-        doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
+        try:
+            doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
+        except ValueError as e:
+            raise DataError(f"--voc-iou: {e}") from e
         doc["voc_iou"] = voc_iou
     serialize.write_json_atomic(out_path, doc)
     table = report_table(report, class_names=names)

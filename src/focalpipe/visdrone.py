@@ -10,6 +10,7 @@ user.
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
@@ -53,8 +54,15 @@ def _parse_line(line: str, path: Path, lineno: int) -> tuple[float, ...]:
         values = tuple(float(f) for f in fields)
     except ValueError as e:
         raise VisDroneFormatError(f"{path}:{lineno}: non-numeric field: {e}") from e
+    bad = [f for f, v in zip(fields, values) if not math.isfinite(v)]
+    if bad:
+        raise VisDroneFormatError(f"{path}:{lineno}: non-finite field {bad[0]!r}")
     if values[2] < 0 or values[3] < 0:
         raise VisDroneFormatError(f"{path}:{lineno}: negative box width or height")
+    if values[5] < 0 or not values[5].is_integer():
+        raise VisDroneFormatError(
+            f"{path}:{lineno}: category {fields[5]!r} is not a non-negative integer"
+        )
     return values
 
 
@@ -63,22 +71,33 @@ def _record_box(values: tuple[float, ...]) -> Box:
     return Box(left, top, left + width, top + height)
 
 
-def parse_annotation_file(path: str | Path) -> list[GtAnnotation]:
+def _parse_records(path: str | Path, make: Callable[[tuple[float, ...]], Any]) -> list[Any]:
+    """One record per non-blank line; a record `make` rejects is named by `path:line`."""
     path = Path(path)
-    annotations = []
+    records = []
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line.strip():
             continue
         values = _parse_line(line, path, lineno)
-        category = int(values[5])
-        annotations.append(
-            GtAnnotation(
-                box=_record_box(values),
-                class_id=category,
-                ignore=category == IGNORED_REGION_CATEGORY,
-            )
-        )
-    return annotations
+        try:
+            records.append(make(values))
+        except ValueError as e:
+            raise VisDroneFormatError(f"{path}:{lineno}: {e}") from e
+    return records
+
+
+def _annotation(values: tuple[float, ...]) -> GtAnnotation:
+    return GtAnnotation(_record_box(values), int(values[5]), values[5] == IGNORED_REGION_CATEGORY)
+
+
+def _detection(values: tuple[float, ...]) -> ScoredBox:
+    if not 0.0 <= values[4] <= 1.0:
+        raise ValueError(f"score {values[4]} outside [0, 1]")
+    return ScoredBox(box=_record_box(values), class_id=int(values[5]), score=values[4])
+
+
+def parse_annotation_file(path: str | Path) -> list[GtAnnotation]:
+    return _parse_records(path, _annotation)
 
 
 def parse_annotations(path: str | Path) -> dict[str, list[GtAnnotation]]:
@@ -92,19 +111,7 @@ def parse_annotations(path: str | Path) -> dict[str, list[GtAnnotation]]:
 
 
 def parse_detection_file(path: str | Path) -> list[ScoredBox]:
-    path = Path(path)
-    detections = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        values = _parse_line(line, path, lineno)
-        score = values[4]
-        if not 0.0 <= score <= 1.0:
-            raise VisDroneFormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
-        detections.append(
-            ScoredBox(box=_record_box(values), class_id=int(values[5]), score=score)
-        )
-    return detections
+    return _parse_records(path, _detection)
 
 
 def parse_detections(path: str | Path) -> dict[str, list[ScoredBox]]:

@@ -189,6 +189,31 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             sizes.write_text('{"img": [100, 100]')
         return ["gen-regions", "--annotations", str(ann_dir), "--image-sizes", str(sizes),
                 "--out", out], sizes
+    if case.startswith("visdrone-"):
+        # one image; the detection or the annotation file has a bad second line
+        kind, line = {
+            "visdrone-detection-category-inf": ("det", "0,0,10,10,0.5,inf,-1,-1"),
+            "visdrone-detection-category-nan": ("det", "0,0,10,10,0.5,nan,-1,-1"),
+            "visdrone-detection-box-nan": ("det", "0,nan,10,10,0.5,1,-1,-1"),
+            "visdrone-detection-category-negative": ("det", "0,0,10,10,0.5,-1,-1,-1"),
+            "visdrone-annotation-category-inf": ("ann", "0,0,10,10,1,inf,0,0"),
+        }[case]
+        files = {"det": "0,0,10,10,0.5,1,-1,-1\n", "ann": "0,0,10,10,1,1,0,0\n"}
+        files[kind] += line + "\n"
+        for name, text in files.items():
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "img.txt").write_text(text)
+        sizes = tmp_path / "sizes.json"
+        serialize.write_json_atomic(sizes, {"img": [100, 100]})
+        argv = ["eval", "--detections", str(tmp_path / "det"), "--annotations",
+                str(tmp_path / "ann"), "--image-sizes", str(sizes), "--out", out]
+        return argv, tmp_path / kind / "img.txt:2"
+    if case == "voc-iou-zero":
+        dets = tmp_path / "merged.json"
+        serialize.write_json_atomic(dets, serialize.merged_detections_doc(
+            {"img": [ScoredBox(Box(500, 500, 510, 510), 1, 0.9)]}))
+        return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
+                "--voc-iou", "0"], Path("--voc-iou")
     if case in ("class-id-not-an-integer", "class-names-is-a-list"):
         dets, names = tmp_path / "merged.json", tmp_path / "names.json"
         serialize.write_json_atomic(dets, serialize.merged_detections_doc(
@@ -209,7 +234,10 @@ class TestMalformedDocuments:
         "regions-given-region-detections", "image-size-not-a-pair", "image-sizes-is-a-list",
         "image-sizes-not-json", "class-id-not-an-integer", "class-names-is-a-list",
         "detector-scale-nan", "detector-scale-overflows", "annotation-size-has-a-string",
-        "annotation-size-has-a-null", "annotation-size-has-a-list",
+        "annotation-size-has-a-null", "annotation-size-has-a-list", "voc-iou-zero",
+        "visdrone-detection-category-inf", "visdrone-detection-category-nan",
+        "visdrone-detection-box-nan", "visdrone-detection-category-negative",
+        "visdrone-annotation-category-inf",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -217,6 +245,7 @@ class TestMalformedDocuments:
         err = capsys.readouterr().err
         assert str(bad) in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
 
 
 class TestEval:

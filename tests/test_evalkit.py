@@ -1,7 +1,13 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from focalpipe.boxgeom import Box, ScoredBox
+from focalpipe import evalkit
+from focalpipe.boxgeom import Box, ScoredBox, area, iou
 from focalpipe.evalkit import (
     EvalReport,
     GtAnnotation,
@@ -10,8 +16,67 @@ from focalpipe.evalkit import (
     report_table,
     voc_ap_at,
 )
+from focalpipe.pipeline import run_scene
+from focalpipe.scenes import OracleSpec, SceneSpec
 
 from reference_eval import reference_coco, reference_voc
+
+
+def reference_match(dets, gts, keys, max_dets, class_key=lambda class_id: class_id):
+    """Scalar stand-in for `evalkit._match`: per image and class, detections in
+    descending score order, one scalar `iou` call per pair, and the greedy state of
+    every key advanced one detection at a time. Inputs are assumed valid."""
+    classes = sorted({class_key(g.class_id) for anns in gts.values() for g in anns})
+    scores = {c: [] for c in classes}
+    outcomes = {c: [[] for _ in keys] for c in classes}
+    n_positive = {c: [0] * len(keys) for c in classes}
+    for image_id in sorted(set(gts) | set(dets)):
+        by_class = {}
+        for g in gts.get(image_id, []):
+            by_class.setdefault(class_key(g.class_id), ([], []))[1].append(g)
+        for d in sorted(dets.get(image_id, []), key=lambda d: -d.score)[:max_dets]:
+            by_class.setdefault(class_key(d.class_id), ([], []))[0].append(d)
+        for c, (class_dets, class_gts) in by_class.items():
+            scores[c] += [d.score for d in class_dets]
+            states = []
+            for k, (t, a) in enumerate(keys):
+                lo, hi = evalkit.AREA_RANGES[a]
+                ignore = [g.ignore or not (lo <= area(g.box) < hi) for g in class_gts]
+                n_positive[c][k] += ignore.count(False)
+                states.append((t, ignore, [False] * len(class_gts), lo, hi, outcomes[c][k]))
+            min_thr = min(t for t, _ in keys)
+            for d in class_dets:
+                row = [iou(d.box, g.box) for g in class_gts]
+                candidates = sorted(((v, j) for j, v in enumerate(row) if v >= min_thr),
+                                    key=lambda p: (-p[0], p[1]))
+                for t, ignore, matched, lo, hi, outcome in states:
+                    take = absorb = -1
+                    for v, j in candidates:
+                        if v < t:
+                            break
+                        if matched[j]:
+                            continue
+                        if not ignore[j]:
+                            take = j
+                            break
+                        if absorb < 0:
+                            absorb = j
+                    if take >= 0:
+                        matched[take] = True
+                        outcome.append(evalkit.TP)
+                    elif absorb >= 0:
+                        matched[absorb] = True
+                        outcome.append(evalkit.UNCOUNTED)
+                    elif lo <= area(d.box) < hi:
+                        outcome.append(evalkit.FP)
+                    else:
+                        outcome.append(evalkit.UNCOUNTED)
+    return {
+        c: evalkit._ClassMatch(np.array(scores[c], dtype=np.float64),
+                               np.array(outcomes[c], dtype=np.int8).reshape(len(keys), -1),
+                               np.array(n_positive[c]))
+        for c in classes
+    }
 
 
 def random_micro_dataset(seed, n_images=5, n_classes=3, with_ignore=True):
@@ -127,6 +192,20 @@ class TestCocoEval:
             assert getattr(got, key) == pytest.approx(want[key], abs=1e-6), key
         assert got.per_class_ap50 == pytest.approx(want["per_class_ap50"], abs=1e-6)
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tied_scores_accumulate_in_pooled_order(self, seed):
+        # scores on a 0.1 grid tie across images; the pooled order (images
+        # sorted, then each image's score order) decides how they accumulate
+        dets, gts = random_micro_dataset(seed + 900, n_images=12, n_classes=1)
+        dets = {k: [(b, c, round(s, 1)) for b, c, s in v] for k, v in dets.items()}
+        prod_dets, prod_gts = to_production(dets, gts)
+        got = coco_eval(prod_dets, prod_gts)
+        want = reference_coco(dets, gts)
+        for key in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
+            assert getattr(got, key) == pytest.approx(want[key], abs=1e-6), key
+        assert voc_ap_at(prod_dets, prod_gts, 0.7) == pytest.approx(
+            reference_voc(dets, gts, 0.7), abs=1e-6)
+
 
 class TestMetricProperties:
     @pytest.mark.parametrize("seed", range(8))
@@ -202,6 +281,14 @@ class TestArgumentChecks:
         with pytest.raises(ValueError, match="max_dets"):
             evaluate(self.det, self.gt, max_dets=max_dets)
 
+    @pytest.mark.parametrize("evaluate", [voc_ap_at, precision_recall_points])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, 1.5, math.nan])
+    def test_iou_threshold_outside_unit_interval_rejected(self, evaluate, threshold):
+        # at 0 or below every pair would be a candidate: a box 500 px from its
+        # ground truth would score AP 100
+        with pytest.raises(ValueError, match=r"IoU threshold must be in \(0, 1\]"):
+            evaluate(self.det, self.gt, iou_threshold=threshold)
+
     @pytest.mark.parametrize("evaluate", [coco_eval, voc_ap_at, precision_recall_points])
     def test_unknown_class_message_names_the_detection_class(self, evaluate):
         det = {"a": [ScoredBox(Box(0, 0, 10, 10), 3, 0.9)]}
@@ -239,3 +326,87 @@ class TestOutputs:
         points = precision_recall_points(det, gt)
         assert points[0] == (1, 0.9, 1.0, 1.0)
         assert points[1] == (1, 0.4, 0.5, 1.0)
+
+
+# few distinct scores, so equal scores across images are common
+LATTICE_SCORES = st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def lattice_datasets(draw):
+    """Up to three images of integer boxes on a 12 x 12 lattice (exact IoU ties,
+    zero-area boxes), ignore flags, up to 40 detections per image so one class can
+    cross a block boundary, and in image 0 two detections of one ground truth at
+    IoU 0.8 and 0.6: contested at the thresholds up to 0.6 only."""
+    n_classes = draw(st.integers(1, 2))
+    corner = st.tuples(st.integers(0, 12), st.integers(0, 12))
+    box = st.builds(lambda a, b: Box(min(a[0], b[0]), min(a[1], b[1]),
+                                     max(a[0], b[0]), max(a[1], b[1])), corner, corner)
+    gts, dets = {}, {}
+    for i in range(draw(st.integers(1, 3))):
+        gts[f"img{i}"] = draw(st.lists(st.builds(GtAnnotation, box, st.integers(0, n_classes - 1),
+                                                 st.booleans()), max_size=12))
+        dets[f"img{i}"] = draw(st.lists(st.builds(ScoredBox, box, st.integers(0, n_classes - 1),
+                                                  LATTICE_SCORES), max_size=40))
+    if draw(st.booleans()):
+        gts["img0"].append(GtAnnotation(Box(100, 100, 110, 110), 0))
+        dets["img0"] += [ScoredBox(Box(100, 100, 110, 108), 0, draw(LATTICE_SCORES)),
+                         ScoredBox(Box(100, 100, 110, 106), 0, draw(LATTICE_SCORES))]
+    classes = {g.class_id for anns in gts.values() for g in anns}
+    return {k: [d for d in v if d.class_id in classes] for k, v in dets.items()}, gts
+
+
+def all_evaluators(dets, gts, max_dets, iou_threshold):
+    return [
+        repr(coco_eval(dets, gts, max_dets=max_dets)),
+        repr(voc_ap_at(dets, gts, iou_threshold, max_dets=max_dets)),
+        repr(precision_recall_points(dets, gts, iou_threshold, max_dets=max_dets)),
+    ]
+
+
+class TestArrayCoreEqualsScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(dataset=lattice_datasets(), max_dets=st.sampled_from([1, 3, 500]),
+           iou_threshold=st.sampled_from([0.3, 0.5, 0.7, 1.0]))
+    def test_reports_repr_equal(self, dataset, max_dets, iou_threshold):
+        dets, gts = dataset
+        got = all_evaluators(dets, gts, max_dets, iou_threshold)
+        with mock.patch.object(evalkit, "_match", reference_match):
+            want = all_evaluators(dets, gts, max_dets, iou_threshold)
+        assert got == want
+
+    def test_contested_pair_runs_the_greedy_loop(self):
+        gts = {"a": [GtAnnotation(Box(0, 0, 10, 10), 0)]}
+        dets = {"a": [ScoredBox(Box(0, 0, 10, 8), 0, 0.9), ScoredBox(Box(0, 0, 10, 6), 0, 0.8)]}
+        with mock.patch.object(evalkit, "_resolve_contested",
+                               wraps=evalkit._resolve_contested) as resolve:
+            got = all_evaluators(dets, gts, 500, 0.5)
+        contested = resolve.call_args_list[0].args[1]  # coco_eval's keys
+        # at IoU 0.8 and 0.6 both claim the ground truth at the thresholds up to 0.6
+        # only, in each of the 4 area ranges
+        shared = sum(t <= 0.6 for t in evalkit.COCO_IOU_THRESHOLDS)
+        assert 0 < shared < len(evalkit.COCO_IOU_THRESHOLDS)
+        assert contested.sum() == 2 * shared * 4
+        with mock.patch.object(evalkit, "_match", reference_match):
+            assert got == all_evaluators(dets, gts, 500, 0.5)
+
+
+DENSE_SCENE = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25, 35),
+                   box_size_range=(10.0, 30.0), size_multiplier_range=(0.5, 1.5), classes=10)
+
+
+class TestBlockedKernel:
+    def test_one_kernel_call_per_block_of_rows(self, monkeypatch):
+        run = run_scene(SceneSpec(**DENSE_SCENE, rng_seed=3), OracleSpec(n_classes=10, rng_seed=3))
+        dets, gts = {"x": run.merged}, {"x": run.annotations}
+        rows = []
+        kernel = evalkit.pairwise_iou
+        monkeypatch.setattr(evalkit, "pairwise_iou", lambda a, b: rows.append(len(a)) or kernel(a, b))
+        max_dets = len(run.merged)  # no cap, so every detection is scored
+        coco_eval(dets, gts, max_dets=max_dets)
+        per_class = np.bincount([d.class_id for d in run.merged])
+        assert len(rows) <= sum(math.ceil(n / evalkit.BLOCK) for n in per_class)
+        assert max(rows) <= evalkit.BLOCK
+        rows.clear()
+        voc_ap_at(dets, gts, max_dets=max_dets)  # classes merged: the image is one group
+        assert len(rows) == math.ceil(len(run.merged) / evalkit.BLOCK)

@@ -95,6 +95,30 @@ class TestParseDetections:
             parse_detection_file(f)
 
 
+# one bad field each; every one is reported with its file and line
+BAD_FIELDS = {
+    "category-inf": "10,20,30,40,{score},inf,0,0",
+    "category-nan": "10,20,30,40,{score},nan,0,0",
+    "category-negative": "10,20,30,40,{score},-1,0,0",
+    "category-not-an-integer": "10,20,30,40,{score},2.5,0,0",
+    "box-field-nan": "10,nan,30,40,{score},1,0,0",
+    "width-inf": "10,20,inf,40,{score},1,0,0",
+    "truncation-inf": "10,20,30,40,{score},1,inf,0",
+    "right-edge-overflows": "1e308,20,1e308,40,{score},1,0,0",
+}
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
+    @pytest.mark.parametrize("parse, score", [(parse_annotation_file, "1"),
+                                              (parse_detection_file, "0.5")])
+    def test_rejected_with_location(self, tmp_path, case, parse, score):
+        f = tmp_path / "img.txt"
+        f.write_text("0,0,10,10,0.5,1,0,0\n" + BAD_FIELDS[case].format(score=score) + "\n")
+        with pytest.raises(VisDroneFormatError, match=r"img\.txt:2: "):
+            parse(f)
+
+
 class TestRoundTrip:
     def test_annotations_round_trip(self, tmp_path):
         per_image = {
