@@ -308,13 +308,14 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
     )
     runs = {
         image_id: run_image(gts[image_id], sizes[image_id], oracle, config, image_id=image_id,
-                            seed=_image_seed(seed, image_id), apply_ibs=not no_ibs)
+                            seed=_image_seed(seed, image_id))
         for image_id in sorted(gts)
     }
     regions = {image_id: (sizes[image_id], run.regions) for image_id, run in runs.items()}
     crops = {image_id: run.crops for image_id, run in runs.items()}
     rds = {image_id: run.region_detections for image_id, run in runs.items()}
-    merged = {image_id: run.merged for image_id, run in runs.items()}
+    merged = {image_id: run.merged_no_ibs if no_ibs else run.merged
+              for image_id, run in runs.items()}
 
     serialize.write_json_atomic(out / "regions.json", serialize.regions_doc(regions))
     serialize.write_json_atomic(out / "crops.json", serialize.crops_doc(crops))

@@ -5,6 +5,9 @@ concatenate, run per-class greedy NMS, then Incomplete Box Suppression (IBS)
 across overlapping regions. IBS lets a complete box from one region suppress
 the truncated duplicate another region predicted for the same object, which
 plain NMS misses because the truncated pair's IoU is small.
+
+A merge converts its input once, into flat image-space columns (boxes, classes,
+scores, region index); NMS and IBS select rows, and only survivors become objects.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `fuse.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, apply_map, clip, iou, pairwise_iou  # noqa: F401
+from .boxgeom import Box, ScoredBox, clip, iou, pairwise_iou  # noqa: F401
 from .focal import FocalRegion
 
 # rows per `pairwise_iou` call: larger blocks make fewer calls but larger arrays
@@ -57,31 +60,48 @@ def ingest_detections(region: FocalRegion, detections: Sequence[ScoredBox]) -> R
     return RegionDetections(region=region, detections=kept)
 
 
-def remap_to_image(rd: RegionDetections) -> list[ScoredBox]:
-    """Map detector-frame detections back to image coordinates."""
-    inverse = rd.region.to_detector.invert()
-    return [
-        ScoredBox(box=apply_map(d.box, inverse), class_id=d.class_id, score=d.score)
-        for d in rd.detections
-    ]
-
-
-def _as_arrays(dets: Sequence[ScoredBox]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _columns(groups: Sequence[Sequence[ScoredBox]]):
+    """The detections of all groups in one list, with their boxes (n, 4), classes,
+    scores and group index as columns."""
+    dets = [d for g in groups for d in g]
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
     classes = np.array([d.class_id for d in dets])
     scores = np.array([d.score for d in dets], dtype=np.float64)
-    return boxes, classes, scores
+    return dets, boxes, classes, scores, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
 
-def nms_indices(
-    boxes: Sequence[ScoredBox], iou_threshold: float, per_class: bool = True
-) -> list[int]:
-    """Indices of NMS survivors, in selection order."""
+def _remap(per_region: Sequence[RegionDetections]):
+    """`_columns` of the regions' detections, with boxes mapped to image space by
+    each region's inverse detector map: the operations of `apply_map`, in its order."""
+    dets, boxes, classes, scores, regions = _columns([rd.detections for rd in per_region])
+    inverse = [rd.region.to_detector.invert() for rd in per_region]
+    maps = np.array([(m.scale_x, m.scale_y, m.offset_x, m.offset_y) for m in inverse],
+                    dtype=np.float64).reshape(-1, 4)[regions]
+    boxes = boxes * maps[:, [0, 1, 0, 1]] + maps[:, [2, 3, 2, 3]]
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite box coordinate after mapping to image space")
+    return dets, boxes, classes, scores, regions
+
+
+def _scored(dets: Sequence[ScoredBox], boxes: np.ndarray, rows: np.ndarray) -> list[ScoredBox]:
+    """Detections `rows` with their image-space boxes, in row order."""
+    return [ScoredBox(Box(*xy), dets[i].class_id, dets[i].score)
+            for i, xy in zip(rows.tolist(), boxes[rows].tolist())]
+
+
+def remap_to_image(rd: RegionDetections) -> list[ScoredBox]:
+    """Map detector-frame detections back to image coordinates."""
+    dets, boxes, *_ = _remap([rd])
+    return _scored(dets, boxes, np.arange(len(dets)))
+
+
+def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
+                iou_threshold: float, per_class: bool = True) -> list[int]:
+    """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
-    xy, classes, scores = _as_arrays(boxes)
     order = np.argsort(-scores, kind="stable")  # ties keep the earlier index
-    xy, classes = xy[order], classes[order]
+    xy, classes = boxes[order], classes[order]
     alive = np.ones(len(order), dtype=bool)
     groups = classes if per_class else np.zeros_like(classes)
     for group in set(groups.tolist()):  # not np.unique, which imports numpy.ma
@@ -98,9 +118,8 @@ def nms_indices(
     return order[alive].tolist()
 
 
-def nms(
-    boxes: Sequence[ScoredBox], iou_threshold: float, per_class: bool = True
-) -> list[ScoredBox]:
+def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
+        per_class: bool = True) -> list[ScoredBox]:
     """Greedy non-maximum suppression.
 
     Boxes are visited in descending score order (ties broken by earlier input
@@ -108,21 +127,38 @@ def nms(
     same class (when per_class) exceeds the threshold. Returns survivors in
     selection order with original scores.
     """
-    return [boxes[i] for i in nms_indices(boxes, iou_threshold, per_class)]
+    _, xy, classes, scores, _ = _columns([boxes])
+    return [boxes[i] for i in nms_indices(xy, classes, scores, iou_threshold, per_class)]
 
 
-def _check_in_region(rd: RegionDetections, slack: float = 1.0) -> None:
-    r = rd.region.rect
-    for d in rd.detections:
-        if (
-            d.box.x1 < r.x1 - slack
-            or d.box.y1 < r.y1 - slack
-            or d.box.x2 > r.x2 + slack
-            or d.box.y2 > r.y2 + slack
-        ):
-            raise ValueError(
-                f"detection {d.box} lies outside region {rd.region.region_id} rect {r}"
-            )
+def _ibs_keep(per_region, boxes, classes, scores, regions, cfg: FuseConfig) -> np.ndarray:
+    """IBS keep mask over image-space rows; a row over 1 px outside its region is an error."""
+    rects = np.array([rd.region.rect.as_tuple() for rd in per_region]).reshape(-1, 4)
+    own = rects[regions]
+    outside = ((boxes[:, :2] < own[:, :2] - 1.0) | (boxes[:, 2:] > own[:, 2:] + 1.0)).any(axis=1)
+    if outside.any():
+        row = int(np.argmax(outside))
+        region = per_region[regions[row]].region
+        raise ValueError(f"detection {Box(*boxes[row].tolist())} lies outside region "
+                         f"{region.region_id} rect {region.rect}")
+    near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
+    # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
+    rank = np.argsort(np.lexsort((regions, -scores)))
+    keep = np.ones(len(boxes), dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
+        rect, mine, comp = rects[i], np.flatnonzero(regions == i), np.flatnonzero(near[i][regions])
+        # a competitor outside the rect is clipped onto its edge, with zero area
+        clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
+        positive = (clips[:, 0] < clips[:, 2]) & (clips[:, 1] < clips[:, 3])
+        comp, clips = comp[positive], clips[positive]
+        for start in range(0, len(mine), BLOCK):
+            rows = mine[start:start + BLOCK]
+            hit = pairwise_iou(boxes[rows], clips) > cfg.ibs_box_iou
+            hit &= rank[comp] < rank[rows, None]
+            if cfg.per_class:
+                hit &= classes[comp] == classes[rows, None]
+            keep[rows] = ~hit.any(axis=1)
+    return keep
 
 
 def ibs(per_region: Sequence[RegionDetections], cfg: FuseConfig) -> list[ScoredBox]:
@@ -136,54 +172,36 @@ def ibs(per_region: Sequence[RegionDetections], cfg: FuseConfig) -> list[ScoredB
     it: strictly higher score, or equal score from a lower-indexed region.
     The rank rule guarantees a survivor among mutual overlaps.
     """
-    for rd in per_region:
-        _check_in_region(rd)
-    rects = np.array([rd.region.rect.as_tuple() for rd in per_region]).reshape(-1, 4)
-    near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
-
-    dets = [d for rd in per_region for d in rd.detections]
-    boxes, classes, scores = _as_arrays(dets)
-    counts = [len(rd.detections) for rd in per_region]
-    regions = np.repeat(np.arange(len(per_region)), counts)
-    # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
-    rank = np.argsort(np.lexsort((regions, -scores)))
-    keep = np.ones(len(dets), dtype=bool)
-    ends = np.cumsum(counts, dtype=int)
-    for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
-        rect, start, stop = rects[i], ends[i] - counts[i], ends[i]
-        comp = np.flatnonzero(near[i][regions])
-        # a competitor outside the rect is clipped onto its edge, with zero area
-        clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
-        positive = (clips[:, 0] < clips[:, 2]) & (clips[:, 1] < clips[:, 3])
-        comp, clips = comp[positive], clips[positive]
-        for row in range(start, stop, BLOCK):
-            rows = slice(row, min(row + BLOCK, stop))
-            hit = pairwise_iou(boxes[rows], clips) > cfg.ibs_box_iou
-            hit &= rank[comp] < rank[rows, None]
-            if cfg.per_class:
-                hit &= classes[comp] == classes[rows, None]
-            keep[rows] = ~hit.any(axis=1)
-    return [d for d, k in zip(dets, keep) if k]
+    dets, *columns = _columns([rd.detections for rd in per_region])
+    return [d for d, k in zip(dets, _ibs_keep(per_region, *columns, cfg)) if k]
 
 
-def merge_pipeline(
-    per_region: Sequence[RegionDetections],
-    cfg: FuseConfig = FuseConfig(),
-    apply_ibs: bool = True,
-) -> list[ScoredBox]:
-    """Full merge: remap to image space, per-class NMS, then IBS.
+def _merge(per_region: Sequence[RegionDetections], cfg: FuseConfig):
+    """One remap and one NMS pass: the rows NMS keeps, in input order; a function giving
+    those IBS keeps too; and one giving rows' detections by descending score, ties in order."""
+    dets, boxes, classes, scores, regions = _remap(per_region)
+    kept = np.array(sorted(nms_indices(boxes, classes, scores, cfg.nms_iou, cfg.per_class)), int)
 
-    Returns the surviving boxes sorted by descending score (ties by input
-    order), so output is deterministic for a fixed input order.
-    """
-    remapped = [RegionDetections(rd.region, remap_to_image(rd)) for rd in per_region]
-    flat = [d for rd in remapped for d in rd.detections]
-    kept = np.zeros(len(flat), dtype=bool)
-    kept[nms_indices(flat, cfg.nms_iou, per_class=cfg.per_class)] = True
-    ends = np.cumsum([len(rd.detections) for rd in remapped], dtype=int)
-    after_nms = [
-        RegionDetections(region=rd.region, detections=[d for d, k in zip(rd.detections, mask) if k])
-        for rd, mask in zip(remapped, np.split(kept, ends[:-1]))
-    ]
-    final = ibs(after_nms, cfg) if apply_ibs else [d for rd in after_nms for d in rd.detections]
-    return sorted(final, key=lambda d: -d.score)
+    def after_ibs() -> np.ndarray:  # IBS runs among the NMS survivors alone
+        columns = (boxes[kept], classes[kept], scores[kept], regions[kept])
+        return kept[_ibs_keep(per_region, *columns, cfg)]
+
+    def survivors(rows: np.ndarray) -> list[ScoredBox]:
+        return sorted(_scored(dets, boxes, rows), key=lambda d: -d.score)
+
+    return kept, after_ibs, survivors
+
+
+def merge_both(per_region: Sequence[RegionDetections],
+               cfg: FuseConfig = FuseConfig()) -> tuple[list[ScoredBox], list[ScoredBox]]:
+    """`merge_pipeline` with IBS and without it, from one remap and one NMS pass."""
+    kept, after_ibs, survivors = _merge(per_region, cfg)
+    return survivors(after_ibs()), survivors(kept)
+
+
+def merge_pipeline(per_region: Sequence[RegionDetections], cfg: FuseConfig = FuseConfig(),
+                   apply_ibs: bool = True) -> list[ScoredBox]:
+    """Full merge: remap to image space, per-class NMS, then IBS if `apply_ibs`. Survivors
+    come by descending score, ties in input order, so output is deterministic."""
+    kept, after_ibs, survivors = _merge(per_region, cfg)
+    return survivors(after_ibs() if apply_ibs else kept)

@@ -13,7 +13,7 @@ from .boxgeom import Box, ScoredBox
 from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
-from .fuse import RegionDetections, merge_pipeline
+from .fuse import RegionDetections, merge_both
 from .mixture import assign_clusters, fit_em, num_focal_regions
 from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
@@ -60,7 +60,7 @@ def refine_image(
 
 @dataclass
 class ImageRun:
-    """All artifacts of one image pushed through the pipeline."""
+    """All artifacts of one image; `merged` is the result with IBS, `merged_no_ibs` without."""
 
     annotations: list[GtAnnotation]
     regions: list[FocalRegion]
@@ -70,41 +70,23 @@ class ImageRun:
     merged_no_ibs: list[ScoredBox]
 
 
-def run_image(
-    annotations: Sequence[GtAnnotation],
-    image_size: tuple[float, float],
-    oracle_spec: OracleSpec,
-    config: PipelineConfig = PipelineConfig(),
-    image_id: str = "",
-    seed: int = 0,
-    apply_ibs: bool = True,
-    with_no_ibs: bool = False,
-) -> ImageRun:
-    """Focus, refine, oracle detect and merge one image; `seed` seeds EM, and
-    `merged_no_ibs` is filled only `with_no_ibs`, for the IBS ablation."""
+def run_image(annotations: Sequence[GtAnnotation], image_size: tuple[float, float],
+              oracle_spec: OracleSpec, config: PipelineConfig = PipelineConfig(),
+              image_id: str = "", seed: int = 0) -> ImageRun:
+    """Focus, refine, oracle detect and merge one image, with and without IBS; `seed` seeds EM."""
     regions = regions_for_image(annotations, image_size, config, image_id=image_id, seed=seed)
     crops = refine_image(regions, annotations, config)
     rds = [oracle_detect(crop, oracle_spec) for crop in crops]
-    fuse_config = config.fuse_config()
-    return ImageRun(
-        list(annotations), regions, crops, rds,
-        merged=merge_pipeline(rds, fuse_config, apply_ibs=apply_ibs),
-        merged_no_ibs=merge_pipeline(rds, fuse_config, apply_ibs=False) if with_no_ibs else [],
-    )
+    return ImageRun(list(annotations), regions, crops, rds, *merge_both(rds, config.fuse_config()))
 
 
-def run_scene(
-    scene_spec: SceneSpec,
-    oracle_spec: OracleSpec,
-    config: PipelineConfig = PipelineConfig(),
-    image_id: str = "scene",
-    with_no_ibs: bool = False,
-) -> ImageRun:
+def run_scene(scene_spec: SceneSpec, oracle_spec: OracleSpec,
+              config: PipelineConfig = PipelineConfig(), image_id: str = "scene") -> ImageRun:
     """Synthesize one scene and run it through `run_image`, EM seeded by the scene."""
     scene = generate_scene(scene_spec)
     annotations = [GtAnnotation(box=b, class_id=c) for b, c in scene.annotations]
     return run_image(annotations, scene.image_size, oracle_spec, config, image_id=image_id,
-                     seed=scene_spec.rng_seed, with_no_ibs=with_no_ibs)
+                     seed=scene_spec.rng_seed)
 
 
 def evaluate_runs(

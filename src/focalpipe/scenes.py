@@ -9,7 +9,7 @@ boxes. Everything is reproducible bit-for-bit from the configured seeds.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -63,8 +63,6 @@ class Scene:
 class ScaleStats:
     cv_raw: Optional[float]
     cv_cropped: Optional[float]
-    per_class_raw: dict[int, Optional[float]] = field(default_factory=dict)
-    per_class_cropped: dict[int, Optional[float]] = field(default_factory=dict)
 
 
 def generate_scene(spec: SceneSpec) -> Scene:
@@ -177,21 +175,5 @@ def scale_stats(
     the statistic reflects what the second-stage detector actually sees.
     """
     raw_areas = [area(b) for b, _ in raw_annotations]
-    raw_by_class: dict[int, list[float]] = {}
-    for b, c in raw_annotations:
-        raw_by_class.setdefault(c, []).append(area(b))
-
-    cropped_areas: list[float] = []
-    cropped_by_class: dict[int, list[float]] = {}
-    for crop in crops:
-        for box, class_id, _ in crop_gt_to_detector(crop):
-            a = area(box)
-            cropped_areas.append(a)
-            cropped_by_class.setdefault(class_id, []).append(a)
-
-    return ScaleStats(
-        cv_raw=_cv(raw_areas),
-        cv_cropped=_cv(cropped_areas),
-        per_class_raw={c: _cv(v) for c, v in sorted(raw_by_class.items())},
-        per_class_cropped={c: _cv(v) for c, v in sorted(cropped_by_class.items())},
-    )
+    cropped_areas = [area(box) for crop in crops for box, _, _ in crop_gt_to_detector(crop)]
+    return ScaleStats(cv_raw=_cv(raw_areas), cv_cropped=_cv(cropped_areas))

@@ -47,6 +47,13 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
 
 
+def _int(v: Any, name: str) -> int:
+    """An integer field; `int` would truncate 2.7 and overflow on infinity."""
+    if isinstance(v, float) and not v.is_integer():
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 def box_to_list(b: Box) -> list[float]:
     return [b.x1, b.y1, b.x2, b.y2]
 
@@ -76,7 +83,7 @@ def region_to_dict(r: FocalRegion) -> dict:
 def region_from_dict(d: Mapping) -> FocalRegion:
     return FocalRegion(
         rect=box_from_list(d["rect"]),
-        region_id=int(d["region_id"]),
+        region_id=_int(d["region_id"], "region_id"),
         image_id=str(d["image_id"]),
         to_detector=AffineMap2D(**{k: float(v) for k, v in d["to_detector"].items()}),
     )
@@ -88,7 +95,8 @@ def scored_box_to_dict(d: ScoredBox) -> dict:
 
 def scored_box_from_dict(d: Mapping) -> ScoredBox:
     return ScoredBox(
-        box=box_from_list(d["bbox"]), class_id=int(d["class_id"]), score=float(d["score"])
+        box=box_from_list(d["bbox"]), class_id=_int(d["class_id"], "class_id"),
+        score=float(d["score"]),
     )
 
 
@@ -139,12 +147,12 @@ def crops_from_doc(doc: Mapping) -> dict[str, list[RefinedCrop]]:
                 gt=[
                     (
                         box_from_list(g["bbox"]),
-                        int(g["class_id"]),
+                        _int(g["class_id"], "class_id"),
                         float(g["kept_fraction"]),
                     )
                     for g in e["gt"]
                 ],
-                dropped_zero_area=int(e.get("dropped_zero_area", 0)),
+                dropped_zero_area=_int(e.get("dropped_zero_area", 0), "dropped_zero_area"),
             )
             for e in entries
         ]
@@ -236,7 +244,7 @@ def annotations_from_doc(
         gts[image_id] = [
             GtAnnotation(
                 box=box_from_list(a["bbox"]),
-                class_id=int(a["class_id"]),
+                class_id=_int(a["class_id"], "class_id"),
                 ignore=bool(a.get("ignore", False)),
             )
             for a in entry["annotations"]

@@ -8,7 +8,6 @@ to the terminal (bypassing capture) so the run log shows every criterion.
 import time
 
 import numpy as np
-from scipy.stats import binomtest
 
 import conftest
 
@@ -19,7 +18,7 @@ from focalpipe.evalkit import GtAnnotation, coco_eval, voc_ap_at
 from focalpipe.focal import refine_gt, regions_from_clusters
 from focalpipe.fuse import FuseConfig, RegionDetections, ibs, nms
 from focalpipe.mixture import EmConfig, MixtureModel, fit_em, num_focal_regions, posterior
-from focalpipe.pipeline import evaluate_runs, refine_image, regions_for_image, run_scene
+from focalpipe.pipeline import refine_image, regions_for_image
 from focalpipe.scenes import (
     OracleSpec,
     SceneSpec,
@@ -31,6 +30,7 @@ from focalpipe.scenes import (
 from reference_eval import reference_coco, reference_voc
 from test_evalkit import random_micro_dataset, to_production
 from test_fuse import fig5_scenario, random_scored_boxes, reference_nms
+from test_ibs_ablation import ibs_ablation
 
 
 def report(name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -188,32 +188,10 @@ def test_ibs_suppresses_where_nms_cannot():
 def test_ibs_ablation_improves_ap50():
     """50 corpora: mean AP50 gain of IBS over plain NMS, one-sided sign test."""
     start = time.perf_counter()
-    config = PipelineConfig()
-    gains = []
-    for corpus in range(50):
-        runs = []
-        for s in range(3):
-            seed = corpus * 100 + s
-            spec = SceneSpec(
-                image_size=(1200, 900),
-                n_clusters=3,
-                boxes_per_cluster=(12, 20),
-                cluster_spread=120.0,
-                box_size_range=(16.0, 40.0),
-                size_multiplier_range=(0.8, 1.5),
-                rng_seed=seed,
-            )
-            runs.append(
-                run_scene(spec, OracleSpec(rng_seed=seed), config,
-                          image_id=f"c{corpus}s{s}", with_no_ibs=True)
-            )
-        ap_ibs = evaluate_runs(runs, config, use_ibs=True).ap50
-        ap_plain = evaluate_runs(runs, config, use_ibs=False).ap50
-        gains.append(ap_ibs - ap_plain)
-    gains = np.asarray(gains)
+    gains = np.asarray([ibs - plain for ibs, plain in ibs_ablation.corpus_ap50(50)])
     wins = int((gains > 0).sum())
     losses = int((gains < 0).sum())
-    p = binomtest(wins, wins + losses, alternative="greater").pvalue if wins + losses else 1.0
+    p = ibs_ablation.sign_test_p(wins, losses)
     ok = gains.mean() > 0 and p < 0.05
     report(
         f"IBS ablation: mean AP50 gain {gains.mean():+.3f}, "

@@ -174,6 +174,11 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     elif case in ("detector-scale-nan", "detector-scale-overflows"):
         to_detector = rd_doc["images"]["img"][0]["region"]["to_detector"]
         to_detector["scale_x"] = float("nan") if case == "detector-scale-nan" else 1e308
+    elif case.startswith("annotation-class-id-"):
+        ann_doc["images"]["img"]["annotations"][0]["class_id"] = (
+            float("inf") if case.endswith("-inf") else 2.7)
+    elif case == "region-id-inf":
+        rd_doc["images"]["img"][0]["region"]["region_id"] = float("inf")
     elif case.startswith("annotation-size-has-a-"):
         bad_width = {"string": "x", "null": None, "list": [1]}[case.rsplit("-", 1)[1]]
         ann_doc["images"]["img"]["image_size"] = [bad_width, 900]
@@ -221,7 +226,7 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--class-names", str(names)], names
-    if case == "three-number-bbox" or case.startswith("annotation-size-has-a-"):
+    if case == "three-number-bbox" or case.startswith("annotation-"):
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
     if case == "regions-given-region-detections":
         return ["refine-gt", "--annotations", str(ann), "--regions", str(rd), "--out", out], rd
@@ -237,7 +242,8 @@ class TestMalformedDocuments:
         "annotation-size-has-a-null", "annotation-size-has-a-list", "voc-iou-zero",
         "visdrone-detection-category-inf", "visdrone-detection-category-nan",
         "visdrone-detection-box-nan", "visdrone-detection-category-negative",
-        "visdrone-annotation-category-inf",
+        "visdrone-annotation-category-inf", "annotation-class-id-inf",
+        "annotation-class-id-fraction", "region-id-inf",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)

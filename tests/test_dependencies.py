@@ -1,11 +1,15 @@
-"""focalpipe runs on its declared runtime dependencies, numpy and click."""
+"""focalpipe runs on its declared runtime dependencies, numpy and click, and
+its tests and scripts need no scipy."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import focalpipe
+
+ROOT = Path(__file__).resolve().parents[1]
 
 IMPORT_ALL = """
 import importlib, pkgutil, sys
@@ -27,3 +31,20 @@ def test_no_focalpipe_module_imports_scipy():
     modules, scipy_modules = result.stdout.splitlines()
     assert "cli" in modules.split(",") and "mixture" in modules.split(",")
     assert scipy_modules == ""
+
+
+def imported_modules(path: Path) -> set[str]:
+    """Top-level names of every module that `path` imports, at any depth of its AST."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_script_or_test_imports_scipy():
+    paths = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+    assert ROOT / "scripts" / "ibs_ablation.py" in paths
+    assert [p.name for p in paths if "scipy" in imported_modules(p)] == []

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalpipe import boxgeom, evalkit, fuse, pipeline
-from focalpipe.boxgeom import Box, ScoredBox, clip, iou
+from focalpipe.boxgeom import Box, ScoredBox, apply_map, clip, iou
 from focalpipe.focal import regions_from_clusters
 from focalpipe.fuse import (
     FuseConfig,
     RegionDetections,
     ibs,
     ingest_detections,
+    merge_both,
     merge_pipeline,
     nms,
     nms_indices,
@@ -117,6 +118,51 @@ def lattice_regions(draw):
     return per_region
 
 
+@st.composite
+def mapped_regions(draw):
+    """Like `lattice_regions`, but each region maps onto a detector frame of its
+    own size times a per-axis factor, and detections lie in that frame."""
+    per_region = []
+    for region_id in range(draw(st.integers(1, 5))):
+        x, y = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        x += 1000 * draw(st.booleans())
+        w, h = draw(st.integers(1, 14)), draw(st.integers(1, 14))
+        fx, fy = draw(st.tuples(*[st.sampled_from([0.5, 1.0, 1.5, 2.3, 3.0])] * 2))
+        region = region_at(Box(x, y, x + w, y + h), region_id, detector_size=(w * fx, h * fy))
+        frame = (0, 0, int(w * fx), int(h * fy))
+        per_region.append(RegionDetections(region, draw(lattice_detections(frame, max_size=12))))
+    return per_region
+
+
+def reference_merge(per_region, cfg):
+    """Scalar composition of the merge: `apply_map` per box, `reference_nms`,
+    then `reference_ibs` on the survivors. Returns the survivors with IBS and
+    without, each by descending score, ties in input order."""
+    remapped = [
+        RegionDetections(rd.region, [
+            ScoredBox(apply_map(d.box, rd.region.to_detector.invert()), d.class_id, d.score)
+            for d in rd.detections
+        ])
+        for rd in per_region
+    ]
+    flat = [d for rd in remapped for d in rd.detections]
+    kept = {id(d) for d in reference_nms(flat, cfg.nms_iou, cfg.per_class)}
+    after_nms = [RegionDetections(rd.region, [d for d in rd.detections if id(d) in kept])
+                 for rd in remapped]
+
+    def by_score(dets):
+        return sorted(dets, key=lambda d: -d.score)
+
+    return (by_score(reference_ibs(after_nms, cfg)),
+            by_score([d for rd in after_nms for d in rd.detections]))
+
+
+def columns(boxes):
+    """`nms_indices` input for a list of detections: boxes (n, 4), classes, scores."""
+    return (np.array([d.box.as_tuple() for d in boxes], dtype=np.float64).reshape(-1, 4),
+            np.array([d.class_id for d in boxes]), np.array([d.score for d in boxes]))
+
+
 def random_scored_boxes(rng, n, span=400.0):
     out = []
     for _ in range(n):
@@ -157,7 +203,7 @@ class TestNms:
         b = Box(0, 0, 10, 10)
         boxes = [ScoredBox(b, 0, 0.7), ScoredBox(b, 0, 0.7)]
         assert nms(boxes, 0.5) == [boxes[0]]
-        assert nms_indices(boxes, 0.5) == [0]
+        assert nms_indices(*columns(boxes), 0.5) == [0]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_exhaustive_reference(self, seed):
@@ -191,7 +237,7 @@ class TestNms:
     )
     def test_equals_reference_on_lattice_boxes(self, boxes, threshold, per_class):
         expected = reference_nms(boxes, threshold, per_class)
-        kept = nms_indices(boxes, threshold, per_class)
+        kept = nms_indices(*columns(boxes), threshold, per_class)
         assert [boxes[i] for i in kept] == expected
         # the same boxes, not just equal ones: duplicates must keep the earlier index
         assert [id(boxes[i]) for i in kept] == [id(b) for b in expected]
@@ -200,8 +246,8 @@ class TestNms:
         # nine duplicates of one class fill one 8-row block and spill into the next
         b = Box(0, 0, 4, 4)
         boxes = [ScoredBox(b, 0, 0.5) for _ in range(9)] + [ScoredBox(Box(2, 0, 6, 4), 0, 0.9)]
-        assert nms_indices(boxes, 0.5) == [9, 0]
-        assert nms_indices(boxes, 1.0) == [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        assert nms_indices(*columns(boxes), 0.5) == [9, 0]
+        assert nms_indices(*columns(boxes), 1.0) == [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]
 
 
 class TestRemap:
@@ -387,7 +433,7 @@ class TestOneIouKernel:
                 monkeypatch.setattr(module, "iou", scalar_iou)
         assert fuse.iou is scalar_iou and evalkit.iou is scalar_iou
         spec = SceneSpec(n_clusters=3, boxes_per_cluster=(8, 8), rng_seed=4)
-        run = pipeline.run_scene(spec, OracleSpec(rng_seed=4), with_no_ibs=True)
+        run = pipeline.run_scene(spec, OracleSpec(rng_seed=4))
         assert run.merged and run.merged_no_ibs
         pipeline.evaluate_runs([run], use_ibs=True)
         pipeline.evaluate_runs([run], use_ibs=False)
@@ -430,3 +476,35 @@ class TestMergePipeline:
         dets_b = random_scored_boxes(rng, 40, span=240)
         args = [RegionDetections(region_a, dets_a), RegionDetections(region_b, dets_b)]
         assert merge_pipeline(args, FuseConfig()) == merge_pipeline(args, FuseConfig())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        per_region=mapped_regions(),
+        nms_iou=st.sampled_from([0.0, 0.5, 1.0]),
+        box_iou=st.sampled_from([0.0, 0.5, 1.0]),
+        per_class=st.booleans(),
+    )
+    def test_equals_scalar_composition(self, per_region, nms_iou, box_iou, per_class):
+        cfg = FuseConfig(nms_iou=nms_iou, ibs_box_iou=box_iou, per_class=per_class)
+        with_ibs, without_ibs = reference_merge(per_region, cfg)
+        assert merge_both(per_region, cfg) == (with_ibs, without_ibs)
+        assert merge_pipeline(per_region, cfg) == with_ibs
+        assert merge_pipeline(per_region, cfg, apply_ibs=False) == without_ibs
+
+
+class TestOneMergePass:
+    def test_run_image_remaps_and_runs_nms_once(self, monkeypatch):
+        calls = []
+        original = fuse.nms_indices
+
+        def counted(boxes, *args, **kwargs):
+            calls.append(len(boxes))
+            return original(boxes, *args, **kwargs)
+
+        monkeypatch.setattr(fuse, "nms_indices", counted)
+        spec = SceneSpec(n_clusters=3, boxes_per_cluster=(8, 8), rng_seed=4)
+        run = pipeline.run_scene(spec, OracleSpec(rng_seed=4))
+        assert calls == [sum(len(rd.detections) for rd in run.region_detections)]
+        assert run.merged and run.merged_no_ibs
+        assert run.merged == merge_pipeline(run.region_detections)
+        assert run.merged_no_ibs == merge_pipeline(run.region_detections, apply_ibs=False)

@@ -223,8 +223,8 @@ class TestScaleStats:
 
 class TestRunScene:
     def test_pipeline_deterministic(self):
-        a = run_scene(separated_spec(7), OracleSpec(rng_seed=7), with_no_ibs=True)
-        b = run_scene(separated_spec(7), OracleSpec(rng_seed=7), with_no_ibs=True)
+        a = run_scene(separated_spec(7), OracleSpec(rng_seed=7))
+        b = run_scene(separated_spec(7), OracleSpec(rng_seed=7))
         assert a.merged == b.merged
         assert a.merged_no_ibs == b.merged_no_ibs
 
