@@ -131,15 +131,20 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     as an (n, m) array equal bit for bit to `iou` of each pair: same operations, same order."""
     ax1, ay1, ax2, ay2 = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
     bx1, by1, bx2, by2 = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
-    x1 = np.maximum(ax1, bx1)
-    y1 = np.maximum(ay1, by1)
-    x2 = np.minimum(ax2, bx2)
-    y2 = np.minimum(ay2, by2)
-    inter = (x2 - x1) * (y2 - y1)
-    union = (ax2 - ax1) * (ay2 - ay1) + (bx2 - bx1) * (by2 - by1) - inter
+    # each (n, m) array is reused in place once spent, so at most three are alive at
+    # once; the arithmetic is that of `iou`, in its order
+    x1, x2 = np.maximum(ax1, bx1), np.minimum(ax2, bx2)
+    valid = x1 < x2
+    inter = np.subtract(x2, x1, out=x2)
+    y1, y2 = np.maximum(ay1, by1, out=x1), np.minimum(ay2, by2)
+    valid &= y1 < y2
+    inter *= np.subtract(y2, y1, out=y2)
+    union = np.add((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=y2)
+    union -= inter
     # `not union <= 0` as in `iou`, rather than `union > 0`: they differ on NaN
-    valid = (x1 < x2) & (y1 < y2) & ~(union <= 0.0)
-    return np.divide(inter, union, out=np.zeros_like(inter), where=valid)
+    valid &= ~(union <= 0.0)
+    y1.fill(0.0)
+    return np.divide(inter, union, out=y1, where=valid)
 
 
 def clip(b: Box, frame: Box) -> Optional[Box]:

@@ -21,7 +21,7 @@ import click
 from . import serialize, visdrone
 from .config import PipelineConfig
 from .evalkit import GtAnnotation, coco_eval, precision_recall_points, report_table, voc_ap_at
-from .fuse import ingest_detections, merge_pipeline
+from .fuse import ingest_columns, merge_columns, scored_columns
 from .pipeline import refine_image, regions_for_image, run_image
 from .scenes import OracleSpec, SceneSpec, generate_scene
 from .visdrone import VisDroneFormatError
@@ -92,7 +92,9 @@ def _load_doc(path: str, from_doc: Callable[[dict], Any]) -> Any:
     doc = _load_json(path)
     try:
         return from_doc(doc)
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError) as e:
+    except serialize.DocumentError as e:
+        raise DataError(f"{path}: {e}") from e
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
         raise DataError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
 
 
@@ -208,19 +210,19 @@ def refine_gt_cmd(annotations_path, sizes_path, regions_path, out_path, config_p
 def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides) -> None:
     """Merge per-region detections into image-level results (NMS then IBS)."""
     config = _load_config(config_path, **overrides)
-    per_image = _load_doc(rd_path, serialize.region_detections_from_doc)
+    per_image = _load_doc(rd_path, serialize.region_detection_columns)
     merged = {}
     for image_id in sorted(per_image):
         try:
             # external detectors may overrun the detector frame; clamp to it first
-            rds = [ingest_detections(rd.region, rd.detections) for rd in per_image[image_id]]
-            merged[image_id] = merge_pipeline(rds, config.fuse_config(), apply_ibs=not no_ibs)
+            merged[image_id] = merge_columns(*ingest_columns(per_image[image_id]),
+                                             config.fuse_config(), apply_ibs=not no_ibs)
         except ValueError as e:
-            raise DataError(f"{rd_path}: {image_id}: {e}") from e
-    serialize.write_json_atomic(out_path, serialize.merged_detections_doc(merged))
+            raise DataError(f"{rd_path}: images/{image_id}: {e}") from e
+    serialize.write_merged_json(out_path, merged)
     if out_visdrone:
         visdrone.write_detections(out_visdrone, merged)
-    total = sum(len(v) for v in merged.values())
+    total = sum(len(scores) for *_, scores in merged.values())
     click.echo(f"wrote {total} merged detections to {out_path}")
 
 
@@ -316,14 +318,15 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
     rds = {image_id: run.region_detections for image_id, run in runs.items()}
     merged = {image_id: run.merged_no_ibs if no_ibs else run.merged
               for image_id, run in runs.items()}
+    columns = {image_id: scored_columns(dets) for image_id, dets in merged.items()}
 
     serialize.write_json_atomic(out / "regions.json", serialize.regions_doc(regions))
     serialize.write_json_atomic(out / "crops.json", serialize.crops_doc(crops))
     serialize.write_json_atomic(
         out / "region_detections.json", serialize.region_detections_doc(rds)
     )
-    serialize.write_json_atomic(out / "merged.json", serialize.merged_detections_doc(merged))
-    visdrone.write_detections(out / "results", merged)
+    serialize.write_merged_json(out / "merged.json", columns)
+    visdrone.write_detections(out / "results", columns)
 
     report = coco_eval(merged, gts, max_dets=config.max_dets)
     doc = report.to_json_dict()

@@ -6,8 +6,9 @@ across overlapping regions. IBS lets a complete box from one region suppress
 the truncated duplicate another region predicted for the same object, which
 plain NMS misses because the truncated pair's IoU is small.
 
-A merge converts its input once, into flat image-space columns (boxes, classes,
-scores, region index); NMS and IBS select rows, and only survivors become objects.
+The merge runs on columns, one image's detections as flat arrays of boxes (n, 4), class
+ids, scores and region index; `ingest_columns` and `merge_columns` build no `ScoredBox`.
+The `ScoredBox` entry points convert through `_columns` and build objects for results only.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `fuse.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, clip, iou, pairwise_iou  # noqa: F401
+from .boxgeom import Box, ScoredBox, iou, pairwise_iou  # noqa: F401
 from .focal import FocalRegion
 
 # rows per `pairwise_iou` call: larger blocks make fewer calls but larger arrays
-BLOCK = 8
+BLOCK = 16
 
 
 @dataclass
@@ -48,73 +49,119 @@ class FuseConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def ingest_detections(region: FocalRegion, detections: Sequence[ScoredBox]) -> RegionDetections:
-    """Clamp raw detector output to the detector frame, dropping empty boxes."""
-    det_w, det_h = region.detector_size
-    frame = Box(0.0, 0.0, det_w, det_h)
-    kept = []
-    for d in detections:
-        clipped = clip(d.box, frame)
-        if clipped is not None:
-            kept.append(ScoredBox(box=clipped, class_id=d.class_id, score=d.score))
-    return RegionDetections(region=region, detections=kept)
-
-
 def _columns(groups: Sequence[Sequence[ScoredBox]]):
-    """The detections of all groups in one list, with their boxes (n, 4), classes,
-    scores and group index as columns."""
+    """Boxes (n, 4), class ids, scores and group index of the detections of all groups."""
     dets = [d for g in groups for d in g]
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
-    classes = np.array([d.class_id for d in dets])
+    ids = [d.class_id for d in dets]
+    classes = np.array(ids, dtype=None if dets else np.int64)
+    # ids past int64 stay Python ints: numpy makes them uint64, or float64 beside smaller
+    # ids, and uint64 and int64 columns concatenate to float64
+    if classes.dtype.kind in "uf" and all(isinstance(c, int) for c in ids):
+        classes = np.array(ids, dtype=object)
     scores = np.array([d.score for d in dets], dtype=np.float64)
-    return dets, boxes, classes, scores, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    return boxes, classes, scores, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 
 
-def _remap(per_region: Sequence[RegionDetections]):
-    """`_columns` of the regions' detections, with boxes mapped to image space by
-    each region's inverse detector map: the operations of `apply_map`, in its order."""
-    dets, boxes, classes, scores, regions = _columns([rd.detections for rd in per_region])
-    inverse = [rd.region.to_detector.invert() for rd in per_region]
+def scored_columns(dets: Sequence[ScoredBox]):
+    """Detections as columns: boxes (n, 4), class ids, scores."""
+    return _columns([dets])[:3]
+
+
+def scored_boxes(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray) -> list[ScoredBox]:
+    """Columns back to detections, in row order."""
+    return [ScoredBox(Box(*xy), c, s)
+            for xy, c, s in zip(boxes.tolist(), classes.tolist(), scores.tolist())]
+
+
+def _flat(per_region: Sequence[RegionDetections]):
+    """Regions and the `_columns` of their detections."""
+    return [rd.region for rd in per_region], *_columns([rd.detections for rd in per_region])
+
+
+def ingest_columns(per_region: Sequence[tuple]):
+    """One image's `(region, boxes (n, 4), class ids, scores)` in detector frames, as flat
+    columns `(regions, boxes, classes, scores, region index)`. Each box is clamped to its
+    region's detector frame with the comparisons of `boxgeom.clip`, so signed zeros come out
+    as `clip` gives them, and dropped when that leaves it empty."""
+    regions = [r for r, *_ in per_region]
+    sizes = np.array([r.detector_size for r in regions], dtype=np.float64).reshape(-1, 2)
+    if not np.isfinite(sizes).all():
+        raise ValueError("non-finite detector frame")
+    boxes = np.concatenate([b for _, b, _, _ in per_region] + [np.empty((0, 4))])
+    classes = np.concatenate([c for _, _, c, _ in per_region] + [np.empty(0, np.int64)])
+    scores = np.concatenate([s for *_, s in per_region] + [np.empty(0)])
+    index = np.repeat(np.arange(len(regions)), [len(s) for *_, s in per_region])
+    (x1, y1, x2, y2), (w, h) = boxes.T, sizes[index].T
+    x1, y1 = np.where(0.0 > x1, 0.0, x1), np.where(0.0 > y1, 0.0, y1)
+    x2, y2 = np.where(w < x2, w, x2), np.where(h < y2, h, y2)
+    keep = (x1 < x2) & (y1 < y2)
+    boxes = np.stack([x1, y1, x2, y2], axis=1)[keep]
+    return regions, boxes, classes[keep], scores[keep], index[keep]
+
+
+def ingest_detections(region: FocalRegion, detections: Sequence[ScoredBox]) -> RegionDetections:
+    """Clamp raw detector output to the detector frame, dropping empty boxes."""
+    _, boxes, classes, scores, _ = ingest_columns([(region, *scored_columns(detections))])
+    return RegionDetections(region=region, detections=scored_boxes(boxes, classes, scores))
+
+
+def _remap(regions: Sequence[FocalRegion], boxes: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Boxes mapped to image space by their regions' inverse detector maps: the operations
+    of `apply_map`, in its order."""
+    inverse = [r.to_detector.invert() for r in regions]
     maps = np.array([(m.scale_x, m.scale_y, m.offset_x, m.offset_y) for m in inverse],
-                    dtype=np.float64).reshape(-1, 4)[regions]
+                    dtype=np.float64).reshape(-1, 4)[index]
     boxes = boxes * maps[:, [0, 1, 0, 1]] + maps[:, [2, 3, 2, 3]]
     if not np.isfinite(boxes).all():
         raise ValueError("non-finite box coordinate after mapping to image space")
-    return dets, boxes, classes, scores, regions
-
-
-def _scored(dets: Sequence[ScoredBox], boxes: np.ndarray, rows: np.ndarray) -> list[ScoredBox]:
-    """Detections `rows` with their image-space boxes, in row order."""
-    return [ScoredBox(Box(*xy), dets[i].class_id, dets[i].score)
-            for i, xy in zip(rows.tolist(), boxes[rows].tolist())]
+    return boxes
 
 
 def remap_to_image(rd: RegionDetections) -> list[ScoredBox]:
     """Map detector-frame detections back to image coordinates."""
-    dets, boxes, *_ = _remap([rd])
-    return _scored(dets, boxes, np.arange(len(dets)))
+    regions, boxes, classes, scores, index = _flat([rd])
+    return scored_boxes(_remap(regions, boxes, index), classes, scores)
+
+
+def _meets(boxes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Which of `boxes` overlap the bounding box of `rows` with positive area; the others
+    have IoU 0 with every row."""
+    (x1, y1, _, _), (_, _, x2, y2) = rows.min(axis=0), rows.max(axis=0)
+    return (boxes[:, 0] < x2) & (boxes[:, 2] > x1) & (boxes[:, 1] < y2) & (boxes[:, 3] > y1)
 
 
 def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
                 iou_threshold: float, per_class: bool = True) -> list[int]:
-    """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order."""
+    """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order.
+
+    Each group goes in score order, BLOCK rows at a time: suppressed rows drop out of a
+    block, a block with none left is skipped, and a block scores only the live rows after
+    it that meet its bounding box. Memory is O(n) plus one block's kernel arrays."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
     order = np.argsort(-scores, kind="stable")  # ties keep the earlier index
-    xy, classes = boxes[order], classes[order]
+    groups = (classes if per_class else np.zeros(len(classes), dtype=int))[order]
     alive = np.ones(len(order), dtype=bool)
-    groups = classes if per_class else np.zeros_like(classes)
     for group in set(groups.tolist()):  # not np.unique, which imports numpy.ma
         pos = np.flatnonzero(groups == group)  # in score order
+        xy, live = boxes[order[pos]], np.ones(len(pos), dtype=bool)
         for start in range(0, len(pos), BLOCK):
-            rows, rest = pos[start:start + BLOCK], pos[start:]
-            if not alive[rows].any():
+            end = start + BLOCK
+            rows = start + np.flatnonzero(live[start:end])
+            if not len(rows):
                 continue
-            overlap = pairwise_iou(xy[rows], xy[rest]) > iou_threshold
-            for r, row in enumerate(rows):
-                if alive[row]:
-                    alive[rest[overlap[r]]] = False
-                    alive[row] = True  # kept, though its own IoU of 1 may clear it
+            tail = end + np.flatnonzero(live[end:] & _meets(xy[end:], xy[rows]))
+            cols = np.concatenate([rows, tail])
+            overlap = pairwise_iou(xy[rows], xy[cols]) > iou_threshold
+            kept: list[int] = []  # greedy among the block's own rows, which lead `cols`
+            within = overlap[:, :len(rows)].tolist()
+            for r in range(len(rows)):
+                if not any(within[k][r] for k in kept):
+                    kept.append(r)
+            live[cols[overlap[kept].any(axis=0)]] = False
+            live[rows[kept]] = True  # kept, though its own IoU of 1 may clear it
+        alive[pos] = live
     return order[alive].tolist()
 
 
@@ -127,30 +174,33 @@ def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
     same class (when per_class) exceeds the threshold. Returns survivors in
     selection order with original scores.
     """
-    _, xy, classes, scores, _ = _columns([boxes])
+    xy, classes, scores = scored_columns(boxes)
     return [boxes[i] for i in nms_indices(xy, classes, scores, iou_threshold, per_class)]
 
 
-def _ibs_keep(per_region, boxes, classes, scores, regions, cfg: FuseConfig) -> np.ndarray:
+def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.ndarray:
     """IBS keep mask over image-space rows; a row over 1 px outside its region is an error."""
-    rects = np.array([rd.region.rect.as_tuple() for rd in per_region]).reshape(-1, 4)
-    own = rects[regions]
+    rects = np.array([r.rect.as_tuple() for r in regions]).reshape(-1, 4)
+    own = rects[index]
     outside = ((boxes[:, :2] < own[:, :2] - 1.0) | (boxes[:, 2:] > own[:, 2:] + 1.0)).any(axis=1)
     if outside.any():
         row = int(np.argmax(outside))
-        region = per_region[regions[row]].region
+        region = regions[index[row]]
         raise ValueError(f"detection {Box(*boxes[row].tolist())} lies outside region "
                          f"{region.region_id} rect {region.rect}")
     near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
     # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
-    rank = np.argsort(np.lexsort((regions, -scores)))
+    rank = np.argsort(np.lexsort((index, -scores)))
     keep = np.ones(len(boxes), dtype=bool)
     for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
-        rect, mine, comp = rects[i], np.flatnonzero(regions == i), np.flatnonzero(near[i][regions])
+        rect, comp = rects[i], np.flatnonzero(near[i][index])
         # a competitor outside the rect is clipped onto its edge, with zero area
         clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
         positive = (clips[:, 0] < clips[:, 2]) & (clips[:, 1] < clips[:, 3])
         comp, clips = comp[positive], clips[positive]
+        if not len(comp):
+            continue
+        mine = np.flatnonzero((index == i) & _meets(boxes, clips))
         for start in range(0, len(mine), BLOCK):
             rows = mine[start:start + BLOCK]
             hit = pairwise_iou(boxes[rows], clips) > cfg.ibs_box_iou
@@ -172,36 +222,46 @@ def ibs(per_region: Sequence[RegionDetections], cfg: FuseConfig) -> list[ScoredB
     it: strictly higher score, or equal score from a lower-indexed region.
     The rank rule guarantees a survivor among mutual overlaps.
     """
-    dets, *columns = _columns([rd.detections for rd in per_region])
-    return [d for d, k in zip(dets, _ibs_keep(per_region, *columns, cfg)) if k]
+    dets = [d for rd in per_region for d in rd.detections]
+    return [d for d, k in zip(dets, _ibs_keep(*_flat(per_region), cfg)) if k]
 
 
-def _merge(per_region: Sequence[RegionDetections], cfg: FuseConfig):
-    """One remap and one NMS pass: the rows NMS keeps, in input order; a function giving
-    those IBS keeps too; and one giving rows' detections by descending score, ties in order."""
-    dets, boxes, classes, scores, regions = _remap(per_region)
-    kept = np.array(sorted(nms_indices(boxes, classes, scores, cfg.nms_iou, cfg.per_class)), int)
+def _merge(regions, boxes, classes, scores, index, cfg: FuseConfig):
+    """One remap and one NMS pass. Returns a function of `apply_ibs` giving the columns
+    (boxes, classes, scores) of the NMS survivors, after IBS among them if `apply_ibs`,
+    by descending score with ties in input order."""
+    boxes = _remap(regions, boxes, index)
+    kept = np.sort(np.array(nms_indices(boxes, classes, scores, cfg.nms_iou, cfg.per_class),
+                            dtype=int))
 
-    def after_ibs() -> np.ndarray:  # IBS runs among the NMS survivors alone
-        columns = (boxes[kept], classes[kept], scores[kept], regions[kept])
-        return kept[_ibs_keep(per_region, *columns, cfg)]
+    def survivors(apply_ibs: bool):
+        rows = kept
+        if apply_ibs:  # IBS runs among the NMS survivors alone
+            columns = (c[kept] for c in (boxes, classes, scores, index))
+            rows = kept[_ibs_keep(regions, *columns, cfg)]
+        rows = rows[np.argsort(-scores[rows], kind="stable")]
+        return boxes[rows], classes[rows], scores[rows]
 
-    def survivors(rows: np.ndarray) -> list[ScoredBox]:
-        return sorted(_scored(dets, boxes, rows), key=lambda d: -d.score)
+    return survivors
 
-    return kept, after_ibs, survivors
+
+def merge_columns(regions: Sequence[FocalRegion], boxes: np.ndarray, classes: np.ndarray,
+                  scores: np.ndarray, index: np.ndarray, cfg: FuseConfig = FuseConfig(),
+                  apply_ibs: bool = True):
+    """`merge_pipeline` on the flat columns `ingest_columns` gives; returns the survivors'
+    columns (image-space boxes, classes, scores)."""
+    return _merge(regions, boxes, classes, scores, index, cfg)(apply_ibs)
 
 
 def merge_both(per_region: Sequence[RegionDetections],
                cfg: FuseConfig = FuseConfig()) -> tuple[list[ScoredBox], list[ScoredBox]]:
     """`merge_pipeline` with IBS and without it, from one remap and one NMS pass."""
-    kept, after_ibs, survivors = _merge(per_region, cfg)
-    return survivors(after_ibs()), survivors(kept)
+    survivors = _merge(*_flat(per_region), cfg)
+    return scored_boxes(*survivors(True)), scored_boxes(*survivors(False))
 
 
 def merge_pipeline(per_region: Sequence[RegionDetections], cfg: FuseConfig = FuseConfig(),
                    apply_ibs: bool = True) -> list[ScoredBox]:
     """Full merge: remap to image space, per-class NMS, then IBS if `apply_ibs`. Survivors
     come by descending score, ties in input order, so output is deterministic."""
-    kept, after_ibs, survivors = _merge(per_region, cfg)
-    return survivors(after_ibs() if apply_ibs else kept)
+    return scored_boxes(*merge_columns(*_flat(per_region), cfg, apply_ibs))

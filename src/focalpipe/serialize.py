@@ -4,6 +4,10 @@ Every stage reads and writes these documents, so an external detector can
 replace the built-in oracle by consuming region JSON and producing
 region-detection JSON. Writes are atomic (write to a temp file, then rename)
 so a failed run never leaves a half-written output.
+
+Region detections load as arrays, validated in one vectorized check per region, and
+merged detections are written from arrays; a document that does not fit raises
+`DocumentError` naming its JSON path, e.g. `images/m00/[2]/detections/[17]/score`.
 """
 
 from __future__ import annotations
@@ -11,13 +15,36 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
+
+import numpy as np
 
 from .boxgeom import AffineMap2D, Box, ScoredBox
 from .evalkit import GtAnnotation
 from .focal import FocalRegion, RefinedCrop
-from .fuse import RegionDetections
+from .fuse import RegionDetections, scored_boxes, scored_columns
+
+# a merged detection as `json.dump(doc, indent=2, sort_keys=True)` lays it out at its
+# depth, numbers by `repr` as `json` prints them; written CHUNK detections at a time
+_DETECTION = ('\n      {\n        "bbox": [\n          %r,\n          %r,\n          %r,\n'
+              '          %r\n        ],\n        "class_id": %r,\n        "score": %r\n      }')
+CHUNK = 512
+
+
+class DocumentError(ValueError):
+    """A stage document that does not fit its schema, at the JSON path its message starts with."""
+
+
+@contextmanager
+def _at(path: str):
+    """Raise a conversion that fails inside as a `DocumentError` at `path`."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
+        raise DocumentError(f"{path}: {type(e).__name__}: {e}") from e
 
 
 def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
@@ -62,21 +89,12 @@ def box_from_list(v: Sequence[float]) -> Box:
     return Box(*map(float, v))
 
 
-def map_to_dict(m: AffineMap2D) -> dict:
-    return {
-        "scale_x": m.scale_x,
-        "scale_y": m.scale_y,
-        "offset_x": m.offset_x,
-        "offset_y": m.offset_y,
-    }
-
-
 def region_to_dict(r: FocalRegion) -> dict:
     return {
         "rect": box_to_list(r.rect),
         "region_id": r.region_id,
         "image_id": r.image_id,
-        "to_detector": map_to_dict(r.to_detector),
+        "to_detector": asdict(r.to_detector),
     }
 
 
@@ -174,16 +192,63 @@ def region_detections_doc(per_image: Mapping[str, Sequence[RegionDetections]]) -
     }
 
 
+def _list(v: Any, path: str) -> list:
+    if not isinstance(v, list):
+        raise DocumentError(f"{path}: expected a list, got {type(v).__name__}")
+    return v
+
+
+def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes (n, 4) float64, class ids and scores of one region's detections."""
+    try:  # plain JSON numbers in the right shapes convert at once
+        boxes, classes, scores = (np.array([d[k] for d in dets])
+                                  for k in ("bbox", "class_id", "score"))
+        fast = (boxes.shape == (len(dets), 4) and classes.shape == scores.shape == (len(dets),)
+                and boxes.dtype.kind in "bif" and classes.dtype.kind in "bi"
+                and scores.dtype.kind in "bif")
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
+        fast = False
+    if fast:
+        boxes, classes, scores = boxes.astype(float), classes.astype(np.int64), scores.astype(float)
+    else:  # anything else converts one detection at a time, as `scored_box_from_dict` does
+        objects = []
+        for j, d in enumerate(dets):
+            with _at(f"{path}/[{j}]"):
+                objects.append(scored_box_from_dict(d))
+        boxes, classes, scores = scored_columns(objects)
+    checks = [("bbox", ~np.isfinite(boxes).all(axis=1), "has a non-finite coordinate"),
+              ("bbox", (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "is inverted"),
+              ("class_id", classes < 0, "is negative"),
+              ("score", ~((0.0 <= scores) & (scores <= 1.0)), "outside [0, 1]")]
+    bad = np.logical_or.reduce([rows for _, rows, _ in checks])
+    if bad.any():  # the first bad detection, by the first check it fails
+        j = int(np.argmax(bad))
+        key, _, what = next(check for check in checks if check[1][j])
+        raise DocumentError(f"{path}/[{j}]/{key}: {dets[j][key]!r} {what}")
+    return boxes, classes, scores
+
+
+def region_detection_columns(doc: Any) -> dict[str, list[tuple]]:
+    """A region-detection document as arrays: per image, each region's `(region, boxes
+    (n, 4), class ids, scores)`, holding the values `scored_box_from_dict` gives."""
+    with _at("images"):
+        images = doc["images"].items()
+    out: dict[str, list[tuple]] = {}
+    for image_id, entries in images:
+        out[image_id] = []
+        for i, e in enumerate(_list(entries, f"images/{image_id}")):
+            path = f"images/{image_id}/[{i}]"
+            with _at(path):
+                region, dets = region_from_dict(e["region"]), e["detections"]
+            dets = _list(dets, f"{path}/detections")
+            out[image_id].append((region, *_detection_columns(dets, f"{path}/detections")))
+    return out
+
+
 def region_detections_from_doc(doc: Mapping) -> dict[str, list[RegionDetections]]:
     return {
-        image_id: [
-            RegionDetections(
-                region=region_from_dict(e["region"]),
-                detections=[scored_box_from_dict(d) for d in e["detections"]],
-            )
-            for e in entries
-        ]
-        for image_id, entries in doc["images"].items()
+        image_id: [RegionDetections(region, scored_boxes(*columns)) for region, *columns in entries]
+        for image_id, entries in region_detection_columns(doc).items()
     }
 
 
@@ -194,6 +259,25 @@ def merged_detections_doc(per_image: Mapping[str, Sequence[ScoredBox]]) -> dict:
             for image_id, dets in per_image.items()
         }
     }
+
+
+def write_merged_json(path: str | Path, per_image: Mapping[str, tuple]) -> None:
+    """Write `merged_detections_doc` of per-image columns `(boxes (n, 4), class ids, scores)`
+    as the bytes `write_json_atomic` writes for it, a chunk of detections at a time."""
+    def dump(f: TextIO) -> None:
+        f.write('{\n  "images": {')
+        for n, image_id in enumerate(sorted(per_image)):
+            boxes, classes, scores = per_image[image_id]
+            f.write(f'{"," if n else ""}\n    {json.dumps(image_id)}: [')
+            for start in range(0, len(scores), CHUNK):
+                chunk = slice(start, start + CHUNK)
+                rows = zip(*boxes[chunk].T.tolist(), classes[chunk].tolist(),
+                           scores[chunk].tolist())
+                f.write(("," if start else "") + ",".join([_DETECTION % row for row in rows]))
+            f.write("\n    ]" if len(scores) else "]")
+        f.write("\n  }\n}\n" if per_image else "}\n}\n")
+
+    _write_atomic(path, dump)
 
 
 def merged_detections_from_doc(doc: Mapping) -> dict[str, list[ScoredBox]]:

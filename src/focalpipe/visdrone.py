@@ -15,8 +15,11 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
+import numpy as np
+
 from .boxgeom import Box, ScoredBox
 from .evalkit import GtAnnotation
+from .fuse import scored_columns
 from .serialize import write_text_atomic
 
 IGNORED_REGION_CATEGORY = 0
@@ -129,28 +132,32 @@ def format_annotation_line(a: GtAnnotation) -> str:
     )
 
 
+def _detection_lines(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray) -> str:
+    """Result records of detection columns; `np.rint` rounds half to even, as `round` does."""
+    xywh = np.rint(np.concatenate([boxes[:, :2], boxes[:, 2:] - boxes[:, :2]], axis=1))
+    return "".join(["%d,%d,%d,%d,%.6f,%s,-1,-1\n" % (*b, s, c)
+                    for b, c, s in zip(xywh.tolist(), classes.tolist(), scores.tolist())])
+
+
 def format_detection_line(d: ScoredBox) -> str:
-    b = d.box
-    return (
-        f"{round(b.x1)},{round(b.y1)},{round(b.width)},{round(b.height)},"
-        f"{d.score:.6f},{d.class_id},-1,-1"
-    )
+    return _detection_lines(*scored_columns([d])).rstrip("\n")
 
 
 def _write_per_image(
-    out_dir: str | Path, per_image: Mapping[str, Sequence[Any]], format_line: Callable[[Any], str]
+    out_dir: str | Path, per_image: Mapping[str, Any], text: Callable[[Any], str]
 ) -> None:
     """One `<image_id>.txt` per image, each written atomically."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for image_id in sorted(per_image):
-        text = "".join(format_line(x) + "\n" for x in per_image[image_id])
-        write_text_atomic(out_dir / f"{image_id}.txt", text)
+        write_text_atomic(out_dir / f"{image_id}.txt", text(per_image[image_id]))
 
 
 def write_annotations(out_dir: str | Path, per_image: Mapping[str, list[GtAnnotation]]) -> None:
-    _write_per_image(out_dir, per_image, format_annotation_line)
+    _write_per_image(out_dir, per_image,
+                     lambda anns: "".join(format_annotation_line(a) + "\n" for a in anns))
 
 
-def write_detections(out_dir: str | Path, per_image: Mapping[str, list[ScoredBox]]) -> None:
-    _write_per_image(out_dir, per_image, format_detection_line)
+def write_detections(out_dir: str | Path, per_image: Mapping[str, tuple]) -> None:
+    """Result files from per-image detection columns `(boxes (n, 4), class ids, scores)`."""
+    _write_per_image(out_dir, per_image, lambda columns: _detection_lines(*columns))

@@ -1,7 +1,13 @@
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from focalpipe import serialize, visdrone
 from focalpipe.boxgeom import Box, ScoredBox
@@ -139,6 +145,21 @@ class TestMerge:
                    "--out-visdrone", str(tmp_path / "results")) == 0
         assert (tmp_path / "results" / "img.txt").exists()
 
+    def test_builds_no_box_or_scored_box_per_detection(self, tmp_path, monkeypatch, capsys):
+        rd = tmp_path / "rd.json"
+        serialize.write_json_atomic(rd, self.region_detection_doc())
+
+        def forbidden(det):
+            raise AssertionError("merge built a ScoredBox")
+
+        built = []
+        monkeypatch.setattr(ScoredBox, "__post_init__", forbidden)
+        monkeypatch.setattr(Box, "__post_init__", lambda box: built.append(box))
+        assert run("merge", "--region-detections", str(rd), "--out", str(tmp_path / "m.json"),
+                   "--out-visdrone", str(tmp_path / "results")) == 0
+        # the two region rects, and no box per detection
+        assert [b.as_tuple() for b in built] == [(0, 0, 300, 200), (250, 0, 550, 200)]
+
 
 class TestMergeClampsToDetectorFrame:
     def test_detection_past_frame_edge_is_clamped(self, tmp_path, capsys):
@@ -167,6 +188,19 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         del rd_doc["images"]["img"][0]["region"]["region_id"]
     elif case == "score-above-one":
         rd_doc["images"]["img"][0]["detections"][0]["score"] = 1.5
+    elif case.startswith("detection-"):  # the first detection of the second region
+        det = rd_doc["images"]["img"][1]["detections"][0]
+        key, value = {
+            "detection-bbox-nan": ("bbox", [0, float("nan"), 50, 148]),
+            "detection-bbox-inverted": ("bbox", [50, 52, 0, 148]),
+            "detection-bbox-three-numbers": ("bbox", [0, 52, 50]),
+            "detection-bbox-int-overflows": ("bbox", [0, 52, 10**400, 148]),
+            "detection-class-id-negative": ("class_id", -1),
+            "detection-class-id-fraction": ("class_id", 2.7),
+        }[case]
+        det[key] = value
+    elif case == "detections-not-a-list":
+        rd_doc["images"]["img"][1]["detections"] = {"bbox": [0, 52, 50, 148]}
     elif case == "images-is-a-list":
         rd_doc = {"images": []}
     elif case == "three-number-bbox":
@@ -252,6 +286,76 @@ class TestMalformedDocuments:
         assert str(bad) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("case, json_path", [
+        ("detection-bbox-nan", "images/img/[1]/detections/[0]/bbox"),
+        ("detection-bbox-inverted", "images/img/[1]/detections/[0]/bbox"),
+        ("detection-bbox-three-numbers", "images/img/[1]/detections/[0]"),
+        ("detection-bbox-int-overflows", "images/img/[1]/detections/[0]"),
+        ("detection-class-id-negative", "images/img/[1]/detections/[0]/class_id"),
+        ("detection-class-id-fraction", "images/img/[1]/detections/[0]"),
+        ("score-above-one", "images/img/[0]/detections/[0]/score: 1.5 outside [0, 1]"),
+        ("detections-not-a-list", "images/img/[1]/detections"),
+        ("region-without-id", "images/img/[0]"),
+        ("images-is-a-list", "images"),
+    ])
+    def test_region_detection_errors_name_the_json_path(self, case, json_path, tmp_path, capsys):
+        argv, bad = malformed_case(case, tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: {json_path}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.json").exists()
+
+
+def slots(node):
+    """Every (container, key) of a JSON document, depth first."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else [])
+    for key, value in list(items):
+        yield node, key
+        yield from slots(value)
+
+
+BAD_VALUES = [None, "x", [], {}, -1, 2.7, 1.5, -0.5, True, float("nan"), float("inf"),
+              -float("inf"), 1e308, 10**30, [0, 0, 1]]
+
+
+@st.composite
+def mutated_region_detection_docs(draw):
+    """The merge test document with one to three keys dropped, values swapped for other
+    types, NaN, infinities or out-of-range numbers, or four-number lists inverted."""
+    doc = TestMerge().region_detection_doc()
+    for _ in range(draw(st.integers(1, 3))):
+        places = list(slots(doc))
+        if not places:
+            break
+        node, key = draw(st.sampled_from(places))
+        how = draw(st.sampled_from(["drop", "replace", "invert"]))
+        if how == "drop":
+            del node[key]
+        elif how == "invert" and isinstance(node[key], list) and len(node[key]) == 4:
+            x1, y1, x2, y2 = node[key]
+            node[key] = [x2, y2, x1, y1]
+        else:
+            node[key] = copy.deepcopy(draw(st.sampled_from(BAD_VALUES)))
+    return doc
+
+
+class TestMergeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=mutated_region_detection_docs())
+    def test_exits_0_or_2_naming_a_json_path(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            rd, out = Path(tmp) / "rd.json", Path(tmp) / "out.json"
+            rd.write_text(json.dumps(doc))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = main(["merge", "--region-detections", str(rd), "--out", str(out)])
+            assert code in (0, 2), err.getvalue()
+            if code == 2:
+                assert f"{rd}: images" in err.getvalue()
+                assert not out.exists()
 
 
 class TestEval:

@@ -48,3 +48,28 @@ def test_no_script_or_test_imports_scipy():
     paths = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert ROOT / "scripts" / "ibs_ablation.py" in paths
     assert [p.name for p in paths if "scipy" in imported_modules(p)] == []
+
+
+MERGE_THEN_LIST_MA = """
+import sys
+from focalpipe import cli
+code = cli.main(["merge", "--region-detections", sys.argv[1], "--out", sys.argv[2],
+                 "--out-visdrone", sys.argv[3]])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+def test_merge_does_not_import_numpy_ma(tmp_path):
+    # np.unique and np.intersect1d import numpy.ma, which costs about 1.6 MB of RSS
+    from focalpipe import serialize
+    from test_cli import TestMerge
+
+    rd = tmp_path / "rd.json"
+    serialize.write_json_atomic(rd, TestMerge().region_detection_doc())
+    src = str(Path(focalpipe.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", MERGE_THEN_LIST_MA, str(rd), str(tmp_path / "m.json"),
+         str(tmp_path / "results")], env=env, capture_output=True, text=True, check=True,
+        timeout=120)
+    assert result.stdout.splitlines()[-1] == "0 False"

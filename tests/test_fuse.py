@@ -243,11 +243,25 @@ class TestNms:
         assert [id(boxes[i]) for i in kept] == [id(b) for b in expected]
 
     def test_block_boundary(self):
-        # nine duplicates of one class fill one 8-row block and spill into the next
-        b = Box(0, 0, 4, 4)
-        boxes = [ScoredBox(b, 0, 0.5) for _ in range(9)] + [ScoredBox(Box(2, 0, 6, 4), 0, 0.9)]
-        assert nms_indices(*columns(boxes), 0.5) == [9, 0]
-        assert nms_indices(*columns(boxes), 1.0) == [9, 0, 1, 2, 3, 4, 5, 6, 7, 8]
+        # duplicates of one class fill one block and spill into the next
+        b, n = Box(0, 0, 4, 4), fuse.BLOCK + 1
+        boxes = [ScoredBox(b, 0, 0.5) for _ in range(n)] + [ScoredBox(Box(2, 0, 6, 4), 0, 0.9)]
+        assert nms_indices(*columns(boxes), 0.5) == [n, 0]
+        assert nms_indices(*columns(boxes), 1.0) == [n, *range(n)]
+
+    def test_duplicates_take_one_kernel_call(self, monkeypatch):
+        # the first row suppresses every copy, so no later block runs: no pair list
+        calls = []
+
+        def counted(a, b):
+            calls.append((len(a), len(b)))
+            return boxgeom.pairwise_iou(a, b)
+
+        monkeypatch.setattr(fuse, "pairwise_iou", counted)
+        n = 10 * fuse.BLOCK
+        boxes = [ScoredBox(Box(0, 0, 4, 4), 0, 0.5) for _ in range(n)]
+        assert nms_indices(*columns(boxes), 0.5) == [0]
+        assert calls == [(fuse.BLOCK, n)]
 
 
 class TestRemap:

@@ -4,6 +4,7 @@ import pytest
 
 from focalpipe.boxgeom import Box, ScoredBox
 from focalpipe.evalkit import GtAnnotation
+from focalpipe.fuse import scored_columns
 from focalpipe.visdrone import (
     VisDroneFormatError,
     default_class_names,
@@ -138,12 +139,13 @@ class TestRoundTrip:
                 ScoredBox(box=Box(1, 2, 3, 4), class_id=1, score=1.0),
             ]
         }
-        write_detections(tmp_path / "res", per_image)
+        write_detections(tmp_path / "res", {k: scored_columns(v) for k, v in per_image.items()})
         assert parse_detections(tmp_path / "res") == per_image
 
     @pytest.mark.parametrize("write, record", [
-        (write_annotations, GtAnnotation(box=Box(10, 20, 40, 60), class_id=4)),
-        (write_detections, ScoredBox(box=Box(10, 20, 40, 60), class_id=4, score=0.5)),
+        (write_annotations, [GtAnnotation(box=Box(10, 20, 40, 60), class_id=4)]),
+        (write_detections,
+         scored_columns([ScoredBox(box=Box(10, 20, 40, 60), class_id=4, score=0.5)])),
     ])
     def test_failed_write_leaves_no_file(self, tmp_path, monkeypatch, write, record):
         def fail(src, dst):
@@ -151,7 +153,7 @@ class TestRoundTrip:
 
         monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(OSError, match="rename failed"):
-            write(tmp_path / "out", {"img1": [record]})
+            write(tmp_path / "out", {"img1": record})
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_line_formats(self):
