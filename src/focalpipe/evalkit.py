@@ -84,6 +84,9 @@ class _ClassMatch(NamedTuple):
     n_positive: np.ndarray  # (keys,)
 
 
+# coordinates near the float64 limit overflow to inf or NaN in areas and IoU, as they do
+# in the scalar `iou`, which warns of none of it
+@np.errstate(over="ignore", invalid="ignore")
 def _match(
     dets: DetectionSet,
     gts: GroundTruthSet,

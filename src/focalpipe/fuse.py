@@ -106,6 +106,7 @@ def ingest_detections(region: FocalRegion, detections: Sequence[ScoredBox]) -> R
     return RegionDetections(region=region, detections=scored_boxes(boxes, classes, scores))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails the check below
 def _remap(regions: Sequence[FocalRegion], boxes: np.ndarray, index: np.ndarray) -> np.ndarray:
     """Boxes mapped to image space by their regions' inverse detector maps: the operations
     of `apply_map`, in its order."""
@@ -131,6 +132,9 @@ def _meets(boxes: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (boxes[:, 0] < x2) & (boxes[:, 2] > x1) & (boxes[:, 1] < y2) & (boxes[:, 3] > y1)
 
 
+# coordinates near the float64 limit overflow to inf or NaN in the kernel, as they do in
+# the scalar `iou`, which warns of none of it
+@np.errstate(over="ignore", invalid="ignore")
 def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
                 iou_threshold: float, per_class: bool = True) -> list[int]:
     """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order.
@@ -178,6 +182,7 @@ def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
     return [boxes[i] for i in nms_indices(xy, classes, scores, iou_threshold, per_class)]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # see `nms_indices`
 def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.ndarray:
     """IBS keep mask over image-space rows; a row over 1 px outside its region is an error."""
     rects = np.array([r.rect.as_tuple() for r in regions]).reshape(-1, 4)

@@ -5,8 +5,8 @@ replace the built-in oracle by consuming region JSON and producing
 region-detection JSON. Writes are atomic (write to a temp file, then rename)
 so a failed run never leaves a half-written output.
 
-Region detections load as arrays, validated in one vectorized check per region, and
-merged detections are written from arrays; a document that does not fit raises
+Region and merged detections load as arrays, validated in one vectorized check per region
+or image, and merged detections are written from arrays; a document that does not fit raises
 `DocumentError` naming its JSON path, e.g. `images/m00/[2]/detections/[17]/score`.
 """
 
@@ -199,7 +199,8 @@ def _list(v: Any, path: str) -> list:
 
 
 def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boxes (n, 4) float64, class ids and scores of one region's detections."""
+    """Boxes (n, 4) float64, class ids and scores of a list of detections: one region's,
+    or one image's merged."""
     try:  # plain JSON numbers in the right shapes convert at once
         boxes, classes, scores = (np.array([d[k] for d in dets])
                                   for k in ("bbox", "class_id", "score"))
@@ -280,10 +281,14 @@ def write_merged_json(path: str | Path, per_image: Mapping[str, tuple]) -> None:
     _write_atomic(path, dump)
 
 
-def merged_detections_from_doc(doc: Mapping) -> dict[str, list[ScoredBox]]:
+def merged_detections_from_doc(doc: Any) -> dict[str, list[ScoredBox]]:
+    """A merged-detections document, each image's list loaded and checked as columns."""
+    with _at("images"):
+        images = doc["images"].items()
     return {
-        image_id: [scored_box_from_dict(d) for d in dets]
-        for image_id, dets in doc["images"].items()
+        image_id: scored_boxes(*_detection_columns(_list(dets, f"images/{image_id}"),
+                                                   f"images/{image_id}"))
+        for image_id, dets in images
     }
 
 

@@ -8,6 +8,7 @@ to the terminal (bypassing capture) so the run log shows every criterion.
 import time
 
 import numpy as np
+import pytest
 
 import conftest
 
@@ -18,19 +19,12 @@ from focalpipe.evalkit import GtAnnotation, coco_eval, voc_ap_at
 from focalpipe.focal import refine_gt, regions_from_clusters
 from focalpipe.fuse import FuseConfig, RegionDetections, ibs, nms
 from focalpipe.mixture import EmConfig, MixtureModel, fit_em, num_focal_regions, posterior
-from focalpipe.pipeline import refine_image, regions_for_image
-from focalpipe.scenes import (
-    OracleSpec,
-    SceneSpec,
-    generate_scene,
-    oracle_detect,
-    scale_stats,
-)
+from focalpipe.scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 from reference_eval import reference_coco, reference_voc
 from test_evalkit import random_micro_dataset, to_production
 from test_fuse import fig5_scenario, random_scored_boxes, reference_nms
-from test_ibs_ablation import ibs_ablation
+from test_claims import claims
 
 
 def report(name: str, ok: bool, elapsed: float, budget: float) -> None:
@@ -188,10 +182,10 @@ def test_ibs_suppresses_where_nms_cannot():
 def test_ibs_ablation_improves_ap50():
     """50 corpora: mean AP50 gain of IBS over plain NMS, one-sided sign test."""
     start = time.perf_counter()
-    gains = np.asarray([ibs - plain for ibs, plain in ibs_ablation.corpus_ap50(50)])
+    gains = np.asarray([ibs - plain for ibs, plain in claims.corpus_ap50(50)])
     wins = int((gains > 0).sum())
     losses = int((gains < 0).sum())
-    p = ibs_ablation.sign_test_p(wins, losses)
+    p = claims.sign_test_p(wins, losses)
     ok = gains.mean() > 0 and p < 0.05
     report(
         f"IBS ablation: mean AP50 gain {gains.mean():+.3f}, "
@@ -202,34 +196,36 @@ def test_ibs_ablation_improves_ap50():
     )
 
 
-def test_crop_resize_lowers_area_cv():
-    """20 multi-scale scenes: median area CV drops after crop-and-resize."""
+@pytest.fixture(scope="module")
+def scale_cvs():
+    """(raw, GMM-crop, EIP-tile) area CVs of 20 multi-scale scenes, and their run time."""
     start = time.perf_counter()
-    config = PipelineConfig()
-    raw_cvs, cropped_cvs = [], []
-    for seed in range(20):
-        spec = SceneSpec(
-            image_size=(3000, 2000),
-            n_clusters=8,
-            boxes_per_cluster=(9, 14),
-            cluster_spread=40.0,
-            box_size_range=(12.0, 24.0),
-            size_multiplier_range=(0.5, 3.0),
-            rng_seed=seed,
-        )
-        scene = generate_scene(spec)
-        annotations = [GtAnnotation(b, c) for b, c in scene.annotations]
-        regions = regions_for_image(annotations, scene.image_size, config, seed=seed)
-        crops = refine_image(regions, annotations, config)
-        stats = scale_stats(crops, scene.annotations)
-        raw_cvs.append(stats.cv_raw)
-        cropped_cvs.append(stats.cv_cropped)
-    med_raw = float(np.median(raw_cvs))
-    med_cropped = float(np.median(cropped_cvs))
+    cvs = np.array(list(claims.scene_cvs(20)))
+    return cvs, time.perf_counter() - start
+
+
+def test_crop_resize_lowers_area_cv(scale_cvs):
+    """20 multi-scale scenes: median area CV drops after crop-and-resize."""
+    cvs, elapsed = scale_cvs
+    med_raw, med_cropped, _ = np.median(cvs, axis=0)
     report(
         f"crop-and-resize lowers median area CV ({med_raw:.3f} -> {med_cropped:.3f})",
         med_cropped < med_raw,
-        time.perf_counter() - start,
+        elapsed,
+        30.0,
+    )
+
+
+def test_gmm_crops_normalize_scale_where_eip_tiles_do_not(scale_cvs):
+    """The same 20 scenes: GMM crops end with a lower median area CV than even tiles."""
+    cvs, elapsed = scale_cvs
+    _, med_gmm, med_eip = np.median(cvs, axis=0)
+    report(
+        f"GMM crops normalize scale where EIP tiles do not: median area CV "
+        f"{med_gmm:.3f} < {med_eip:.3f}, GMM lower in {int((cvs[:, 1] < cvs[:, 2]).sum())}"
+        f"/{len(cvs)} scenes",
+        med_gmm < med_eip,
+        elapsed,
         30.0,
     )
 

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -253,6 +254,17 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             {"img": [ScoredBox(Box(500, 500, 510, 510), 1, 0.9)]}))
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--voc-iou", "0"], Path("--voc-iou")
+    if case.startswith("merged-"):  # `eval` on one image of one detection
+        det = {"bbox": [0, 0, 10, 10], "class_id": 1, "score": 0.9}
+        not_a_list = {"merged-detections-a-dict": {}, "merged-detections-a-string": ""}
+        image = not_a_list[case] if case in not_a_list else [{**det, **{
+            "merged-bbox-nan": {"bbox": [0, float("nan"), 10, 10]},
+            "merged-score-above-one": {"score": 1.5},
+            "merged-class-id-negative": {"class_id": -1},
+        }[case]}]
+        dets = tmp_path / "merged.json"
+        serialize.write_json_atomic(dets, {"images": {"img": image}})
+        return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out], dets
     if case in ("class-id-not-an-integer", "class-names-is-a-list"):
         dets, names = tmp_path / "merged.json", tmp_path / "names.json"
         serialize.write_json_atomic(dets, serialize.merged_detections_doc(
@@ -298,6 +310,11 @@ class TestMalformedDocuments:
         ("detections-not-a-list", "images/img/[1]/detections"),
         ("region-without-id", "images/img/[0]"),
         ("images-is-a-list", "images"),
+        ("merged-bbox-nan", "images/img/[0]/bbox: [0, nan, 10, 10] has a non-finite coordinate"),
+        ("merged-score-above-one", "images/img/[0]/score: 1.5 outside [0, 1]"),
+        ("merged-class-id-negative", "images/img/[0]/class_id: -1 is negative"),
+        ("merged-detections-a-dict", "images/img: expected a list, got dict"),
+        ("merged-detections-a-string", "images/img: expected a list, got str"),
     ])
     def test_region_detection_errors_name_the_json_path(self, case, json_path, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -356,6 +373,49 @@ class TestMergeFuzz:
             if code == 2:
                 assert f"{rd}: images" in err.getvalue()
                 assert not out.exists()
+
+
+class TestHugeCoordinates:
+    """Coordinates near the float64 limit overflow in the array kernels: those pairs score
+    as the scalar `iou` scores them, and no numpy warning reaches the terminal."""
+
+    def run_without_warnings(self, *argv) -> int:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(*argv)
+        assert [str(w.message) for w in caught] == []
+        return code
+
+    @pytest.mark.parametrize("offset, bbox, code", [
+        (0.0, [200, 50, 300, 150], 0),  # to about 3e302: areas overflow in NMS and IBS
+        (-1e8, [0, 0, 1e8, 1e8], 2),  # to 2e308: the remap overflows, a non-finite box
+    ], ids=["nms-and-ibs", "remap"])
+    def test_merge(self, offset, bbox, code, tmp_path, capsys):
+        doc = TestMerge().region_detection_doc()
+        entry = doc["images"]["img"][0]  # a detector frame of 1e8 x 1e8
+        entry["region"]["rect"] = [0, 0, 1e308, 1e308]
+        entry["region"]["to_detector"].update(scale_x=1e-300, scale_y=1e-300, offset_x=offset)
+        entry["detections"][0]["bbox"] = bbox
+        rd, out = tmp_path / "rd.json", tmp_path / "merged.json"
+        serialize.write_json_atomic(rd, doc)
+        assert self.run_without_warnings("merge", "--region-detections", str(rd),
+                                         "--out", str(out)) == code
+        if code == 0:
+            assert len(json.loads(out.read_text())["images"]["img"]) == 2
+        else:
+            assert "non-finite box coordinate" in capsys.readouterr().err
+
+    def test_eval(self, tmp_path):
+        big, tall = Box(0, 0, 1e308, 1e308), Box(0, 0, 1e307, 1e308)
+        det_path, ann = tmp_path / "merged.json", tmp_path / "annotations.json"
+        serialize.write_json_atomic(det_path, serialize.merged_detections_doc(
+            {"img": [ScoredBox(big, 1, 0.9), ScoredBox(tall, 1, 0.8)]}))
+        write_annotations_doc(ann, {"img": [GtAnnotation(big, 1), GtAnnotation(tall, 1)]},
+                              {"img": (10, 10)})
+        out = tmp_path / "report.json"
+        assert self.run_without_warnings("eval", "--detections", str(det_path), "--annotations",
+                                         str(ann), "--out", str(out), "--voc-iou", "0.5") == 0
+        assert json.loads(out.read_text())["ap"] == 0.0
 
 
 class TestEval:

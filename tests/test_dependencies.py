@@ -46,7 +46,7 @@ def imported_modules(path: Path) -> set[str]:
 
 def test_no_script_or_test_imports_scipy():
     paths = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
-    assert ROOT / "scripts" / "ibs_ablation.py" in paths
+    assert ROOT / "scripts" / "claims.py" in paths
     assert [p.name for p in paths if "scipy" in imported_modules(p)] == []
 
 

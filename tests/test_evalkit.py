@@ -20,6 +20,7 @@ from focalpipe.pipeline import run_scene
 from focalpipe.scenes import OracleSpec, SceneSpec
 
 from reference_eval import reference_coco, reference_voc
+from test_scenes import DENSE_SPEC
 
 
 def reference_match(dets, gts, keys, max_dets, class_key=lambda class_id: class_id):
@@ -391,13 +392,9 @@ class TestArrayCoreEqualsScalarReference:
             assert got == all_evaluators(dets, gts, 500, 0.5)
 
 
-DENSE_SCENE = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25, 35),
-                   box_size_range=(10.0, 30.0), size_multiplier_range=(0.5, 1.5), classes=10)
-
-
 class TestBlockedKernel:
     def test_one_kernel_call_per_block_of_rows(self, monkeypatch):
-        run = run_scene(SceneSpec(**DENSE_SCENE, rng_seed=3), OracleSpec(n_classes=10, rng_seed=3))
+        run = run_scene(SceneSpec(**DENSE_SPEC, rng_seed=3), OracleSpec(n_classes=10, rng_seed=3))
         dets, gts = {"x": run.merged}, {"x": run.annotations}
         rows = []
         kernel = evalkit.pairwise_iou

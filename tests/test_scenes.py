@@ -24,6 +24,8 @@ from focalpipe.scenes import (
     scale_stats,
 )
 
+from test_claims import claims
+
 
 def separated_spec(seed, n_clusters=4):
     return SceneSpec(
@@ -81,11 +83,7 @@ class TestGenerateScene:
         assert float(np.mean(agreements)) >= 0.95
 
 
-# the IBS-ablation scenes (about 48 boxes) and the dense benchmark scenes
-# (about 600 boxes, k = 11)
-ABLATION_SPEC = dict(image_size=(1200, 900), n_clusters=3, boxes_per_cluster=(12, 20),
-                     cluster_spread=120.0, box_size_range=(16.0, 40.0),
-                     size_multiplier_range=(0.8, 1.5))
+# the dense benchmark scenes (about 600 boxes, k = 11)
 DENSE_SPEC = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25, 35),
                   box_size_range=(10.0, 30.0), size_multiplier_range=(0.5, 1.5), classes=10)
 
@@ -95,9 +93,9 @@ class TestCenterFitEqualsGridFeatureFit:
     reference fits the 2*rows*cols grid-offset feature `featurize` with power 1."""
 
     @pytest.mark.parametrize("spec,rows,cols,n_scenes", [
-        (ABLATION_SPEC, 4, 4, 40),
+        (claims.IBS_SCENE, 4, 4, 40),
         (DENSE_SPEC, 4, 4, 8),
-        (ABLATION_SPEC, 2, 3, 10),
+        (claims.IBS_SCENE, 2, 3, 10),
     ], ids=["ablation-4x4", "dense-4x4", "ablation-2x3"])
     def test_same_labels_and_likelihood(self, spec, rows, cols, n_scenes):
         config = PipelineConfig(grid_rows=rows, grid_cols=cols)
@@ -191,34 +189,6 @@ class TestScaleStats:
         assert scale_stats([], boxes).cv_raw == pytest.approx(
             scale_stats([], scaled).cv_raw
         )
-
-    def test_crop_resize_normalizes_multiscale_scenes(self):
-        """Median CV of box areas drops after GMM crop-and-resize."""
-        config = PipelineConfig()
-        raw_cvs = []
-        cropped_cvs = []
-        for seed in range(20):
-            # box count is chosen so the derived region count matches the
-            # number of generated clusters; a mismatch splits clusters into
-            # sub-regions whose extents no longer track object scale
-            spec = SceneSpec(
-                image_size=(3000, 2000),
-                n_clusters=8,
-                boxes_per_cluster=(9, 14),
-                cluster_spread=40.0,
-                box_size_range=(12.0, 24.0),
-                size_multiplier_range=(0.5, 3.0),
-                rng_seed=seed,
-            )
-            scene = generate_scene(spec)
-            annotations = [GtAnnotation(b, c) for b, c in scene.annotations]
-            regions = regions_for_image(annotations, scene.image_size, config, seed=seed)
-            crops = refine_image(regions, annotations, config)
-            stats = scale_stats(crops, scene.annotations)
-            assert stats.cv_raw is not None and stats.cv_cropped is not None
-            raw_cvs.append(stats.cv_raw)
-            cropped_cvs.append(stats.cv_cropped)
-        assert float(np.median(cropped_cvs)) < float(np.median(raw_cvs))
 
 
 class TestRunScene:

@@ -1,11 +1,12 @@
 """The columnar stage-document paths against the object paths they replace: the
-region-detection loader plus the detector-frame clamp, and the streaming merged-detection
-writer against `json.dump`."""
+region-detection loader plus the detector-frame clamp, the merged-detection loader, and
+the streaming merged-detection writer against `json.dump`."""
 
 import json
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,6 +86,51 @@ class TestRegionDetectionColumns:
         [rd] = serialize.region_detections_from_doc(doc)["img"]
         assert rd.region == region
         assert rd.detections == [serialize.scored_box_from_dict(d) for d in dets]
+
+
+def reference_merged(doc):
+    """Merged detections as the per-record loader gave them, `scored_box_from_dict` each."""
+    return {image_id: [serialize.scored_box_from_dict(d) for d in dets]
+            for image_id, dets in doc["images"].items()}
+
+
+# valid class ids and scores, in the types JSON gives and some that convert
+CLASS_IDS = st.sampled_from([0, 1, 3, 2.0, -0.0, True, 2**63, 2**64 + 1])
+SCORES = st.sampled_from([0, 0.25, 1, 1.0, -0.0, 5e-324, False, "0.5"])
+# values put in place of a field, most of which the loaders reject
+ODD_VALUES = st.sampled_from([None, "x", "0.5", [], {}, -1, 2.7, 1.5, float("nan"),
+                              float("inf"), 1e308, 10**400, [0, 0, 1], [1, 2, 3, 4],
+                              [4, 3, 2, 1], [0, "1", 2, True], "1234"])
+
+
+@st.composite
+def merged_docs(draw):
+    images = {}
+    for image in range(draw(st.integers(0, 2))):
+        dets = []
+        for _ in range(draw(st.integers(0, 5))):
+            xs, ys = (sorted(draw(st.lists(COORDS, min_size=2, max_size=2))) for _ in "xy")
+            det = {"bbox": [xs[0], ys[0], xs[1], ys[1]], "class_id": draw(CLASS_IDS),
+                   "score": draw(SCORES)}
+            if draw(st.integers(0, 4)) == 0:
+                det[draw(st.sampled_from(sorted(det)))] = draw(ODD_VALUES)
+            dets.append(det)
+        images[f"i{image}"] = dets
+    return {"images": images}
+
+
+class TestMergedDetectionsLoader:
+    @settings(max_examples=200, deadline=None)
+    @given(doc=merged_docs())
+    def test_equals_per_record_loader(self, doc):
+        doc = json.loads(json.dumps(doc))
+        try:
+            expected = reference_merged(doc)
+        except (TypeError, ValueError, OverflowError):
+            with pytest.raises(serialize.DocumentError):
+                serialize.merged_detections_from_doc(doc)
+        else:
+            assert repr(serialize.merged_detections_from_doc(doc)) == repr(expected)
 
 
 def scored_boxes_strategy():
