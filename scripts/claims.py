@@ -39,10 +39,11 @@ SCALE_SCENE = dict(image_size=(3000, 2000), n_clusters=8, boxes_per_cluster=(9, 
                    size_multiplier_range=(0.5, 3.0))
 
 
-def corpus_ap50(corpora: int, scenes_per_corpus: int = 3, seed: int = 0,
-                config: PipelineConfig = PipelineConfig()) -> Iterator[tuple[float, float]]:
+def corpus_ap50(corpora: int, scenes_per_corpus: int = 3,
+                seed: int = 0) -> Iterator[tuple[float, float]]:
     """(AP50 with IBS, AP50 with plain NMS) of each corpus in turn; scene s of
     corpus c is seeded `seed + 100 c + s`."""
+    config = PipelineConfig()
     for corpus in range(corpora):
         runs = []
         for s in range(scenes_per_corpus):

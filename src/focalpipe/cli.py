@@ -8,6 +8,7 @@ replaced by an external process that honors the same schemas. Exit codes:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import secrets
@@ -31,27 +32,13 @@ class DataError(click.ClickException):
     """Invalid or inconsistent input data; maps to exit code 2."""
 
 
-_CONFIG_OPTIONS = [
-    click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                 help="JSON config file; CLI flags override it."),
-    click.option("--margin", type=float, default=None, help="Region margin in pixels."),
-    click.option("--keep-threshold", type=float, default=None,
-                 help="Minimum kept area fraction for refined ground truth."),
-    click.option("--nms-iou", type=float, default=None),
-    click.option("--ibs-region-iou", type=float, default=None),
-    click.option("--ibs-box-iou", type=float, default=None),
-    click.option("--detector-width", type=float, default=None),
-    click.option("--detector-height", type=float, default=None),
-    click.option("--grid-rows", type=int, default=None),
-    click.option("--grid-cols", type=int, default=None),
-    click.option("--max-dets", type=int, default=None),
-]
-
-
 def config_options(f):
-    for opt in reversed(_CONFIG_OPTIONS):
-        f = opt(f)
-    return f
+    """Add `--config` and one `--name-with-dashes` flag per `PipelineConfig` field."""
+    for field in reversed(dataclasses.fields(PipelineConfig)):
+        f = click.option(f"--{field.name.replace('_', '-')}", type=type(field.default),
+                         default=None, help=field.metadata.get("help"))(f)
+    return click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+                        help="JSON config file; CLI flags override it.")(f)
 
 
 def _load_config(config_path: Optional[str], **overrides) -> PipelineConfig:

@@ -2,39 +2,35 @@
 
 Defaults follow the constants the pipeline is built around: 20 px region
 margin, 0.30 keep threshold, NMS IoU 0.5, IBS thresholds 0.05 (regions) and
-0.5 (boxes). Precedence when loading: CLI flag > config file > default.
+0.5 (boxes). Precedence when loading: CLI flag > config file > default. Each
+field is also a CLI flag, `--name-with-dashes` (see `cli.config_options`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from .fuse import FuseConfig
-from .mixture import EmConfig
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    margin: float = field(default=20.0, metadata={"help": "Region margin in pixels."})
+    keep_threshold: float = field(default=0.30, metadata={
+        "help": "Minimum kept area fraction for refined ground truth."})
+    nms_iou: float = 0.5
+    ibs_region_iou: float = 0.05
+    ibs_box_iou: float = 0.5
+    detector_width: float = 1000.0
+    detector_height: float = 600.0
     # the grid acts only through its point count: the clustering density power
     # is grid_rows * grid_cols (see `mixture`), so 4 x 4 and 2 x 8 cluster alike
     grid_rows: int = 4
     grid_cols: int = 4
-    margin: float = 20.0
-    keep_threshold: float = 0.30
-    detector_width: float = 1000.0
-    detector_height: float = 600.0
-    nms_iou: float = 0.5
-    ibs_region_iou: float = 0.05
-    ibs_box_iou: float = 0.5
-    per_class: bool = True
-    em_max_iterations: int = 100
-    em_tolerance: float = 1e-4
-    em_covariance_floor: float = 1.0
-    em_restarts: int = 3
     max_dets: int = 500
 
     def __post_init__(self) -> None:
@@ -48,26 +44,11 @@ class PipelineConfig:
             raise ValueError("detector dimensions must be positive")
         if self.max_dets < 1:
             raise ValueError("max_dets must be >= 1")
-        # delegate threshold / EM validation to the owning configs
-        self.fuse_config()
-        self.em_config()
+        self.fuse_config()  # the fuse thresholds are validated by their owner
 
     def fuse_config(self) -> FuseConfig:
-        return FuseConfig(
-            nms_iou=self.nms_iou,
-            ibs_region_iou=self.ibs_region_iou,
-            ibs_box_iou=self.ibs_box_iou,
-            per_class=self.per_class,
-        )
-
-    def em_config(self, rng_seed: int = 0) -> EmConfig:
-        return EmConfig(
-            max_iterations=self.em_max_iterations,
-            tolerance=self.em_tolerance,
-            covariance_floor=self.em_covariance_floor,
-            rng_seed=rng_seed,
-            restarts=self.em_restarts,
-        )
+        return FuseConfig(nms_iou=self.nms_iou, ibs_region_iou=self.ibs_region_iou,
+                          ibs_box_iou=self.ibs_box_iou)
 
     @property
     def detector_size(self) -> tuple[float, float]:
@@ -77,20 +58,26 @@ class PipelineConfig:
     def load(cls, path: str | Path | None = None, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
         """Build a config from an optional JSON file plus explicit overrides.
 
-        Unknown keys in either source are rejected.
+        Unknown keys in either source are rejected. A file value must be a JSON
+        integer for an int field and any JSON number for a float field, never a boolean.
         """
         values: dict[str, Any] = {}
-        known = {f.name for f in dataclasses.fields(cls)}
+        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
         if path is not None:
             data = json.loads(Path(path).read_text())
             if not isinstance(data, dict):
                 raise ValueError(f"config file {path} must hold a JSON object")
-            unknown = set(data) - known
+            unknown = set(data) - set(types)
             if unknown:
                 raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
+            for key, value in data.items():
+                allowed = int if types[key] is int else (int, float)
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    kind = "an integer" if types[key] is int else "a number"
+                    raise ValueError(f"config file {path}: {key} must be {kind}, got {value!r}")
             values.update(data)
         if overrides:
-            unknown = set(overrides) - known
+            unknown = set(overrides) - set(types)
             if unknown:
                 raise ValueError(f"unknown config overrides: {sorted(unknown)}")
             values.update({k: v for k, v in overrides.items() if v is not None})

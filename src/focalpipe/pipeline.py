@@ -14,7 +14,7 @@ from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
 from .fuse import RegionDetections, merge_both
-from .mixture import assign_clusters, fit_em, num_focal_regions
+from .mixture import EmConfig, assign_clusters, fit_em, num_focal_regions
 from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 
@@ -22,7 +22,7 @@ def cluster_boxes(boxes: Sequence[Box], config: PipelineConfig, seed: int = 0) -
     """Cluster labels of the mixture fit on box centers, density power rows x cols."""
     centers = np.array([b.center for b in boxes], dtype=float)
     k = num_focal_regions(len(boxes))
-    model = fit_em(centers, k, config.em_config(rng_seed=seed),
+    model = fit_em(centers, k, EmConfig(rng_seed=seed),
                    density_power=config.grid_rows * config.grid_cols)
     return assign_clusters(model, centers)
 

@@ -81,11 +81,21 @@ def _int(v: Any, name: str) -> int:
     return int(v)
 
 
+def _bool(v: Any, name: str) -> bool:
+    """A boolean field; `bool` would read the string "false" as true."""
+    if not isinstance(v, bool):
+        raise ValueError(f"{name} must be true or false, got {v!r}")
+    return v
+
+
 def box_to_list(b: Box) -> list[float]:
     return [b.x1, b.y1, b.x2, b.y2]
 
 
-def box_from_list(v: Sequence[float]) -> Box:
+def box_from_list(v: Any) -> Box:
+    """A box from a JSON list of four numbers; a string of four characters is no box."""
+    if not (isinstance(v, list) and len(v) == 4):
+        raise ValueError(f"a box must be a list of four numbers, got {v!r}")
     return Box(*map(float, v))
 
 
@@ -334,7 +344,7 @@ def annotations_from_doc(
             GtAnnotation(
                 box=box_from_list(a["bbox"]),
                 class_id=_int(a["class_id"], "class_id"),
-                ignore=bool(a.get("ignore", False)),
+                ignore=_bool(a.get("ignore", False), "ignore"),
             )
             for a in entry["annotations"]
         ]

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from focalpipe import serialize, visdrone
 from focalpipe.boxgeom import Box, ScoredBox
-from focalpipe.cli import _image_seed, main
+from focalpipe.cli import _image_seed, cli, main
 from focalpipe.config import PipelineConfig
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import FocalRegion, make_detector_map
@@ -55,9 +56,11 @@ class TestExitCodes:
             == 2
         )
 
-    def test_unknown_config_key_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize("key", ["no_such_key", "per_class", "em_max_iterations",
+                                     "em_tolerance", "em_covariance_floor", "em_restarts"])
+    def test_unknown_config_key_is_data_error(self, key, tmp_path):
         cfg = tmp_path / "config.json"
-        cfg.write_text('{"no_such_key": 1}')
+        cfg.write_text(json.dumps({key: 1}))
         ann = tmp_path / "annotations.json"
         write_annotations_doc(ann, {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]}, {"img": (100, 100)})
         assert (
@@ -65,6 +68,15 @@ class TestExitCodes:
                 "--config", str(cfg))
             == 2
         )
+
+    def test_config_flags_are_the_config_fields(self):
+        flags = ["--margin", "--keep-threshold", "--nms-iou", "--ibs-region-iou",
+                 "--ibs-box-iou", "--detector-width", "--detector-height", "--grid-rows",
+                 "--grid-cols", "--max-dets"]
+        assert flags == [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(PipelineConfig)]
+        for name in ("gen-regions", "refine-gt", "merge", "eval", "pipeline"):
+            opts = [o for p in cli.commands[name].params for o in p.opts]
+            assert [o for o in opts if o in flags or o == "--config"] == ["--config", *flags]
 
     def test_infeasible_synth_spec_is_data_error(self, tmp_path):
         assert (
@@ -198,6 +210,7 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "detection-bbox-int-overflows": ("bbox", [0, 52, 10**400, 148]),
             "detection-class-id-negative": ("class_id", -1),
             "detection-class-id-fraction": ("class_id", 2.7),
+            "detection-bbox-a-string": ("bbox", "1234"),
         }[case]
         det[key] = value
     elif case == "detections-not-a-list":
@@ -212,6 +225,10 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     elif case.startswith("annotation-class-id-"):
         ann_doc["images"]["img"]["annotations"][0]["class_id"] = (
             float("inf") if case.endswith("-inf") else 2.7)
+    elif case == "annotation-bbox-a-string":
+        ann_doc["images"]["img"]["annotations"][0]["bbox"] = "1234"
+    elif case == "annotation-ignore-a-string":
+        ann_doc["images"]["img"]["annotations"][0]["ignore"] = "false"
     elif case == "region-id-inf":
         rd_doc["images"]["img"][0]["region"]["region_id"] = float("inf")
     elif case.startswith("annotation-size-has-a-"):
@@ -261,6 +278,7 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "merged-bbox-nan": {"bbox": [0, float("nan"), 10, 10]},
             "merged-score-above-one": {"score": 1.5},
             "merged-class-id-negative": {"class_id": -1},
+            "merged-bbox-a-string": {"bbox": "1234"},
         }[case]}]
         dets = tmp_path / "merged.json"
         serialize.write_json_atomic(dets, {"images": {"img": image}})
@@ -272,6 +290,15 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--class-names", str(names)], names
+    if case.startswith("config-"):
+        key, value = {"config-margin-a-string": ("margin", "x"),
+                      "config-nms-iou-null": ("nms_iou", None),
+                      "config-max-dets-fraction": ("max_dets", 1.5),
+                      "config-grid-rows-fraction": ("grid_rows", 2.5),
+                      "config-max-dets-a-boolean": ("max_dets", True)}[case]
+        cfg = tmp_path / "config.json"
+        serialize.write_json_atomic(cfg, {key: value})
+        return ["gen-regions", "--annotations", str(ann), "--out", out, "--config", str(cfg)], cfg
     if case == "three-number-bbox" or case.startswith("annotation-"):
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
     if case == "regions-given-region-detections":
@@ -289,7 +316,9 @@ class TestMalformedDocuments:
         "visdrone-detection-category-inf", "visdrone-detection-category-nan",
         "visdrone-detection-box-nan", "visdrone-detection-category-negative",
         "visdrone-annotation-category-inf", "annotation-class-id-inf",
-        "annotation-class-id-fraction", "region-id-inf",
+        "annotation-class-id-fraction", "region-id-inf", "annotation-bbox-a-string",
+        "annotation-ignore-a-string", "config-margin-a-string", "config-nms-iou-null",
+        "config-max-dets-fraction", "config-grid-rows-fraction", "config-max-dets-a-boolean",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -306,6 +335,7 @@ class TestMalformedDocuments:
         ("detection-bbox-int-overflows", "images/img/[1]/detections/[0]"),
         ("detection-class-id-negative", "images/img/[1]/detections/[0]/class_id"),
         ("detection-class-id-fraction", "images/img/[1]/detections/[0]"),
+        ("detection-bbox-a-string", "images/img/[1]/detections/[0]"),
         ("score-above-one", "images/img/[0]/detections/[0]/score: 1.5 outside [0, 1]"),
         ("detections-not-a-list", "images/img/[1]/detections"),
         ("region-without-id", "images/img/[0]"),
@@ -313,6 +343,7 @@ class TestMalformedDocuments:
         ("merged-bbox-nan", "images/img/[0]/bbox: [0, nan, 10, 10] has a non-finite coordinate"),
         ("merged-score-above-one", "images/img/[0]/score: 1.5 outside [0, 1]"),
         ("merged-class-id-negative", "images/img/[0]/class_id: -1 is negative"),
+        ("merged-bbox-a-string", "images/img/[0]"),
         ("merged-detections-a-dict", "images/img: expected a list, got dict"),
         ("merged-detections-a-string", "images/img: expected a list, got str"),
     ])

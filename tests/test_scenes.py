@@ -103,7 +103,7 @@ class TestCenterFitEqualsGridFeatureFit:
             scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
             boxes = [b for b, _ in scene.annotations]
             k = num_focal_regions(len(boxes))
-            em = config.em_config(rng_seed=seed)
+            em = EmConfig(rng_seed=seed)
             features = featurize(boxes, FeatureGrid(rows, cols, *scene.image_size))
             reference = fit_em(features, k, em)
             centers = np.array([b.center for b in boxes])
