@@ -147,11 +147,6 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.divide(inter, union, out=y1, where=valid)
 
 
-def clip(b: Box, frame: Box) -> Optional[Box]:
-    """Clip a box to a frame, keeping only positive-area results."""
-    return intersect(b, frame)
-
-
 def apply_map(b: Box, m: AffineMap2D) -> Box:
     x1, y1 = m.apply_point(b.x1, b.y1)
     x2, y2 = m.apply_point(b.x2, b.y2)

@@ -101,35 +101,17 @@ def cli() -> None:
 
 @cli.command("synth")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="RNG seed; auto-chosen and recorded in metadata when omitted.")
-@click.option("--num-scenes", type=int, default=10, show_default=True)
-@click.option("--image-width", type=int, default=1600, show_default=True)
-@click.option("--image-height", type=int, default=1200, show_default=True)
-@click.option("--n-clusters", type=int, default=4, show_default=True)
-@click.option("--boxes-per-cluster", type=(int, int), default=(5, 12), show_default=True)
-@click.option("--cluster-spread", type=float, default=60.0, show_default=True)
-@click.option("--classes", type=int, default=3, show_default=True)
-def synth_cmd(out_dir, seed, num_scenes, image_width, image_height, n_clusters,
-              boxes_per_cluster, cluster_spread, classes) -> None:
-    """Generate a synthetic scene corpus (VisDrone text plus JSON)."""
+@click.option("--num-scenes", type=click.IntRange(min=0), default=10, show_default=True)
+def synth_cmd(out_dir, seed, num_scenes) -> None:
+    """Generate a `SceneSpec`-default scene corpus (VisDrone text plus JSON)."""
     seed = _resolve_seed(seed)
     out = Path(out_dir)
     gts = {}
     sizes = {}
     for i in range(num_scenes):
-        spec = SceneSpec(
-            image_size=(image_width, image_height),
-            n_clusters=n_clusters,
-            boxes_per_cluster=boxes_per_cluster,
-            cluster_spread=cluster_spread,
-            classes=classes,
-            rng_seed=seed + i,
-        )
-        try:
-            scene = generate_scene(spec)
-        except ValueError as e:
-            raise DataError(str(e)) from e
+        scene = generate_scene(SceneSpec(rng_seed=seed + i))
         image_id = f"scene{i:04d}"
         gts[image_id] = [GtAnnotation(box=b, class_id=c) for b, c in scene.annotations]
         sizes[image_id] = scene.image_size
@@ -137,7 +119,7 @@ def synth_cmd(out_dir, seed, num_scenes, image_width, image_height, n_clusters,
     serialize.write_json_atomic(out / "annotations.json", serialize.annotations_doc(gts, sizes))
     serialize.write_json_atomic(
         out / "metadata.json",
-        {"seed": seed, "num_scenes": num_scenes, "image_size": [image_width, image_height]},
+        {"seed": seed, "num_scenes": num_scenes, "image_size": list(SceneSpec.image_size)},
     )
     click.echo(f"wrote {num_scenes} scenes to {out}")
 
@@ -266,18 +248,13 @@ def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_cs
 
 @cli.command("pipeline")
 @click.option("--out", "out_dir", type=click.Path(), required=True)
-@click.option("--seed", type=int, default=None,
+@click.option("--seed", type=click.IntRange(min=0), default=None,
               help="Base seed; auto-chosen and recorded in metadata when omitted.")
-@click.option("--num-scenes", type=int, default=10, show_default=True)
+@click.option("--num-scenes", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--no-ibs", is_flag=True)
-@click.option("--miss-rate", type=float, default=0.05, show_default=True)
-@click.option("--localization-noise", type=float, default=2.0, show_default=True)
-@click.option("--false-positive-rate", type=float, default=0.5, show_default=True)
-@click.option("--class-flip-rate", type=float, default=0.5, show_default=True)
 @config_options
 @click.pass_context
-def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization_noise,
-                 false_positive_rate, class_flip_rate, config_path, **overrides) -> None:
+def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **overrides) -> None:
     """Closed loop: synth, gen-regions, refine-gt, oracle detect, merge, eval."""
     config = _load_config(config_path, **overrides)
     seed = _resolve_seed(seed)
@@ -287,14 +264,7 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, miss_rate, localization
     gts, sizes = _load_doc(str(out / "annotations.json"), serialize.annotations_from_doc)
 
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
-    oracle = OracleSpec(
-        localization_noise=localization_noise,
-        miss_rate=miss_rate,
-        false_positive_rate=false_positive_rate,
-        class_flip_rate_truncated=class_flip_rate,
-        n_classes=classes,
-        rng_seed=seed,
-    )
+    oracle = OracleSpec(n_classes=classes, rng_seed=seed)
     runs = {
         image_id: run_image(gts[image_id], sizes[image_id], oracle, config, image_id=image_id,
                             seed=_image_seed(seed, image_id))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -34,14 +35,18 @@ class PipelineConfig:
     max_dets: int = 500
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):  # NaN would pass every range check below
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
         if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid must have at least one row and column")
+            raise ValueError("grid_rows and grid_cols must be >= 1")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if not 0.0 < self.keep_threshold <= 1.0:
             raise ValueError("keep_threshold must be in (0, 1]")
         if self.detector_width <= 0 or self.detector_height <= 0:
-            raise ValueError("detector dimensions must be positive")
+            raise ValueError("detector_width and detector_height must be positive")
         if self.max_dets < 1:
             raise ValueError("max_dets must be >= 1")
         self.fuse_config()  # the fuse thresholds are validated by their owner
@@ -59,7 +64,8 @@ class PipelineConfig:
         """Build a config from an optional JSON file plus explicit overrides.
 
         Unknown keys in either source are rejected. A file value must be a JSON
-        integer for an int field and any JSON number for a float field, never a boolean.
+        integer for an int field and any JSON number for a float field, never a boolean,
+        and the file's values must be valid on their own, so that their errors name it.
         """
         values: dict[str, Any] = {}
         types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
@@ -75,6 +81,10 @@ class PipelineConfig:
                 if isinstance(value, bool) or not isinstance(value, allowed):
                     kind = "an integer" if types[key] is int else "a number"
                     raise ValueError(f"config file {path}: {key} must be {kind}, got {value!r}")
+            try:
+                cls(**data)
+            except ValueError as e:
+                raise ValueError(f"config file {path}: {e}") from e
             values.update(data)
         if overrides:
             unknown = set(overrides) - set(types)

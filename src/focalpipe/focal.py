@@ -12,7 +12,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .boxgeom import AffineMap2D, Box, apply_map, area, clip
+from .boxgeom import AffineMap2D, Box, apply_map, area, intersect
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def refine_gt(
         if original <= 0:
             crop.dropped_zero_area += 1
             continue
-        clipped = clip(box, region.rect)
+        clipped = intersect(box, region.rect)
         if clipped is None:
             continue
         fraction = area(clipped) / original

@@ -82,8 +82,8 @@ def _flat(per_region: Sequence[RegionDetections]):
 def ingest_columns(per_region: Sequence[tuple]):
     """One image's `(region, boxes (n, 4), class ids, scores)` in detector frames, as flat
     columns `(regions, boxes, classes, scores, region index)`. Each box is clamped to its
-    region's detector frame with the comparisons of `boxgeom.clip`, so signed zeros come out
-    as `clip` gives them, and dropped when that leaves it empty."""
+    region's detector frame with the comparisons of `boxgeom.intersect`, so signed zeros come
+    out as `intersect` gives them, and dropped when that leaves it empty."""
     regions = [r for r, *_ in per_region]
     sizes = np.array([r.detector_size for r in regions], dtype=np.float64).reshape(-1, 2)
     if not np.isfinite(sizes).all():

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxgeom import Box, ScoredBox, area, clip
+from .boxgeom import Box, ScoredBox, area, intersect
 from .focal import RefinedCrop, crop_gt_to_detector
 from .fuse import RegionDetections
 
@@ -135,7 +135,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
             score = float(np.clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0))
         else:
             score = spec.score_mean_tp
-        clipped = clip(box, frame)
+        clipped = intersect(box, frame)
         if clipped is not None:
             detections.append(ScoredBox(box=clipped, class_id=out_class, score=score))
 

@@ -19,7 +19,6 @@ import numpy as np
 
 from .boxgeom import Box, ScoredBox
 from .evalkit import GtAnnotation
-from .fuse import scored_columns
 from .serialize import write_text_atomic
 
 IGNORED_REGION_CATEGORY = 0
@@ -137,10 +136,6 @@ def _detection_lines(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray)
     xywh = np.rint(np.concatenate([boxes[:, :2], boxes[:, 2:] - boxes[:, :2]], axis=1))
     return "".join(["%d,%d,%d,%d,%.6f,%s,-1,-1\n" % (*b, s, c)
                     for b, c, s in zip(xywh.tolist(), classes.tolist(), scores.tolist())])
-
-
-def format_detection_line(d: ScoredBox) -> str:
-    return _detection_lines(*scored_columns([d])).rstrip("\n")
 
 
 def _write_per_image(

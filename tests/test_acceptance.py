@@ -12,7 +12,7 @@ import pytest
 
 import conftest
 
-from focalpipe.boxgeom import Box, area, clip, intersect, iou
+from focalpipe.boxgeom import Box, area, intersect, iou
 from focalpipe.cli import main as cli_main
 from focalpipe.config import PipelineConfig
 from focalpipe.evalkit import GtAnnotation, coco_eval, voc_ap_at
@@ -106,7 +106,7 @@ def test_posterior_normalization():
 
 
 def test_geometry_matches_pixel_enumeration():
-    """area/intersect/IoU/clip agree exactly with lattice enumeration."""
+    """area/intersect/IoU and frame intersection agree exactly with lattice enumeration."""
     start = time.perf_counter()
     rng = np.random.default_rng(1)
     xs = np.arange(-8, 200)
@@ -133,7 +133,7 @@ def test_geometry_matches_pixel_enumeration():
         expected_iou = count_i / union if union > 0 else 0.0
         if iou(a, b) != expected_iou:
             ok = False
-        c = clip(a, frame)
+        c = intersect(a, frame)
         want = int((in_ax & in_fx).sum()) * int((in_ay & in_fy).sum())
         if c is None:
             if want != 0:

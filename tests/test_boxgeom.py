@@ -10,7 +10,6 @@ from focalpipe.boxgeom import (
     Box,
     apply_map,
     area,
-    clip,
     intersect,
     iou,
     pairwise_iou,
@@ -87,13 +86,13 @@ class TestIou:
 class TestClip:
     def test_inside(self):
         b = Box(10, 10, 20, 20)
-        assert clip(b, Box(0, 0, 100, 100)) == b
+        assert intersect(b, Box(0, 0, 100, 100)) == b
 
     def test_outside(self):
-        assert clip(Box(200, 200, 210, 210), Box(0, 0, 100, 100)) is None
+        assert intersect(Box(200, 200, 210, 210), Box(0, 0, 100, 100)) is None
 
     def test_corner(self):
-        assert clip(Box(90, 90, 130, 120), Box(0, 0, 100, 100)) == Box(90, 90, 100, 100)
+        assert intersect(Box(90, 90, 130, 120), Box(0, 0, 100, 100)) == Box(90, 90, 100, 100)
 
 
 class TestBoxValidation:
@@ -135,7 +134,7 @@ def test_geometry_matches_pixel_oracle(a, b):
 @given(int_boxes, int_boxes)
 @settings(max_examples=200)
 def test_clip_is_contained(b, frame):
-    got = clip(b, frame)
+    got = intersect(b, frame)
     if got is not None:
         assert got.x1 >= max(b.x1, frame.x1) and got.x2 <= min(b.x2, frame.x2)
         assert got.y1 >= max(b.y1, frame.y1) and got.y2 <= min(b.y2, frame.y2)

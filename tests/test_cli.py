@@ -78,12 +78,23 @@ class TestExitCodes:
             opts = [o for p in cli.commands[name].params for o in p.opts]
             assert [o for o in opts if o in flags or o == "--config"] == ["--config", *flags]
 
-    def test_infeasible_synth_spec_is_data_error(self, tmp_path):
-        assert (
-            run("synth", "--out", str(tmp_path / "c"), "--seed", "1",
-                "--image-width", "20", "--image-height", "20")
-            == 2
-        )
+    def test_simulation_flags_are_seed_count_and_config(self):
+        # the scene and oracle parameters are `SceneSpec`'s and `OracleSpec`'s defaults
+        config_flags = ["--config", *(f"--{f.name.replace('_', '-')}"
+                                      for f in dataclasses.fields(PipelineConfig))]
+        opts = {name: [o for p in cli.commands[name].params for o in p.opts]
+                for name in ("synth", "pipeline")}
+        assert opts["synth"] == ["--out", "--seed", "--num-scenes"]
+        assert opts["pipeline"] == ["--out", "--seed", "--num-scenes", "--no-ibs", *config_flags]
+
+    @pytest.mark.parametrize("command", ["synth", "pipeline"])
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--num-scenes", "-2")])
+    def test_negative_seed_or_scene_count_is_usage_error(self, command, flag, value, tmp_path,
+                                                         capsys):
+        out = tmp_path / "c"
+        assert run(command, "--out", str(out), flag, value) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStageChaining:
@@ -290,12 +301,17 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--class-names", str(names)], names
+    if case == "flag-margin-nan":
+        argv = ["gen-regions", "--annotations", str(ann), "--out", out, "--margin", "nan"]
+        return argv, Path("margin must be finite")
     if case.startswith("config-"):
         key, value = {"config-margin-a-string": ("margin", "x"),
                       "config-nms-iou-null": ("nms_iou", None),
                       "config-max-dets-fraction": ("max_dets", 1.5),
                       "config-grid-rows-fraction": ("grid_rows", 2.5),
-                      "config-max-dets-a-boolean": ("max_dets", True)}[case]
+                      "config-max-dets-a-boolean": ("max_dets", True),
+                      "config-margin-nan": ("margin", float("nan")),
+                      "config-margin-negative": ("margin", -1)}[case]
         cfg = tmp_path / "config.json"
         serialize.write_json_atomic(cfg, {key: value})
         return ["gen-regions", "--annotations", str(ann), "--out", out, "--config", str(cfg)], cfg
@@ -319,6 +335,7 @@ class TestMalformedDocuments:
         "annotation-class-id-fraction", "region-id-inf", "annotation-bbox-a-string",
         "annotation-ignore-a-string", "config-margin-a-string", "config-nms-iou-null",
         "config-max-dets-fraction", "config-grid-rows-fraction", "config-max-dets-a-boolean",
+        "config-margin-nan", "config-margin-negative", "flag-margin-nan",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -561,8 +578,7 @@ class TestOneRunPath:
             json.loads((out / "annotations.json").read_text())
         )
         classes = max(g.class_id for anns in gts.values() for g in anns) + 1
-        oracle = OracleSpec(localization_noise=2.0, miss_rate=0.05, false_positive_rate=0.5,
-                            class_flip_rate_truncated=0.5, n_classes=classes, rng_seed=seed)
+        oracle = OracleSpec(n_classes=classes, rng_seed=seed)
         runs = {
             image_id: run_image(gts[image_id], sizes[image_id], oracle, PipelineConfig(),
                                 image_id=image_id, seed=_image_seed(seed, image_id))

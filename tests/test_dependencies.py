@@ -1,5 +1,6 @@
-"""focalpipe runs on its declared runtime dependencies, numpy and click, and
-its tests and scripts need no scipy."""
+"""focalpipe runs on its declared runtime dependencies, numpy and click, its
+tests and scripts need no scipy, and every public function and class of the
+package is used by the package, the scripts or the benchmark."""
 
 import ast
 import os
@@ -73,3 +74,38 @@ def test_merge_does_not_import_numpy_ma(tmp_path):
          str(tmp_path / "results")], env=env, capture_output=True, text=True, check=True,
         timeout=120)
     assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def names_used(node: ast.AST) -> set[str]:
+    """Every name, attribute and string constant under `node`: `perfbench/tracing.py`
+    reaches the functions it wraps by name, as strings."""
+    used = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            used.add(n.value)
+    return used
+
+
+def is_cli_command(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr == "command" for d in getattr(node, "decorator_list", []))
+
+
+def test_every_public_definition_is_used():
+    # a name counts as used when some top-level statement other than its own
+    # definition, in the package, the scripts or the benchmark, refers to it
+    package = sorted((ROOT / "src" / "focalpipe").glob("*.py"))
+    others = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    defined, used = [], set()
+    for path in package + others:
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            used |= names_used(stmt) - {own}
+            if path in package and own and not own.startswith("_") and not is_cli_command(stmt):
+                defined.append(f"{path.stem}.{own}")
+    assert "visdrone.write_detections" in defined
+    assert [name for name in defined if name.split(".")[1] not in used] == []

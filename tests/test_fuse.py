@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalpipe import boxgeom, evalkit, fuse, pipeline
-from focalpipe.boxgeom import Box, ScoredBox, apply_map, clip, iou
+from focalpipe.boxgeom import Box, ScoredBox, apply_map, intersect, iou
 from focalpipe.focal import regions_from_clusters
 from focalpipe.fuse import (
     FuseConfig,
@@ -59,7 +59,7 @@ def reference_ibs(per_region, cfg):
         competitors = []  # clip, class, score, region
         for k in overlapping[i]:
             for d in per_region[k].detections:
-                clipped = clip(d.box, rd_i.region.rect)
+                clipped = intersect(d.box, rd_i.region.rect)
                 if clipped is not None:
                     competitors.append((clipped, d.class_id, d.score, k))
 

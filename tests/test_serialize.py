@@ -11,14 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalpipe import serialize
-from focalpipe.boxgeom import Box, ScoredBox, clip
+from focalpipe.boxgeom import Box, ScoredBox, intersect
 from focalpipe.focal import FocalRegion, make_detector_map
 from focalpipe.fuse import ingest_columns, scored_columns
 
 
 def reference_ingest(doc):
     """Per image: rows (x1, y1, x2, y2, class id, score, region) as the object path gives
-    them, `scored_box_from_dict` per detection, then `clip` to the detector frame."""
+    them, `scored_box_from_dict` per detection, then `intersect` with the detector frame."""
     out = {}
     for image_id, entries in doc["images"].items():
         out[image_id] = rows = []
@@ -27,7 +27,7 @@ def reference_ingest(doc):
             frame = Box(0.0, 0.0, *region.detector_size)
             for d in e["detections"]:
                 det = serialize.scored_box_from_dict(d)
-                clipped = clip(det.box, frame)
+                clipped = intersect(det.box, frame)
                 if clipped is not None:
                     rows.append((*clipped.as_tuple(), det.class_id, det.score, i))
     return out

@@ -7,9 +7,9 @@ from focalpipe.evalkit import GtAnnotation
 from focalpipe.fuse import scored_columns
 from focalpipe.visdrone import (
     VisDroneFormatError,
+    _detection_lines,
     default_class_names,
     format_annotation_line,
-    format_detection_line,
     load_class_names,
     parse_annotation_file,
     parse_annotations,
@@ -160,7 +160,7 @@ class TestRoundTrip:
         a = GtAnnotation(box=Box(10, 20, 40, 60), class_id=4)
         assert format_annotation_line(a) == "10,20,30,40,1,4,0,0"
         d = ScoredBox(box=Box(10, 20, 40, 60), class_id=4, score=0.5)
-        assert format_detection_line(d) == "10,20,30,40,0.500000,4,-1,-1"
+        assert _detection_lines(*scored_columns([d])) == "10,20,30,40,0.500000,4,-1,-1\n"
 
 
 class TestClassNames:
