@@ -37,8 +37,12 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         for f in dataclasses.fields(self):  # NaN would pass every range check below
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+            try:  # and an int no float holds would pass them, then overflow where used
+                finite = not isinstance(value, (int, float)) or math.isfinite(value)
+            except OverflowError:
+                finite, value = False, "an integer too large for a float"
+            if not finite:
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.grid_rows < 1 or self.grid_cols < 1:
             raise ValueError("grid_rows and grid_cols must be >= 1")
         if self.margin < 0:

@@ -12,7 +12,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .boxgeom import AffineMap2D, Box, apply_map, area, intersect
+import numpy as np
+
+from .boxgeom import AffineMap2D, Box, apply_map, area
 
 
 @dataclass(frozen=True)
@@ -109,33 +111,35 @@ def regions_from_clusters(
 
 def refine_gt(
     region: FocalRegion,
-    annotations: Sequence[tuple[Box, int]],
+    boxes: np.ndarray,
+    class_ids: Sequence[int],
     keep_threshold: float = 0.30,
 ) -> RefinedCrop:
-    """Clip annotations to the region; keep those with enough area inside.
+    """Clip annotation columns (boxes (n, 4) float64, n class ids) to the region;
+    keep those with enough area inside.
 
-    A box is kept iff area(clipped) / area(original) >= keep_threshold. Kept
-    boxes are expressed in crop coordinates (origin at the region top-left).
-    Zero-area originals are dropped and counted.
+    A box is kept iff area(clipped) / area(original) >= keep_threshold, as a
+    `Box` of Python floats in crop coordinates (origin at the region top-left).
+    Zero-area originals are dropped and counted. Each row goes through the
+    comparisons and operations of `intersect`, `area` and `Box.translate` in order.
     """
     if not 0.0 < keep_threshold <= 1.0:
         raise ValueError("keep_threshold must be in (0, 1]")
-    crop = RefinedCrop(region=region)
-    for box, class_id in annotations:
-        original = area(box)
-        if original <= 0:
-            crop.dropped_zero_area += 1
-            continue
-        clipped = intersect(box, region.rect)
-        if clipped is None:
-            continue
-        fraction = area(clipped) / original
-        if fraction < keep_threshold:
-            continue
-        crop.gt.append(
-            (clipped.translate(-region.rect.x1, -region.rect.y1), class_id, fraction)
-        )
-    return crop
+    r = region.rect
+    bx1, by1, bx2, by2 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    # max(a, b) keeps a unless b > a: np.maximum may pick the other of -0.0 and 0.0
+    x1, y1 = np.where(r.x1 > bx1, r.x1, bx1), np.where(r.y1 > by1, r.y1, by1)
+    x2, y2 = np.where(r.x2 < bx2, r.x2, bx2), np.where(r.y2 < by2, r.y2, by2)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        original = (bx2 - bx1) * (by2 - by1)
+        zero_area = original <= 0
+        fraction = (x2 - x1) * (y2 - y1) / original
+        rows = np.flatnonzero(~zero_area & (x1 < x2) & (y1 < y2) & ~(fraction < keep_threshold))
+        corners = np.stack([x1[rows] + -r.x1, y1[rows] + -r.y1,
+                            x2[rows] + -r.x1, y2[rows] + -r.y1], axis=1)
+    gt = [(Box(*c), class_ids[i], f)
+          for c, i, f in zip(corners.tolist(), rows.tolist(), fraction[rows].tolist())]
+    return RefinedCrop(region, gt, dropped_zero_area=int(np.count_nonzero(zero_area)))
 
 
 def crop_gt_to_detector(crop: RefinedCrop) -> list[tuple[Box, int, float]]:

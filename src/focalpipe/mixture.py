@@ -126,9 +126,13 @@ def featurize(boxes: Sequence[Box], grid: FeatureGrid) -> np.ndarray:
 
 def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
                variances: np.ndarray, power: float) -> np.ndarray:
-    """log weight + power * diagonal-Gaussian log density; x (n, d) -> (n, k)."""
-    diff = x[:, None, :] - means[None, :, :]  # (n, k, d)
-    maha = np.sum(diff * diff / variances[None, :, :], axis=2)
+    """log weight + power * diagonal-Gaussian log density; x (n, d) -> (n, k).
+
+    One (n, k) plane per dimension, the terms `diff * diff / var` added left to
+    right: for d < 8 that is the sum numpy's reduce over a length-d axis gives.
+    """
+    maha = sum((np.subtract.outer(x[:, j], means[:, j]) ** 2 / variances[:, j]
+                for j in range(x.shape[1])), np.zeros((len(x), len(weights))))
     log_norm = np.sum(np.log(variances), axis=1) + variances.shape[1] * LOG_2PI
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
@@ -143,27 +147,27 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
         return shift[:, 0] + np.log(np.exp(a - shift).sum(axis=1))
 
 
-def _kmeanspp_means(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ style seeding: first mean uniform, rest by squared distance."""
+def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
+    """k-means++ style seeding: first row uniform, rest by squared distance."""
     n = len(x)
     chosen = [int(rng.integers(n))]
+    d2 = np.full(n, np.inf)  # squared distance to the nearest chosen row, kept as a running min
     for _ in range(1, k):
-        d2 = np.min(
-            np.sum((x[:, None, :] - x[chosen][None, :, :]) ** 2, axis=2), axis=1
-        )
+        newest = x[chosen[-1]]
+        np.minimum(d2, sum((x[:, j] - newest[j]) ** 2 for j in range(x.shape[1])), out=d2)
         total = d2.sum()
         if total <= 0:
             chosen.append(int(rng.integers(n)))
             continue
         chosen.append(int(rng.choice(n, p=d2 / total)))
-    return x[chosen].copy()
+    return chosen
 
 
 def _em_single_run(
     x: np.ndarray, k: int, cfg: EmConfig, power: float, rng: np.random.Generator
 ) -> MixtureModel:
     n, d = x.shape
-    means = _kmeanspp_means(x, k, rng)
+    means = x[_kmeanspp_indices(x, k, rng)]
     weights = np.full(k, 1.0 / k)
     global_var = np.maximum(np.var(x, axis=0), cfg.covariance_floor)
     variances = np.tile(global_var, (k, 1))
@@ -180,8 +184,11 @@ def _em_single_run(
         nk = np.maximum(resp.sum(axis=0), 1e-12)
         weights = nk / n
         means = (resp.T @ x) / nk[:, None]
-        diff2 = (x[:, None, :] - means[None, :, :]) ** 2
-        variances = np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None]
+        variances = np.empty_like(means)
+        for j in range(d):
+            variances[:, j] = np.einsum("nk,nk->k", resp,
+                                        np.subtract.outer(x[:, j], means[:, j]) ** 2)
+        variances /= nk[:, None]
         variances = np.maximum(variances, cfg.covariance_floor)
 
         if prev_ll != float("-inf") and abs(ll - prev_ll) < cfg.tolerance:

@@ -54,8 +54,11 @@ def refine_image(
     annotations: Sequence[GtAnnotation],
     config: PipelineConfig,
 ) -> list[RefinedCrop]:
-    pairs = [(a.box, a.class_id) for a in annotations if not a.ignore]
-    return [refine_gt(r, pairs, keep_threshold=config.keep_threshold) for r in regions]
+    kept = [a for a in annotations if not a.ignore]
+    boxes = np.array([a.box.as_tuple() for a in kept], dtype=np.float64).reshape(-1, 4)
+    class_ids = [a.class_id for a in kept]
+    return [refine_gt(r, boxes, class_ids, keep_threshold=config.keep_threshold)
+            for r in regions]
 
 
 @dataclass

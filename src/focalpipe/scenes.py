@@ -65,6 +65,11 @@ class ScaleStats:
     cv_cropped: Optional[float]
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    """Exactly `float(np.clip(v, lo, hi))` for floats lo <= hi; `min(hi, max(lo, v))` is not."""
+    return lo if v < lo else hi if v > hi else v
+
+
 def generate_scene(spec: SceneSpec) -> Scene:
     """Sample clustered boxes; returns annotations plus true cluster labels."""
     w, h = spec.image_size
@@ -97,10 +102,10 @@ def generate_scene(spec: SceneSpec) -> Scene:
             bh = rng.uniform(*spec.box_size_range) * multiplier
             # offsets truncated at 2 sigma keep the cluster footprint
             # proportional to its multiplier
-            x = cx + float(np.clip(rng.normal(0.0, spread), -2 * spread, 2 * spread))
-            y = cy + float(np.clip(rng.normal(0.0, spread), -2 * spread, 2 * spread))
-            x = float(np.clip(x, bw / 2, w - bw / 2))
-            y = float(np.clip(y, bh / 2, h - bh / 2))
+            x = cx + _clip(rng.normal(0.0, spread), -2 * spread, 2 * spread)
+            y = cy + _clip(rng.normal(0.0, spread), -2 * spread, 2 * spread)
+            x = _clip(x, bw / 2, w - bw / 2)
+            y = _clip(y, bh / 2, h - bh / 2)
             box = Box(x - bw / 2, y - bh / 2, x + bw / 2, y + bh / 2)
             annotations.append((box, int(rng.integers(spec.classes))))
             labels.append(cluster)
@@ -132,7 +137,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
         if fraction < 1.0 and spec.n_classes > 1 and rng.uniform() < spec.class_flip_rate_truncated:
             out_class = int((class_id + 1 + rng.integers(spec.n_classes - 1)) % spec.n_classes)
         if spec.score_std > 0:
-            score = float(np.clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0))
+            score = _clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0)
         else:
             score = spec.score_mean_tp
         clipped = intersect(box, frame)
@@ -145,7 +150,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
         fh = rng.uniform(0.02, 0.15) * det_h
         fx = rng.uniform(0.0, det_w - fw)
         fy = rng.uniform(0.0, det_h - fh)
-        score = float(np.clip(rng.normal(0.3, 0.1), 0.0, 1.0))
+        score = _clip(rng.normal(0.3, 0.1), 0.0, 1.0)
         detections.append(
             ScoredBox(
                 box=Box(fx, fy, fx + fw, fy + fh),

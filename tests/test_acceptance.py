@@ -22,6 +22,7 @@ from focalpipe.mixture import EmConfig, MixtureModel, fit_em, num_focal_regions,
 from focalpipe.scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 from reference_eval import reference_coco, reference_voc
+from reference_focal import columns
 from test_evalkit import random_micro_dataset, to_production
 from test_fuse import fig5_scenario, random_scored_boxes, reference_nms
 from test_claims import claims
@@ -289,7 +290,7 @@ def test_perfect_pipeline_scores_exactly_100():
         intersect(a.rect, b.rect) is None
         for i, a in enumerate(regions) for b in regions[i + 1:]
     )
-    crops = [refine_gt(r, scene.annotations) for r in regions]
+    crops = [refine_gt(r, *columns(scene.annotations)) for r in regions]
     perfect = OracleSpec(
         localization_noise=0.0, score_std=0.0, miss_rate=0.0,
         false_positive_rate=0.0, class_flip_rate_truncated=0.0, rng_seed=0,

@@ -69,6 +69,16 @@ class TestExitCodes:
             == 2
         )
 
+    def test_config_int_past_float_range_is_data_error(self, tmp_path, capsys):
+        argv, cfg = malformed_case("config-margin-int-overflows", tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: margin must be finite" in err
+        assert "Traceback" not in err
+        # an integer a float holds is kept as the integer
+        cfg.write_text(json.dumps({"margin": 10**300}))
+        assert PipelineConfig.load(cfg).margin == 10**300
+
     def test_config_flags_are_the_config_fields(self):
         flags = ["--margin", "--keep-threshold", "--nms-iou", "--ibs-region-iou",
                  "--ibs-box-iou", "--detector-width", "--detector-height", "--grid-rows",
@@ -311,7 +321,8 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
                       "config-grid-rows-fraction": ("grid_rows", 2.5),
                       "config-max-dets-a-boolean": ("max_dets", True),
                       "config-margin-nan": ("margin", float("nan")),
-                      "config-margin-negative": ("margin", -1)}[case]
+                      "config-margin-negative": ("margin", -1),
+                      "config-margin-int-overflows": ("margin", 10**400)}[case]
         cfg = tmp_path / "config.json"
         serialize.write_json_atomic(cfg, {key: value})
         return ["gen-regions", "--annotations", str(ann), "--out", out, "--config", str(cfg)], cfg
@@ -335,7 +346,8 @@ class TestMalformedDocuments:
         "annotation-class-id-fraction", "region-id-inf", "annotation-bbox-a-string",
         "annotation-ignore-a-string", "config-margin-a-string", "config-nms-iou-null",
         "config-max-dets-fraction", "config-grid-rows-fraction", "config-max-dets-a-boolean",
-        "config-margin-nan", "config-margin-negative", "flag-margin-nan",
+        "config-margin-nan", "config-margin-negative", "config-margin-int-overflows",
+        "flag-margin-nan",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)

@@ -1,15 +1,20 @@
+import re
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from focalpipe.boxgeom import Box, apply_map, area, intersect
+from focalpipe.boxgeom import AffineMap2D, Box, apply_map, area, intersect
 from focalpipe.focal import (
+    FocalRegion,
     crop_gt_to_detector,
     eip_regions,
     make_detector_map,
     refine_gt,
     regions_from_clusters,
 )
+
+from reference_focal import columns, ref_refine_gt
 
 
 class TestRegionsFromClusters:
@@ -53,12 +58,12 @@ class TestRefineGt:
 
     def test_fully_inside_kept(self):
         region = self.region(Box(50, 50, 200, 200))
-        crop = refine_gt(region, [(Box(60, 70, 80, 90), 3)])
+        crop = refine_gt(region, *columns([(Box(60, 70, 80, 90), 3)]))
         assert crop.gt == [(Box(10, 20, 30, 40), 3, 1.0)]
 
     def test_half_inside_kept(self):
         region = self.region(Box(5, 0, 100, 100))
-        crop = refine_gt(region, [(Box(0, 0, 10, 10), 1)])
+        crop = refine_gt(region, *columns([(Box(0, 0, 10, 10), 1)]))
         assert len(crop.gt) == 1
         box, class_id, fraction = crop.gt[0]
         assert box == Box(0, 0, 5, 10)
@@ -66,26 +71,83 @@ class TestRefineGt:
 
     def test_fifth_inside_dropped(self):
         region = self.region(Box(8, 0, 100, 100))
-        crop = refine_gt(region, [(Box(0, 0, 10, 10), 1)])
+        crop = refine_gt(region, *columns([(Box(0, 0, 10, 10), 1)]))
         assert crop.gt == []
 
     def test_zero_area_annotation_counted(self):
         region = self.region(Box(0, 0, 100, 100))
-        crop = refine_gt(region, [(Box(5, 5, 5, 5), 1)])
+        crop = refine_gt(region, *columns([(Box(5, 5, 5, 5), 1)]))
         assert crop.gt == []
         assert crop.dropped_zero_area == 1
 
     def test_threshold_validation(self):
         region = self.region(Box(0, 0, 100, 100))
         with pytest.raises(ValueError):
-            refine_gt(region, [], keep_threshold=0.0)
+            refine_gt(region, *columns([]), keep_threshold=0.0)
 
     def test_kept_boxes_inside_crop(self):
         region = self.region(Box(20, 30, 120, 130))
-        crop = refine_gt(region, [(Box(0, 0, 50, 60), 2), (Box(100, 100, 140, 140), 2)])
+        annotations = [(Box(0, 0, 50, 60), 2), (Box(100, 100, 140, 140), 2)]
+        crop = refine_gt(region, *columns(annotations))
         for box, _, _ in crop.gt:
             assert 0 <= box.x1 <= box.x2 <= 100
             assert 0 <= box.y1 <= box.y2 <= 100
+
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 5e-324, 1e308, -1e308]
+COORD = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e4, 1e4, allow_nan=False))
+
+
+@st.composite
+def refine_cases(draw):
+    """A region and annotations whose coordinates mix ±0.0, extents of ±1e308 and
+    ties with the region edges; the threshold is at times one box's exact fraction."""
+    xs, ys = sorted([draw(COORD), draw(COORD)]), sorted([draw(COORD), draw(COORD)])
+    rect = Box(xs[0], ys[0], xs[1], ys[1])
+    coord = st.one_of(COORD, st.sampled_from(rect.as_tuple()))
+    annotations = []
+    for x1, y1, x2, y2, class_id in draw(st.lists(
+            st.tuples(coord, coord, coord, coord, st.integers(0, 9)), max_size=12)):
+        annotations.append((Box(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2)), class_id))
+    # refine_gt reads only the rect, so the map need not send it onto a detector
+    region = FocalRegion(rect, 0, "img", AffineMap2D(1.0, 1.0, 0.0, 0.0))
+    fractions = [area(c) / area(b) for b, _ in annotations
+                 if area(b) > 0 and (c := intersect(b, rect)) is not None]
+    ties = [f for f in fractions if 0.0 < f <= 1.0]
+    keep = draw(st.sampled_from(ties) if ties and draw(st.booleans())
+                else st.one_of(st.sampled_from([0.30, 1.0]), st.floats(1e-9, 1.0)))
+    return region, annotations, keep
+
+
+def _case(rect, boxes, keep=0.30):
+    region = FocalRegion(Box(*rect), 0, "img", AffineMap2D(1.0, 1.0, 0.0, 0.0))
+    return region, [(Box(*b), 1) for b in boxes], keep
+
+
+class TestRefineGtEqualsReference:
+    @given(refine_cases())
+    # max(-0.0, 0.0) is -0.0 and max(0.0, -0.0) is 0.0; np.maximum may give either zero
+    @example(_case((0.0, 0.0, 10.0, 10.0), [(-0.0, -0.0, 5.0, 5.0)]))
+    @example(_case((-0.0, -0.0, 10.0, 10.0), [(0.0, 0.0, 5.0, 5.0)]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_crop(self, case):
+        region, annotations, keep = case
+        try:
+            want = ref_refine_gt(region, annotations, keep_threshold=keep)
+        except ValueError as e:  # a translated corner past the float range
+            with pytest.raises(ValueError, match=re.escape(str(e))):
+                refine_gt(region, *columns(annotations), keep_threshold=keep)
+            return
+        got = refine_gt(region, *columns(annotations), keep_threshold=keep)
+        # repr tells -0.0 from 0.0 and 1 from 1.0, and shows nan
+        assert repr(got.gt) == repr(want.gt)
+        assert got.dropped_zero_area == want.dropped_zero_area
+        assert got.region is region
+
+    def test_fraction_at_threshold_kept(self):
+        region = FocalRegion(Box(0.0, 0.0, 3.0, 10.0), 0, "", AffineMap2D(1.0, 1.0, 0.0, 0.0))
+        crop = refine_gt(region, *columns([(Box(0.0, 0.0, 10.0, 10.0), 1)]), keep_threshold=0.3)
+        assert crop.gt == [(Box(0.0, 0.0, 3.0, 10.0), 1, 0.3)]
 
 
 class TestMakeDetectorMap:
@@ -125,7 +187,7 @@ class TestCropGtToDetector:
             [Box(100, 100, 200, 200)], [0], (1000, 1000), margin=0,
             detector_size=(200, 200),
         )[0]
-        crop = refine_gt(region, [(Box(100, 100, 150, 150), 1)])
+        crop = refine_gt(region, *columns([(Box(100, 100, 150, 150), 1)]))
         mapped = crop_gt_to_detector(crop)
         assert mapped[0][0] == Box(0, 0, 100, 100)
 

@@ -10,12 +10,17 @@ from focalpipe.mixture import (
     EmConfig,
     FeatureGrid,
     MixtureModel,
+    _kmeanspp_indices,
     assign_clusters,
     featurize,
     fit_em,
     num_focal_regions,
     posterior,
 )
+from focalpipe.scenes import SceneSpec, generate_scene
+
+from reference_mixture import ref_assign_clusters, ref_fit_em, ref_kmeanspp_indices
+from test_scenes import DENSE_SPEC, claims
 
 
 class TestNumFocalRegions:
@@ -275,3 +280,33 @@ class TestAssignClusters:
         assert assign_clusters(model, []) == []
         with pytest.raises(ValueError):
             assign_clusters(model, [[1.0], [2.0]])
+
+
+class TestEmEqualsReference:
+    """The per-dimension EM against the (n, k, d) forms of `reference_mixture`:
+    every float of the fit bit for bit, and the same labels and rng draws."""
+
+    @pytest.mark.parametrize("spec,n_scenes", [(claims.IBS_SCENE, 200), (DENSE_SPEC, 20)],
+                             ids=["ablation", "dense"])
+    def test_fit_and_labels_bit_equal(self, spec, n_scenes):
+        for seed in range(n_scenes):
+            scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
+            centers = np.array([b.center for b, _ in scene.annotations])
+            k, em = num_focal_regions(len(centers)), EmConfig(rng_seed=seed)
+            got = fit_em(centers, k, em, density_power=16)
+            want = ref_fit_em(centers, k, em, density_power=16)
+            for name in ("weights", "means", "variances"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
+            assert got.ll_history == want.ll_history, seed
+            assert assign_clusters(got, centers) == ref_assign_clusters(want, centers), seed
+
+    @pytest.mark.parametrize("case", ["distinct", "three-points-k5", "all-identical"])
+    def test_kmeanspp_same_draws(self, case):
+        rng = np.random.default_rng(5)
+        x = {"distinct": rng.normal(0, 50, (40, 2)),
+             "three-points-k5": np.repeat(rng.normal(0, 50, (3, 2)), 4, axis=0),
+             "all-identical": np.full((10, 2), 3.0)}[case]
+        for seed in range(20):
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert _kmeanspp_indices(x, 5, got_rng) == ref_kmeanspp_indices(x, 5, want_rng)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state

@@ -1,4 +1,4 @@
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -18,12 +18,14 @@ from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import refine_gt, regions_from_clusters
 from focalpipe.scenes import (
     OracleSpec,
+    _clip,
     SceneSpec,
     generate_scene,
     oracle_detect,
     scale_stats,
 )
 
+from reference_focal import columns
 from test_claims import claims
 
 
@@ -37,6 +39,14 @@ def separated_spec(seed, n_clusters=4):
         classes=3,
         rng_seed=seed,
     )
+
+
+class TestClip:
+    def test_equals_np_clip(self):
+        grid = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0, 1e308, -1e308, float("nan")]
+        for v, lo, hi in product(grid, repeat=3):
+            if lo <= hi:  # ties and signed zeros included
+                assert repr(_clip(v, lo, hi)) == repr(float(np.clip(v, lo, hi))), (v, lo, hi)
 
 
 class TestGenerateScene:
@@ -174,7 +184,7 @@ class TestScaleStats:
             [b for b, _ in boxes], [0, 0, 1], (1000, 1000), margin=10,
             detector_size=(500, 500),
         )
-        crops = [refine_gt(r, boxes) for r in regions]
+        crops = [refine_gt(r, *columns(boxes)) for r in regions]
         stats = scale_stats(crops, boxes)
         assert stats.cv_raw == 0.0
 
