@@ -52,15 +52,15 @@ class Box:
 
 @dataclass(frozen=True)
 class ScoredBox:
-    """A detection: box plus class id and confidence score in [0, 1]."""
+    """A detection: box plus class id in [0, 2^63) and confidence score in [0, 1]."""
 
     box: Box
     class_id: int
     score: float
 
     def __post_init__(self) -> None:
-        if self.class_id < 0:
-            raise ValueError(f"negative class id: {self.class_id}")
+        if not 0 <= self.class_id < 2**63:
+            raise ValueError(f"class id outside [0, 2^63): {self.class_id}")
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"score outside [0, 1]: {self.score}")
 

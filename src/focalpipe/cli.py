@@ -48,21 +48,14 @@ def _load_config(config_path: Optional[str], **overrides) -> PipelineConfig:
         raise DataError(str(e)) from e
 
 
-def _load_annotations(path: str, sizes_path: Optional[str]):
-    """Ground truth from an annotations JSON doc or a VisDrone directory."""
-    p = Path(path)
-    if not p.is_dir():
+def _load_annotations(path: str):
+    """Ground truth and image sizes from an annotations JSON doc, or ground truth and no
+    sizes (None) from a VisDrone directory."""
+    if not Path(path).is_dir():
         return _load_doc(path, serialize.annotations_from_doc)
     try:
-        gts = visdrone.parse_annotations(p)
-        if sizes_path is None:
-            raise DataError("VisDrone directories carry no image dimensions; pass --image-sizes")
-        sizes = _load_doc(sizes_path, serialize.image_sizes_from_doc)
-        missing = set(gts) - set(sizes)
-        if missing:
-            raise DataError(f"no image size for: {sorted(missing)[:5]}")
-        return gts, sizes
-    except (VisDroneFormatError, ValueError, KeyError, OSError) as e:
+        return visdrone.parse_annotations(path), None
+    except (ValueError, OSError) as e:
         raise DataError(str(e)) from e
 
 
@@ -134,7 +127,14 @@ def synth_cmd(out_dir, seed, num_scenes) -> None:
 def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, **overrides) -> None:
     """Cluster ground truth per image and emit focal-region JSON."""
     config = _load_config(config_path, **overrides)
-    gts, sizes = _load_annotations(annotations_path, sizes_path)
+    gts, sizes = _load_annotations(annotations_path)
+    sizes_from = annotations_path
+    if sizes is None:  # a VisDrone directory
+        if sizes_path is None:
+            raise DataError("VisDrone directories carry no image dimensions; pass --image-sizes")
+        sizes, sizes_from = _load_doc(sizes_path, serialize.image_sizes_from_doc), sizes_path
+        if set(gts) - set(sizes):
+            raise DataError(f"{sizes_path}: no image size for: {sorted(set(gts) - set(sizes))[:5]}")
     per_image = {}
     for image_id in sorted(gts):
         try:
@@ -143,7 +143,7 @@ def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, *
                 seed=_image_seed(seed, image_id),
             )
         except ValueError as e:
-            raise DataError(f"{image_id}: {e}") from e
+            raise DataError(f"{sizes_from}: {image_id}: {e}") from e
         per_image[image_id] = (sizes[image_id], regions)
     serialize.write_json_atomic(out_path, serialize.regions_doc(per_image))
     click.echo(f"wrote regions for {len(per_image)} images to {out_path}")
@@ -151,14 +151,13 @@ def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, *
 
 @cli.command("refine-gt")
 @click.option("--annotations", "annotations_path", type=click.Path(exists=True), required=True)
-@click.option("--image-sizes", "sizes_path", type=click.Path(exists=True), default=None)
 @click.option("--regions", "regions_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @config_options
-def refine_gt_cmd(annotations_path, sizes_path, regions_path, out_path, config_path, **overrides) -> None:
+def refine_gt_cmd(annotations_path, regions_path, out_path, config_path, **overrides) -> None:
     """Clip and filter ground truth into focal-region crops."""
     config = _load_config(config_path, **overrides)
-    gts, _ = _load_annotations(annotations_path, sizes_path)
+    gts, _ = _load_annotations(annotations_path)
     regions = _load_doc(regions_path, serialize.regions_from_doc)
     per_image = {}
     for image_id in sorted(regions):
@@ -199,7 +198,6 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
 @click.option("--detections", "det_path", type=click.Path(exists=True), required=True,
               help="Merged-detection JSON or a VisDrone result directory.")
 @click.option("--annotations", "annotations_path", type=click.Path(exists=True), required=True)
-@click.option("--image-sizes", "sizes_path", type=click.Path(exists=True), default=None)
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--table", "table_path", type=click.Path(), default=None)
 @click.option("--pr-csv", "pr_csv_path", type=click.Path(), default=None)
@@ -207,11 +205,11 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
               help="Also report VOC all-point AP at this IoU (classes merged).")
 @click.option("--class-names", "class_names_path", type=click.Path(exists=True), default=None)
 @config_options
-def eval_cmd(det_path, annotations_path, sizes_path, out_path, table_path, pr_csv_path,
+def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
              voc_iou, class_names_path, config_path, **overrides) -> None:
     """Score merged detections against ground truth."""
     config = _load_config(config_path, **overrides)
-    gts, _ = _load_annotations(annotations_path, sizes_path)
+    gts, _ = _load_annotations(annotations_path)
     try:
         names = visdrone.load_class_names(class_names_path) if class_names_path else None
     except (ValueError, OSError) as e:

@@ -6,9 +6,10 @@ across overlapping regions. IBS lets a complete box from one region suppress
 the truncated duplicate another region predicted for the same object, which
 plain NMS misses because the truncated pair's IoU is small.
 
-The merge runs on columns, one image's detections as flat arrays of boxes (n, 4), class
-ids, scores and region index; `ingest_columns` and `merge_columns` build no `ScoredBox`.
-The `ScoredBox` entry points convert through `_columns` and build objects for results only.
+The merge runs on columns, one image's detections as flat arrays of boxes (n, 4) float64,
+class ids int64 (a `ScoredBox` holds ids in [0, 2^63) only), scores float64 and region
+index; `ingest_columns` and `merge_columns` build no `ScoredBox`. The `ScoredBox` entry
+points convert through `_columns` and build objects for results only.
 """
 
 from __future__ import annotations
@@ -53,12 +54,7 @@ def _columns(groups: Sequence[Sequence[ScoredBox]]):
     """Boxes (n, 4), class ids, scores and group index of the detections of all groups."""
     dets = [d for g in groups for d in g]
     boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
-    ids = [d.class_id for d in dets]
-    classes = np.array(ids, dtype=None if dets else np.int64)
-    # ids past int64 stay Python ints: numpy makes them uint64, or float64 beside smaller
-    # ids, and uint64 and int64 columns concatenate to float64
-    if classes.dtype.kind in "uf" and all(isinstance(c, int) for c in ids):
-        classes = np.array(ids, dtype=object)
+    classes = np.array([d.class_id for d in dets], dtype=np.int64)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     return boxes, classes, scores, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
 

@@ -5,9 +5,11 @@ replace the built-in oracle by consuming region JSON and producing
 region-detection JSON. Writes are atomic (write to a temp file, then rename)
 so a failed run never leaves a half-written output.
 
-Region and merged detections load as arrays, validated in one vectorized check per region
-or image, and merged detections are written from arrays; a document that does not fit raises
-`DocumentError` naming its JSON path, e.g. `images/m00/[2]/detections/[17]/score`.
+Every numeric field is read by one rule: a JSON number is an `int` or a `float`, never a
+`bool` or a string (`_number`), and an integer field is an integral number in [0, 2^63)
+(`_int`). Region and merged detections load as arrays, validated in one vectorized check per
+region or image, and merged detections are written from arrays; a document that does not fit
+raises `DocumentError` naming its JSON path, e.g. `images/m00/[2]/detections/[17]/score`.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
@@ -25,13 +28,14 @@ import numpy as np
 from .boxgeom import AffineMap2D, Box, ScoredBox
 from .evalkit import GtAnnotation
 from .focal import FocalRegion, RefinedCrop
-from .fuse import RegionDetections, scored_boxes, scored_columns
+from .fuse import RegionDetections, scored_boxes
 
 # a merged detection as `json.dump(doc, indent=2, sort_keys=True)` lays it out at its
 # depth, numbers by `repr` as `json` prints them; written CHUNK detections at a time
 _DETECTION = ('\n      {\n        "bbox": [\n          %r,\n          %r,\n          %r,\n'
               '          %r\n        ],\n        "class_id": %r,\n        "score": %r\n      }')
 CHUNK = 512
+NUMBER = {int, float}  # the types of a JSON number; `bool` is not one
 
 
 class DocumentError(ValueError):
@@ -74,10 +78,17 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
 
 
+def _number(v: Any, name: str) -> int | float:
+    """A numeric field as JSON gives it: an `int` or a `float`, never a `bool` or a string."""
+    if type(v) not in NUMBER:
+        raise ValueError(f"{name} must be a number, got {v!r}")
+    return v
+
+
 def _int(v: Any, name: str) -> int:
-    """An integer field; `int` would truncate 2.7 and overflow on infinity."""
-    if isinstance(v, float) and not v.is_integer():
-        raise ValueError(f"{name} must be an integer, got {v!r}")
+    """An integer field: an integral number in [0, 2^63); 2.0 loads as 2, 2.7 is an error."""
+    if not (type(_number(v, name)) is int or v.is_integer()) or not 0 <= v < 2**63:
+        raise ValueError(f"{name} must be an integer in [0, 2^63), got {v!r}")
     return int(v)
 
 
@@ -96,7 +107,7 @@ def box_from_list(v: Any) -> Box:
     """A box from a JSON list of four numbers; a string of four characters is no box."""
     if not (isinstance(v, list) and len(v) == 4):
         raise ValueError(f"a box must be a list of four numbers, got {v!r}")
-    return Box(*map(float, v))
+    return Box(*(float(_number(x, "a box coordinate")) for x in v))
 
 
 def region_to_dict(r: FocalRegion) -> dict:
@@ -109,11 +120,13 @@ def region_to_dict(r: FocalRegion) -> dict:
 
 
 def region_from_dict(d: Mapping) -> FocalRegion:
+    if not isinstance(d["image_id"], str):
+        raise ValueError(f"image_id must be a string, got {d['image_id']!r}")
     return FocalRegion(
         rect=box_from_list(d["rect"]),
         region_id=_int(d["region_id"], "region_id"),
-        image_id=str(d["image_id"]),
-        to_detector=AffineMap2D(**{k: float(v) for k, v in d["to_detector"].items()}),
+        image_id=d["image_id"],
+        to_detector=AffineMap2D(**{k: float(_number(v, k)) for k, v in d["to_detector"].items()}),
     )
 
 
@@ -124,7 +137,7 @@ def scored_box_to_dict(d: ScoredBox) -> dict:
 def scored_box_from_dict(d: Mapping) -> ScoredBox:
     return ScoredBox(
         box=box_from_list(d["bbox"]), class_id=_int(d["class_id"], "class_id"),
-        score=float(d["score"]),
+        score=float(_number(d["score"], "score")),
     )
 
 
@@ -172,14 +185,8 @@ def crops_from_doc(doc: Mapping) -> dict[str, list[RefinedCrop]]:
         out[image_id] = [
             RefinedCrop(
                 region=region_from_dict(e["region"]),
-                gt=[
-                    (
-                        box_from_list(g["bbox"]),
-                        _int(g["class_id"], "class_id"),
-                        float(g["kept_fraction"]),
-                    )
-                    for g in e["gt"]
-                ],
+                gt=[(box_from_list(g["bbox"]), _int(g["class_id"], "class_id"),
+                     float(_number(g["kept_fraction"], "kept_fraction"))) for g in e["gt"]],
                 dropped_zero_area=_int(e.get("dropped_zero_area", 0), "dropped_zero_area"),
             )
             for e in entries
@@ -209,24 +216,24 @@ def _list(v: Any, path: str) -> list:
 
 
 def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boxes (n, 4) float64, class ids and scores of a list of detections: one region's,
-    or one image's merged."""
-    try:  # plain JSON numbers in the right shapes convert at once
-        boxes, classes, scores = (np.array([d[k] for d in dets])
-                                  for k in ("bbox", "class_id", "score"))
-        fast = (boxes.shape == (len(dets), 4) and classes.shape == scores.shape == (len(dets),)
-                and boxes.dtype.kind in "bif" and classes.dtype.kind in "bi"
-                and scores.dtype.kind in "bif")
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError):
-        fast = False
-    if fast:
-        boxes, classes, scores = boxes.astype(float), classes.astype(np.int64), scores.astype(float)
-    else:  # anything else converts one detection at a time, as `scored_box_from_dict` does
-        objects = []
-        for j, d in enumerate(dets):
+    """Boxes (n, 4) float64, class ids int64 and scores float64 of a list of detections: one
+    region's, or one image's merged. Each field converts as one array, once its values pass
+    `_number` and `_int` as a whole column; a list that does not is reported at the first
+    detection `scored_box_from_dict` rejects."""
+    try:
+        bboxes, ids, scores = ([d[k] for d in dets] for k in ("bbox", "class_id", "score"))
+        if float in set(map(type, ids)):  # integral floats load as `_int` gives them
+            ids = [_int(c, "class_id") for c in ids]
+        if not (set(map(type, bboxes)) <= {list}
+                and set(map(type, chain(ids, scores, chain.from_iterable(bboxes)))) <= NUMBER):
+            raise TypeError("not JSON numbers")
+        boxes = np.array(bboxes, dtype=np.float64).reshape(len(dets), 4)
+        classes, scores = np.array(ids, dtype=np.int64), np.array(scores, dtype=np.float64)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        for j, d in enumerate(dets):  # only to name the first detection that breaks the rule
             with _at(f"{path}/[{j}]"):
-                objects.append(scored_box_from_dict(d))
-        boxes, classes, scores = scored_columns(objects)
+                scored_box_from_dict(d)
+        raise DocumentError(f"{path}: malformed detections") from None
     checks = [("bbox", ~np.isfinite(boxes).all(axis=1), "has a non-finite coordinate"),
               ("bbox", (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "is inverted"),
               ("class_id", classes < 0, "is negative"),
@@ -329,10 +336,10 @@ def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
     if not isinstance(doc, dict):
         raise ValueError("expected a JSON object of image_id -> [width, height]")
     for image_id, v in doc.items():
-        if not (isinstance(v, list) and len(v) == 2
-                and all(isinstance(x, (int, float)) for x in v)):
+        if not (isinstance(v, list) and len(v) == 2):
             raise ValueError(f"size of {image_id!r} is not a [width, height] pair: {v!r}")
-    return {image_id: (v[0], v[1]) for image_id, v in doc.items()}
+    return {image_id: (_number(v[0], f"width of {image_id!r}"),
+                       _number(v[1], f"height of {image_id!r}")) for image_id, v in doc.items()}
 
 
 def annotations_from_doc(
@@ -340,13 +347,8 @@ def annotations_from_doc(
 ) -> tuple[dict[str, list[GtAnnotation]], dict[str, tuple[float, float]]]:
     gts: dict[str, list[GtAnnotation]] = {}
     for image_id, entry in doc["images"].items():
-        gts[image_id] = [
-            GtAnnotation(
-                box=box_from_list(a["bbox"]),
-                class_id=_int(a["class_id"], "class_id"),
-                ignore=_bool(a.get("ignore", False), "ignore"),
-            )
-            for a in entry["annotations"]
-        ]
+        gts[image_id] = [GtAnnotation(box_from_list(a["bbox"]), _int(a["class_id"], "class_id"),
+                                      _bool(a.get("ignore", False), "ignore"))
+                         for a in entry["annotations"]]
     sizes = image_sizes_from_doc({k: e["image_size"] for k, e in doc["images"].items()})
     return gts, sizes

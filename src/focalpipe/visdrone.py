@@ -61,9 +61,9 @@ def _parse_line(line: str, path: Path, lineno: int) -> tuple[float, ...]:
         raise VisDroneFormatError(f"{path}:{lineno}: non-finite field {bad[0]!r}")
     if values[2] < 0 or values[3] < 0:
         raise VisDroneFormatError(f"{path}:{lineno}: negative box width or height")
-    if values[5] < 0 or not values[5].is_integer():
+    if not (values[5].is_integer() and 0 <= values[5] < 2**63):  # a class id, as in JSON
         raise VisDroneFormatError(
-            f"{path}:{lineno}: category {fields[5]!r} is not a non-negative integer"
+            f"{path}:{lineno}: category {fields[5]!r} is not an integer in [0, 2^63)"
         )
     return values
 
@@ -93,8 +93,6 @@ def _annotation(values: tuple[float, ...]) -> GtAnnotation:
 
 
 def _detection(values: tuple[float, ...]) -> ScoredBox:
-    if not 0.0 <= values[4] <= 1.0:
-        raise ValueError(f"score {values[4]} outside [0, 1]")
     return ScoredBox(box=_record_box(values), class_id=int(values[5]), score=values[4])
 
 

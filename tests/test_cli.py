@@ -138,6 +138,24 @@ class TestStageChaining:
         assert run("gen-regions", "--annotations", str(ann_dir), "--image-sizes", str(sizes),
                    "--out", str(tmp_path / "r.json")) == 0
 
+    def test_refine_gt_and_eval_take_a_visdrone_directory_without_sizes(self, tmp_path, capsys):
+        ann_dir, ann = tmp_path / "ann", tmp_path / "annotations.json"
+        gts = {"img": [GtAnnotation(Box(10, 20, 40, 60), 1),
+                       GtAnnotation(Box(90, 90, 120, 130), 2)]}
+        visdrone.write_annotations(ann_dir, gts)
+        write_annotations_doc(ann, gts, {"img": (200, 200)})
+        regions = tmp_path / "regions.json"
+        assert run("gen-regions", "--annotations", str(ann), "--out", str(regions)) == 0
+        for name, source in (("dir", ann_dir), ("doc", ann)):
+            assert run("refine-gt", "--annotations", str(source), "--regions", str(regions),
+                       "--out", str(tmp_path / f"crops_{name}.json")) == 0
+            assert run("eval", "--detections", str(ann_dir), "--annotations", str(source),
+                       "--out", str(tmp_path / f"report_{name}.json")) == 0
+        for name in ("crops", "report"):
+            dir_bytes = (tmp_path / f"{name}_dir.json").read_bytes()
+            assert dir_bytes == (tmp_path / f"{name}_doc.json").read_bytes()
+        assert json.loads(dir_bytes)["ap"] == 100.0
+
 
 class TestMerge:
     def region_detection_doc(self):
@@ -232,6 +250,12 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "detection-class-id-negative": ("class_id", -1),
             "detection-class-id-fraction": ("class_id", 2.7),
             "detection-bbox-a-string": ("bbox", "1234"),
+            "detection-bbox-numeric-strings": ("bbox", ["0", "52", "50", "148"]),
+            "detection-class-id-a-string": ("class_id", "1"),
+            "detection-class-id-a-boolean": ("class_id", True),
+            "detection-class-id-2-to-64": ("class_id", 2**64),
+            "detection-score-a-string": ("score", "0.5"),
+            "detection-score-a-boolean": ("score", True),
         }[case]
         det[key] = value
     elif case == "detections-not-a-list":
@@ -246,14 +270,20 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     elif case.startswith("annotation-class-id-"):
         ann_doc["images"]["img"]["annotations"][0]["class_id"] = (
             float("inf") if case.endswith("-inf") else 2.7)
-    elif case == "annotation-bbox-a-string":
-        ann_doc["images"]["img"]["annotations"][0]["bbox"] = "1234"
+    elif case.startswith("annotation-bbox-"):
+        ann_doc["images"]["img"]["annotations"][0]["bbox"] = (
+            "1234" if case == "annotation-bbox-a-string" else ["0", "0", "10", "10"])
     elif case == "annotation-ignore-a-string":
         ann_doc["images"]["img"]["annotations"][0]["ignore"] = "false"
     elif case == "region-id-inf":
         rd_doc["images"]["img"][0]["region"]["region_id"] = float("inf")
+    elif case == "region-image-id-null":
+        rd_doc["images"]["img"][0]["region"]["image_id"] = None
+    elif case == "detector-scale-a-string":
+        rd_doc["images"]["img"][0]["region"]["to_detector"]["scale_x"] = "1.0"
     elif case.startswith("annotation-size-has-a-"):
-        bad_width = {"string": "x", "null": None, "list": [1]}[case.rsplit("-", 1)[1]]
+        bad_width = {"string": "x", "null": None, "list": [1], "boolean": True,
+                     "negative": -1}[case.rsplit("-", 1)[1]]
         ann_doc["images"]["img"]["image_size"] = [bad_width, 900]
     rd, ann = tmp_path / "rd.json", tmp_path / "ann.json"
     serialize.write_json_atomic(rd, rd_doc)
@@ -275,16 +305,16 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "visdrone-detection-box-nan": ("det", "0,nan,10,10,0.5,1,-1,-1"),
             "visdrone-detection-category-negative": ("det", "0,0,10,10,0.5,-1,-1,-1"),
             "visdrone-annotation-category-inf": ("ann", "0,0,10,10,1,inf,0,0"),
+            "visdrone-annotation-category-2-to-63": ("ann", f"0,0,10,10,1,{2**63},0,0"),
+            "visdrone-detection-category-2-to-64": ("det", f"0,0,10,10,0.5,{2**64},-1,-1"),
         }[case]
         files = {"det": "0,0,10,10,0.5,1,-1,-1\n", "ann": "0,0,10,10,1,1,0,0\n"}
         files[kind] += line + "\n"
         for name, text in files.items():
             (tmp_path / name).mkdir()
             (tmp_path / name / "img.txt").write_text(text)
-        sizes = tmp_path / "sizes.json"
-        serialize.write_json_atomic(sizes, {"img": [100, 100]})
         argv = ["eval", "--detections", str(tmp_path / "det"), "--annotations",
-                str(tmp_path / "ann"), "--image-sizes", str(sizes), "--out", out]
+                str(tmp_path / "ann"), "--out", out]
         return argv, tmp_path / kind / "img.txt:2"
     if case == "voc-iou-zero":
         dets = tmp_path / "merged.json"
@@ -300,6 +330,12 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "merged-score-above-one": {"score": 1.5},
             "merged-class-id-negative": {"class_id": -1},
             "merged-bbox-a-string": {"bbox": "1234"},
+            "merged-bbox-numeric-strings": {"bbox": ["0", "0", "10", "10"]},
+            "merged-class-id-a-string": {"class_id": "1"},
+            "merged-class-id-a-boolean": {"class_id": True},
+            "merged-class-id-2-to-64": {"class_id": 2**64},
+            "merged-score-a-string": {"score": "0.5"},
+            "merged-score-a-boolean": {"score": True},
         }[case]}]
         dets = tmp_path / "merged.json"
         serialize.write_json_atomic(dets, {"images": {"img": image}})
@@ -347,7 +383,9 @@ class TestMalformedDocuments:
         "annotation-ignore-a-string", "config-margin-a-string", "config-nms-iou-null",
         "config-max-dets-fraction", "config-grid-rows-fraction", "config-max-dets-a-boolean",
         "config-margin-nan", "config-margin-negative", "config-margin-int-overflows",
-        "flag-margin-nan",
+        "flag-margin-nan", "annotation-bbox-numeric-strings", "annotation-size-has-a-boolean",
+        "detector-scale-a-string", "region-image-id-null", "visdrone-annotation-category-2-to-63",
+        "visdrone-detection-category-2-to-64", "annotation-size-has-a-negative",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -373,6 +411,11 @@ class TestMalformedDocuments:
         ("merged-score-above-one", "images/img/[0]/score: 1.5 outside [0, 1]"),
         ("merged-class-id-negative", "images/img/[0]/class_id: -1 is negative"),
         ("merged-bbox-a-string", "images/img/[0]"),
+        *[(f"{kind}-{field}", path)
+          for kind, path in [("detection", "images/img/[1]/detections/[0]"),
+                             ("merged", "images/img/[0]")]
+          for field in ["bbox-numeric-strings", "class-id-a-string", "class-id-a-boolean",
+                        "class-id-2-to-64", "score-a-string", "score-a-boolean"]],
         ("merged-detections-a-dict", "images/img: expected a list, got dict"),
         ("merged-detections-a-string", "images/img: expected a list, got str"),
     ])
@@ -395,14 +438,15 @@ def slots(node):
 
 
 BAD_VALUES = [None, "x", [], {}, -1, 2.7, 1.5, -0.5, True, float("nan"), float("inf"),
-              -float("inf"), 1e308, 10**30, [0, 0, 1]]
+              -float("inf"), 1e308, 10**30, [0, 0, 1], "0.5", "1", False, 2**64]
 
 
 @st.composite
-def mutated_region_detection_docs(draw):
-    """The merge test document with one to three keys dropped, values swapped for other
-    types, NaN, infinities or out-of-range numbers, or four-number lists inverted."""
-    doc = TestMerge().region_detection_doc()
+def mutated_docs(draw, doc):
+    """A copy of `doc` with one to three keys dropped, values swapped for other types, NaN,
+    infinities, out-of-range numbers or look-alikes of numbers, or four-number lists
+    inverted."""
+    doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
         places = list(slots(doc))
         if not places:
@@ -419,20 +463,54 @@ def mutated_region_detection_docs(draw):
     return doc
 
 
+MERGED_DOC = serialize.merged_detections_doc({"img": [ScoredBox(Box(0, 0, 10, 10), 1, 0.9),
+                                                      ScoredBox(Box(5, 5, 20, 30), 2, 0.5)]})
+ANNOTATIONS_DOC = serialize.annotations_doc(
+    {"img": [GtAnnotation(Box(0, 0, 10, 10), 1), GtAnnotation(Box(40, 50, 60, 90), 2, True)]},
+    {"img": (100, 120)})
+
+
+def run_on_mutated(doc, argv, tmp) -> str:
+    """Run `argv` with `doc` written to `tmp/doc.json`, the path `{doc}` in `argv` stands for.
+    It exits 0 or 2; a data error names that file, and no failure is a traceback or leaves
+    `tmp/out.json`. Returns the message of a data error, or "" on success."""
+    path, out = Path(tmp) / "doc.json", Path(tmp) / "out.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(path) if a == "{doc}" else a for a in argv] + ["--out", str(out)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert str(path) in err.getvalue()
+        assert not out.exists()
+    return err.getvalue() if code else ""
+
+
 class TestMergeFuzz:
     @settings(max_examples=150, deadline=None)
-    @given(doc=mutated_region_detection_docs())
+    @given(doc=mutated_docs(TestMerge().region_detection_doc()))
     def test_exits_0_or_2_naming_a_json_path(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
-            rd, out = Path(tmp) / "rd.json", Path(tmp) / "out.json"
-            rd.write_text(json.dumps(doc))
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                code = main(["merge", "--region-detections", str(rd), "--out", str(out)])
-            assert code in (0, 2), err.getvalue()
-            if code == 2:
-                assert f"{rd}: images" in err.getvalue()
-                assert not out.exists()
+            err = run_on_mutated(doc, ["merge", "--region-detections", "{doc}"], tmp)
+            if err:
+                assert f"{Path(tmp) / 'doc.json'}: images" in err
+
+
+class TestLoaderFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(doc=mutated_docs(MERGED_DOC))
+    def test_eval_detections(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            ann = Path(tmp) / "ann.json"
+            serialize.write_json_atomic(ann, ANNOTATIONS_DOC)
+            run_on_mutated(doc, ["eval", "--detections", "{doc}", "--annotations", str(ann)], tmp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=mutated_docs(ANNOTATIONS_DOC))
+    def test_gen_regions_annotations(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_on_mutated(doc, ["gen-regions", "--annotations", "{doc}"], tmp)
 
 
 class TestHugeCoordinates:

@@ -102,6 +102,7 @@ BAD_FIELDS = {
     "category-nan": "10,20,30,40,{score},nan,0,0",
     "category-negative": "10,20,30,40,{score},-1,0,0",
     "category-not-an-integer": "10,20,30,40,{score},2.5,0,0",
+    "category-past-int64": "10,20,30,40,{score},9223372036854775808,0,0",
     "box-field-nan": "10,nan,30,40,{score},1,0,0",
     "width-inf": "10,20,inf,40,{score},1,0,0",
     "truncation-inf": "10,20,30,40,{score},1,inf,0",
