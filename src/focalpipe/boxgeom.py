@@ -126,13 +126,13 @@ def iou(a: Box, b: Box) -> float:
     return ai / union
 
 
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each (x1, y1, x2, y2) row of `a` (n, 4) against each row of `b` (m, 4),
-    as an (n, m) array equal bit for bit to `iou` of each pair: same operations, same order."""
-    ax1, ay1, ax2, ay2 = np.asarray(a, dtype=np.float64).reshape(-1, 4).T[:, :, None]
-    bx1, by1, bx2, by2 = np.asarray(b, dtype=np.float64).reshape(-1, 4).T[:, None, :]
-    # each (n, m) array is reused in place once spent, so at most three are alive at
-    # once; the arithmetic is that of `iou`, in its order
+def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of the (x1, y1, x2, y2) rows of `a` (..., 4) and `b` (..., 4) broadcast against
+    each other, equal bit for bit to `iou` of each pair: same operations, same order."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = ([c[..., k] for k in range(4)] for c in (a, b))
+    # each result-shaped array is reused in place once spent, so at most three are alive
+    # at once; the arithmetic is that of `iou`, in its order
     x1, x2 = np.maximum(ax1, bx1), np.minimum(ax2, bx2)
     valid = x1 < x2
     inter = np.subtract(x2, x1, out=x2)
@@ -145,6 +145,52 @@ def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     valid &= ~(union <= 0.0)
     y1.fill(0.0)
     return np.divide(inter, union, out=y1, where=valid)
+
+
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each (x1, y1, x2, y2) row of `a` (n, 4) against each row of `b` (m, 4), as an
+    (n, m) array: `paired_iou` in its matrix shape."""
+    return paired_iou(np.reshape(a, (-1, 1, 4)), np.reshape(b, (1, -1, 4)))
+
+
+PAIR_BUDGET = 8192  # most candidates `overlap_pairs` tests at once: O(n + budget) memory
+
+
+def overlap_pairs(a: np.ndarray, a_group: np.ndarray, b: Optional[np.ndarray] = None,
+                  b_group: Optional[np.ndarray] = None):
+    """Every pair of a row of `a` (n, 4) and a row of `b` (m, 4) of the same group whose
+    boxes overlap with positive area, as chunks `(i, j, paired_iou)`, `i` indexing `a` and
+    `j` indexing `b`; without `b`, each unordered pair of distinct rows of `a` once. A pair
+    left out has IoU exactly 0. A sweep: each group's boxes are sorted by x1, and a box's
+    candidates are the boxes after it with x1 below its x2, PAIR_BUDGET at a time; those
+    that also overlap in y go to the kernel."""
+    offset = 0 if b is None else len(np.reshape(a, (-1, 4)))  # of `b`'s rows in `xy`
+    xy = np.concatenate([np.reshape(c, (-1, 4)) for c in (a, b) if c is not None], dtype=float)
+    groups = np.concatenate([g for g in (a_group, b_group) if g is not None])
+    # only boxes of positive area can overlap with positive area
+    rows = np.flatnonzero((xy[:, 0] < xy[:, 2]) & (xy[:, 1] < xy[:, 3]))
+    rows = rows[np.lexsort((xy[rows, 0], groups[rows]))]
+    group, (x1, y1, x2, y2) = groups[rows], xy[rows].T.copy()
+    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(rows)]
+    stop = np.concatenate([lo + np.searchsorted(x1[lo:hi], x2[lo:hi])
+                           for lo, hi in zip(cuts[:-1], cuts[1:])])
+    count = np.maximum(stop - np.arange(1, len(rows) + 1), 0)
+    end = np.cumsum(count)
+    shift = stop - end  # a candidate's partner is its flat index plus its box's shift
+    for lo in range(0, int(count.sum()), PAIR_BUDGET):
+        hi = min(lo + PAIR_BUDGET, int(end[-1]))
+        first, last = np.searchsorted(end, [lo, hi - 1], "right").tolist()
+        k = slice(first, last + 1)
+        run = np.minimum(end[k], hi) - np.maximum(end[k] - count[k], lo)  # in [lo, hi)
+        p = np.repeat(shift[k], run) + np.arange(lo, hi)
+        # x1 of the partner lies in [x1, x2) of the box, and both have positive width
+        hit = np.flatnonzero((np.repeat(y1[k], run) < y2[p]) & (y1[p] < np.repeat(y2[k], run)))
+        i, j = rows[first + np.searchsorted(np.cumsum(run), hit, "right")], rows[p[hit]]
+        if b is not None:  # only a row of `a` with a row of `b`, `a` first
+            i, j = np.minimum(i, j), np.maximum(i, j)
+            cross = (i < offset) & (j >= offset)
+            i, j = i[cross], j[cross]
+        yield i, j - offset, paired_iou(xy[i], xy[j])
 
 
 def apply_map(b: Box, m: AffineMap2D) -> Box:

@@ -10,13 +10,14 @@ matches without contributing positives or penalties. COCO AP uses 101-point
 interpolated precision averaged over IoU thresholds 0.50:0.05:0.95; size
 buckets split ground truth at areas 32^2 and 96^2.
 
-The core works on arrays. IoU is computed per (image, class) in blocks of
-BLOCK detection rows, keeping only the sparse (detection, ground truth, IoU)
-candidates at or above the lowest threshold. At each (IoU threshold, area
-range) key, a detection that shares none of its candidates with another is
-decided in bulk from its own candidates; the greedy loop runs only on the
-rest. Each class is sorted by score once, and the precision, recall and AP
-samples of every key come from one pass over its (keys, detections) outcomes.
+The core works on arrays. `boxgeom.overlap_pairs` gives the (detection,
+ground truth, IoU) pairs of each (image, class) that overlap at all, and those
+at or above the lowest threshold are kept: any other pair has IoU 0, below
+every threshold. At each (IoU threshold, area range) key, a detection that
+shares none of its candidates with another is decided in bulk from its own
+candidates; the greedy loop runs only on the rest. Each class is sorted by
+score once, and the precision, recall and AP samples of every key come from
+one pass over its (keys, detections) outcomes.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `evalkit.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, iou, pairwise_iou  # noqa: F401
+from .boxgeom import Box, ScoredBox, iou, overlap_pairs  # noqa: F401
 
 COCO_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]
 SMALL_MAX = 32.0 * 32.0
@@ -39,9 +40,6 @@ AREA_RANGES = {
     "medium": (SMALL_MAX, MEDIUM_MAX),
     "large": (MEDIUM_MAX, float("inf")),
 }
-# detection rows per `pairwise_iou` call. VOC merges classes into one 600 x 600 group
-# per `dense` benchmark image: 64 rows raised its peak RSS 2.0 MB, 16 rows 0.2 MB
-BLOCK = 16
 TP, FP, UNCOUNTED = 1, 0, -1
 
 
@@ -122,8 +120,7 @@ def _match(
             g_rows.append((*g.box.as_tuple(), g.ignore, group + class_index[class_key(g.class_id)]))
     d_arr, g_arr = (np.array(r, dtype=np.float64).reshape(-1, 6) for r in (d_rows, g_rows))
     d_group, g_group = d_arr[:, 5].astype(np.intp), g_arr[:, 5].astype(np.intp)
-    tri_d, tri_g, tri_v = _candidates(d_arr[:, :4], d_group, g_arr[:, :4], g_group,
-                                      len(image_ids) * len(classes), thr.min())
+    tri_d, tri_g, tri_v = _candidates(d_arr[:, :4], d_group, g_arr[:, :4], g_group, thr.min())
     lo, hi = np.array([AREA_RANGES[a] for _, a in keys]).T[:, :, None]
     d_area, g_area = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) for a in (d_arr, g_arr))
     d_in = (lo <= d_area) & (d_area < hi)
@@ -150,20 +147,12 @@ def _match(
                            (~g_ignore[:, g_class == i]).sum(axis=1)) for i, c in enumerate(classes)}
 
 
-def _candidates(d_xy, d_group, g_xy, g_group, n_groups: int, min_iou: float) -> tuple:
-    """Every (detection, ground truth, IoU) at or above `min_iou` within one (image,
+def _candidates(d_xy, d_group, g_xy, g_group, min_iou: float) -> tuple:
+    """Every (detection, ground truth, IoU) at or above `min_iou` > 0 within one (image,
     class) group, sorted by detection, then descending IoU, then ground truth."""
-    d_order, g_order = np.argsort(d_group, kind="stable"), np.argsort(g_group, kind="stable")
-    d_end, g_end = (np.cumsum(np.bincount(x, minlength=n_groups)).tolist()
-                    for x in (d_group, g_group))
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    for d_lo, d_hi, g_lo, g_hi in zip([0] + d_end, d_end, [0] + g_end, g_end):
-        gi = g_order[g_lo:g_hi]
-        for start in range(d_lo, d_hi if len(gi) else d_lo, BLOCK):
-            di = d_order[start:min(start + BLOCK, d_hi)]
-            ious = pairwise_iou(d_xy[di], g_xy[gi])
-            r, c = np.nonzero(ious >= min_iou)
-            parts.append((di[r], gi[c], ious[r, c]))
+    parts += [(d[v >= min_iou], g[v >= min_iou], v[v >= min_iou])
+              for d, g, v in overlap_pairs(d_xy, d_group, g_xy, g_group)]
     tri_d, tri_g, tri_v = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((tri_g, -tri_v, tri_d))
     return tri_d[order], tri_g[order], tri_v[order]

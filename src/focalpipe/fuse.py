@@ -4,7 +4,8 @@ Pipeline: remap each region's detections back to image coordinates,
 concatenate, run per-class greedy NMS, then Incomplete Box Suppression (IBS)
 across overlapping regions. IBS lets a complete box from one region suppress
 the truncated duplicate another region predicted for the same object, which
-plain NMS misses because the truncated pair's IoU is small.
+plain NMS misses because the truncated pair's IoU is small. Both score only the pairs
+`boxgeom.overlap_pairs` gives: any other pair has IoU 0 and passes no threshold >= 0.
 
 The merge runs on columns, one image's detections as flat arrays of boxes (n, 4) float64,
 class ids int64 (a `ScoredBox` holds ids in [0, 2^63) only), scores float64 and region
@@ -21,11 +22,8 @@ import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `fuse.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, iou, pairwise_iou  # noqa: F401
+from .boxgeom import Box, ScoredBox, iou, overlap_pairs, pairwise_iou  # noqa: F401
 from .focal import FocalRegion
-
-# rows per `pairwise_iou` call: larger blocks make fewer calls but larger arrays
-BLOCK = 16
 
 
 @dataclass
@@ -121,48 +119,35 @@ def remap_to_image(rd: RegionDetections) -> list[ScoredBox]:
     return scored_boxes(_remap(regions, boxes, index), classes, scores)
 
 
-def _meets(boxes: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Which of `boxes` overlap the bounding box of `rows` with positive area; the others
-    have IoU 0 with every row."""
-    (x1, y1, _, _), (_, _, x2, y2) = rows.min(axis=0), rows.max(axis=0)
-    return (boxes[:, 0] < x2) & (boxes[:, 2] > x1) & (boxes[:, 1] < y2) & (boxes[:, 3] > y1)
-
-
 # coordinates near the float64 limit overflow to inf or NaN in the kernel, as they do in
 # the scalar `iou`, which warns of none of it
 @np.errstate(over="ignore", invalid="ignore")
 def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
                 iou_threshold: float, per_class: bool = True) -> list[int]:
-    """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order.
-
-    Each group goes in score order, BLOCK rows at a time: suppressed rows drop out of a
-    block, a block with none left is skipped, and a block scores only the live rows after
-    it that meet its bounding box. Memory is O(n) plus one block's kernel arrays."""
+    """Indices of NMS survivors among the rows of `boxes` (n, 4), in selection order. Time
+    is linear in rows plus overlapping pairs besides the sorts; memory is O(n) plus the
+    suppressing pairs."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
     order = np.argsort(-scores, kind="stable")  # ties keep the earlier index
-    groups = (classes if per_class else np.zeros(len(classes), dtype=int))[order]
-    alive = np.ones(len(order), dtype=bool)
-    for group in set(groups.tolist()):  # not np.unique, which imports numpy.ma
-        pos = np.flatnonzero(groups == group)  # in score order
-        xy, live = boxes[order[pos]], np.ones(len(pos), dtype=bool)
-        for start in range(0, len(pos), BLOCK):
-            end = start + BLOCK
-            rows = start + np.flatnonzero(live[start:end])
-            if not len(rows):
-                continue
-            tail = end + np.flatnonzero(live[end:] & _meets(xy[end:], xy[rows]))
-            cols = np.concatenate([rows, tail])
-            overlap = pairwise_iou(xy[rows], xy[cols]) > iou_threshold
-            kept: list[int] = []  # greedy among the block's own rows, which lead `cols`
-            within = overlap[:, :len(rows)].tolist()
-            for r in range(len(rows)):
-                if not any(within[k][r] for k in kept):
-                    kept.append(r)
-            live[cols[overlap[kept].any(axis=0)]] = False
-            live[rows[kept]] = True  # kept, though its own IoU of 1 may clear it
-        alive[pos] = live
-    return order[alive].tolist()
+    rank = np.argsort(order)
+    groups = classes if per_class else np.zeros(len(classes), dtype=np.int64)
+    pairs = [(np.empty(0, dtype=np.intp),) * 2]  # each suppressing pair's ranks, high first
+    for i, j, v in overlap_pairs(boxes, groups):
+        i, j = rank[i[v > iou_threshold]], rank[j[v > iou_threshold]]
+        pairs.append((np.minimum(i, j), np.maximum(i, j)))
+    first, second = (np.concatenate(p) for p in zip(*pairs))
+    # a row no pair suppresses is kept, and its partners die
+    sure = np.bincount(second, minlength=len(order))[first] == 0
+    dead = np.bincount(second[sure], minlength=len(order)) > 0
+    rest = np.flatnonzero(~sure & ~dead[first])  # pairs whose higher row is undecided
+    rest = rest[np.argsort(first[rest])]
+    dead = bytearray(dead.tobytes())
+    # greedy in rank order: a row's suppressors rank above it, so their pairs come first
+    for f, s in zip(first[rest].tolist(), second[rest].tolist()):
+        if not dead[f]:
+            dead[s] = 1
+    return order[~np.frombuffer(dead, dtype=bool)].tolist()
 
 
 def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
@@ -192,23 +177,16 @@ def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.nda
     near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
     # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
     rank = np.argsort(np.lexsort((index, -scores)))
+    groups = classes if cfg.per_class else np.zeros(len(classes), dtype=np.int64)
     keep = np.ones(len(boxes), dtype=bool)
     for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
         rect, comp = rects[i], np.flatnonzero(near[i][index])
         # a competitor outside the rect is clipped onto its edge, with zero area
         clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
-        positive = (clips[:, 0] < clips[:, 2]) & (clips[:, 1] < clips[:, 3])
-        comp, clips = comp[positive], clips[positive]
-        if not len(comp):
-            continue
-        mine = np.flatnonzero((index == i) & _meets(boxes, clips))
-        for start in range(0, len(mine), BLOCK):
-            rows = mine[start:start + BLOCK]
-            hit = pairwise_iou(boxes[rows], clips) > cfg.ibs_box_iou
-            hit &= rank[comp] < rank[rows, None]
-            if cfg.per_class:
-                hit &= classes[comp] == classes[rows, None]
-            keep[rows] = ~hit.any(axis=1)
+        mine = np.flatnonzero(index == i)
+        for r, c, v in overlap_pairs(boxes[mine], groups[mine], clips, groups[comp]):
+            hit = (v > cfg.ibs_box_iou) & (rank[comp[c]] < rank[mine[r]])
+            keep[mine[r[hit]]] = False
     return keep
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -338,8 +339,10 @@ def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
     for image_id, v in doc.items():
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError(f"size of {image_id!r} is not a [width, height] pair: {v!r}")
-    return {image_id: (_number(v[0], f"width of {image_id!r}"),
-                       _number(v[1], f"height of {image_id!r}")) for image_id, v in doc.items()}
+        for name, side in zip(("width", "height"), v):  # compared exactly, integers too
+            if not 0 < _number(side, f"{name} of {image_id!r}") <= sys.float_info.max:
+                raise ValueError(f"{name} of {image_id!r} must be positive and finite: {side!r}")
+    return {image_id: (v[0], v[1]) for image_id, v in doc.items()}
 
 
 def annotations_from_doc(

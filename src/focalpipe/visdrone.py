@@ -61,11 +61,13 @@ def _parse_line(line: str, path: Path, lineno: int) -> tuple[float, ...]:
         raise VisDroneFormatError(f"{path}:{lineno}: non-finite field {bad[0]!r}")
     if values[2] < 0 or values[3] < 0:
         raise VisDroneFormatError(f"{path}:{lineno}: negative box width or height")
-    if not (values[5].is_integer() and 0 <= values[5] < 2**63):  # a class id, as in JSON
+    exact = fields[5].strip().isdecimal()  # digits alone read exactly, not through a float
+    category = int(fields[5]) if exact else int(values[5]) if values[5].is_integer() else -1
+    if not 0 <= category < 2**63:  # a class id, as in JSON
         raise VisDroneFormatError(
             f"{path}:{lineno}: category {fields[5]!r} is not an integer in [0, 2^63)"
         )
-    return values
+    return (*values[:5], category, *values[6:])
 
 
 def _record_box(values: tuple[float, ...]) -> Box:

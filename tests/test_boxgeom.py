@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from focalpipe import boxgeom
 from focalpipe.boxgeom import (
     AffineMap2D,
     Box,
@@ -12,6 +14,7 @@ from focalpipe.boxgeom import (
     area,
     intersect,
     iou,
+    overlap_pairs,
     pairwise_iou,
 )
 
@@ -242,3 +245,83 @@ class TestPairwiseIou:
         for i, x in enumerate(a):
             for j, y in enumerate(b):
                 assert got[i, j] == iou(x, y)
+
+
+# lattice corners, so duplicates, shared edges and zero-width boxes are common, plus the
+# float64 extremes, where areas overflow to inf and IoU can be NaN
+EDGES = st.one_of(st.integers(-3, 6).map(float), st.sampled_from([-1e308, 1e308]))
+
+
+@st.composite
+def grouped_boxes(draw, max_size=16):
+    """Rows (n, 4) of boxes with corners from EDGES, some repeated, and a group of 0 or 1
+    for each."""
+    rows = []
+    for _ in range(draw(st.integers(0, max_size))):
+        x1, x2 = sorted(draw(st.lists(EDGES, min_size=2, max_size=2)))
+        y1, y2 = sorted(draw(st.lists(EDGES, min_size=2, max_size=2)))
+        rows.append((x1, y1, x2, y2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    groups = draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 4), np.array(groups, dtype=np.int64)
+
+
+def collect(chunks, budget):
+    """The pairs of `overlap_pairs` chunks as {(i, j): IoU}, checking each pair comes once
+    and each chunk holds at most `budget` pairs."""
+    out = {}
+    for i, j, v in chunks:
+        assert len(i) == len(j) == len(v) <= budget
+        for pair, value in zip(zip(i.tolist(), j.tolist()), v.tolist()):
+            assert pair not in out
+            out[pair] = value
+    return out
+
+
+def same_bits(x, y):
+    return x == y or (math.isnan(x) and math.isnan(y))
+
+
+class TestOverlapPairs:
+    """The sweep gives every same-group pair with positive IoU, each once, with the IoU
+    `pairwise_iou` gives it; every pair it leaves out has IoU exactly 0."""
+
+    @given(a=grouped_boxes(), b=grouped_boxes(), budget=st.sampled_from([1, 5, 8192]))
+    @settings(max_examples=300, deadline=None)
+    def test_between_two_sets(self, a, b, budget):
+        (a, a_group), (b, b_group) = a, b
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = pairwise_iou(a, b)
+            with mock.patch.object(boxgeom, "PAIR_BUDGET", budget), \
+                    mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+                got = collect(overlap_pairs(a, a_group, b, b_group), budget)
+        assert all(len(call.args[0]) <= budget for call in kernel.call_args_list)
+        for (i, j), value in got.items():
+            assert 0 <= i < len(a) and 0 <= j < len(b)
+            assert a_group[i] == b_group[j] and same_bits(value, matrix[i, j])
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert (i, j) in got or a_group[i] != b_group[j] or matrix[i, j] == 0.0
+
+    @given(a=grouped_boxes(max_size=24), budget=st.sampled_from([1, 5, 8192]))
+    @settings(max_examples=300, deadline=None)
+    def test_within_one_set(self, a, budget):
+        a, group = a
+        with np.errstate(over="ignore", invalid="ignore"), \
+                mock.patch.object(boxgeom, "PAIR_BUDGET", budget):
+            got = collect(overlap_pairs(a, group), budget)
+            matrix = pairwise_iou(a, a)
+        for (i, j), value in got.items():
+            assert 0 <= i < len(a) and 0 <= j < len(a) and i != j and (j, i) not in got
+            assert group[i] == group[j] and same_bits(value, matrix[i, j])
+        for i in range(len(a)):
+            for j in range(i + 1, len(a)):
+                assert {(i, j), (j, i)} & set(got) or group[i] != group[j] or matrix[i, j] == 0.0
+
+    def test_empty_and_degenerate(self):
+        boxes = np.array([[0, 0, 4, 4], [2, 2, 2, 6], [0, 4, 4, 8]], dtype=np.float64)
+        assert collect(overlap_pairs(boxes, np.zeros(3, np.int64)), 1) == {}  # shared edges
+        assert collect(overlap_pairs(np.empty((0, 4)), np.empty(0, np.int64)), 1) == {}
+        assert collect(overlap_pairs(boxes, np.zeros(3, np.int64), np.empty((0, 4)),
+                                     np.empty(0, np.int64)), 1) == {}

@@ -281,18 +281,22 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         rd_doc["images"]["img"][0]["region"]["image_id"] = None
     elif case == "detector-scale-a-string":
         rd_doc["images"]["img"][0]["region"]["to_detector"]["scale_x"] = "1.0"
-    elif case.startswith("annotation-size-has-a-"):
+    elif case.startswith(("annotation-size-has-a-", "annotation-size-has-an-")):
         bad_width = {"string": "x", "null": None, "list": [1], "boolean": True,
-                     "negative": -1}[case.rsplit("-", 1)[1]]
+                     "negative": -1, "zero": 0, "nan": float("nan"), "infinity": float("inf"),
+                     "overflow": 10**400}[case.rsplit("-", 1)[1]]
         ann_doc["images"]["img"]["image_size"] = [bad_width, 900]
     rd, ann = tmp_path / "rd.json", tmp_path / "ann.json"
     serialize.write_json_atomic(rd, rd_doc)
     serialize.write_json_atomic(ann, ann_doc)
     out = str(tmp_path / "out.json")
-    if case in ("image-size-not-a-pair", "image-sizes-is-a-list", "image-sizes-not-json"):
+    if case in ("image-size-not-a-pair", "image-sizes-is-a-list", "image-sizes-not-json",
+                "image-size-infinite"):
         ann_dir, sizes = tmp_path / "visdrone", tmp_path / "sizes.json"
         visdrone.write_annotations(ann_dir, {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]})
-        serialize.write_json_atomic(sizes, {"img": 5} if case == "image-size-not-a-pair" else [])
+        serialize.write_json_atomic(sizes, {"image-size-not-a-pair": {"img": 5},
+                                            "image-size-infinite": {"img": [1e999, 100]}}
+                                    .get(case, []))
         if case == "image-sizes-not-json":
             sizes.write_text('{"img": [100, 100]')
         return ["gen-regions", "--annotations", str(ann_dir), "--image-sizes", str(sizes),
@@ -386,6 +390,9 @@ class TestMalformedDocuments:
         "flag-margin-nan", "annotation-bbox-numeric-strings", "annotation-size-has-a-boolean",
         "detector-scale-a-string", "region-image-id-null", "visdrone-annotation-category-2-to-63",
         "visdrone-detection-category-2-to-64", "annotation-size-has-a-negative",
+        "annotation-size-has-a-zero", "annotation-size-has-a-nan",
+        "annotation-size-has-an-infinity", "annotation-size-has-an-overflow",
+        "image-size-infinite",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -394,6 +401,8 @@ class TestMalformedDocuments:
         assert str(bad) in err
         assert "Traceback" not in err
         assert not (tmp_path / "out.json").exists()
+        if "size" in case and "sizes" not in case and "pair" not in case:
+            assert "width of 'img'" in err  # the image, not only the file
 
     @pytest.mark.parametrize("case, json_path", [
         ("detection-bbox-nan", "images/img/[1]/detections/[0]/bbox"),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focalpipe import evalkit
+from focalpipe import boxgeom, evalkit
 from focalpipe.boxgeom import Box, ScoredBox, area, iou
 from focalpipe.evalkit import (
     EvalReport,
@@ -336,8 +336,8 @@ LATTICE_SCORES = st.sampled_from([0.25, 0.5, 0.5, 0.75, 1.0])
 @st.composite
 def lattice_datasets(draw):
     """Up to three images of integer boxes on a 12 x 12 lattice (exact IoU ties,
-    zero-area boxes), ignore flags, up to 40 detections per image so one class can
-    cross a block boundary, and in image 0 two detections of one ground truth at
+    zero-area boxes), ignore flags, up to 40 detections per image so one class has
+    many overlapping pairs, and in image 0 two detections of one ground truth at
     IoU 0.8 and 0.6: contested at the thresholds up to 0.6 only."""
     n_classes = draw(st.integers(1, 2))
     corner = st.tuples(st.integers(0, 12), st.integers(0, 12))
@@ -392,18 +392,14 @@ class TestArrayCoreEqualsScalarReference:
             assert got == all_evaluators(dets, gts, 500, 0.5)
 
 
-class TestBlockedKernel:
-    def test_one_kernel_call_per_block_of_rows(self, monkeypatch):
+class TestPairBudget:
+    def test_reports_do_not_depend_on_the_budget(self):
         run = run_scene(SceneSpec(**DENSE_SPEC, rng_seed=3), OracleSpec(n_classes=10, rng_seed=3))
         dets, gts = {"x": run.merged}, {"x": run.annotations}
-        rows = []
-        kernel = evalkit.pairwise_iou
-        monkeypatch.setattr(evalkit, "pairwise_iou", lambda a, b: rows.append(len(a)) or kernel(a, b))
         max_dets = len(run.merged)  # no cap, so every detection is scored
-        coco_eval(dets, gts, max_dets=max_dets)
-        per_class = np.bincount([d.class_id for d in run.merged])
-        assert len(rows) <= sum(math.ceil(n / evalkit.BLOCK) for n in per_class)
-        assert max(rows) <= evalkit.BLOCK
-        rows.clear()
-        voc_ap_at(dets, gts, max_dets=max_dets)  # classes merged: the image is one group
-        assert len(rows) == math.ceil(len(run.merged) / evalkit.BLOCK)
+        want = all_evaluators(dets, gts, max_dets, 0.7)
+        with mock.patch.object(boxgeom, "PAIR_BUDGET", 50), \
+                mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+            assert all_evaluators(dets, gts, max_dets, 0.7) == want
+        assert kernel.call_count > 10
+        assert max(len(call.args[0]) for call in kernel.call_args_list) <= 50

@@ -1,13 +1,16 @@
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from focalpipe import boxgeom, evalkit, fuse, pipeline
+from focalpipe import boxgeom, evalkit, fuse, pipeline, scenes
 from focalpipe.boxgeom import Box, ScoredBox, apply_map, intersect, iou
+from focalpipe.config import PipelineConfig
+from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import regions_from_clusters
 from focalpipe.fuse import (
     FuseConfig,
@@ -242,26 +245,62 @@ class TestNms:
         # the same boxes, not just equal ones: duplicates must keep the earlier index
         assert [id(boxes[i]) for i in kept] == [id(b) for b in expected]
 
-    def test_block_boundary(self):
-        # duplicates of one class fill one block and spill into the next
-        b, n = Box(0, 0, 4, 4), fuse.BLOCK + 1
-        boxes = [ScoredBox(b, 0, 0.5) for _ in range(n)] + [ScoredBox(Box(2, 0, 6, 4), 0, 0.9)]
-        assert nms_indices(*columns(boxes), 0.5) == [n, 0]
-        assert nms_indices(*columns(boxes), 1.0) == [n, *range(n)]
+    def test_duplicate_group(self):
+        # 2,000 copies of one box: about 2M overlapping pairs, a budget's worth per kernel
+        # call, and the first copy suppresses all the others
+        boxes = [ScoredBox(Box(0, 0, 4, 4), 0, 0.5) for _ in range(2000)]
+        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+            kept = nms_indices(*columns(boxes), 0.5)
+        assert [id(boxes[i]) for i in kept] == [id(b) for b in reference_nms(boxes, 0.5)]
+        assert kept == [0]
+        assert max(len(call.args[0]) for call in kernel.call_args_list) <= boxgeom.PAIR_BUDGET
+        assert nms_indices(*columns(boxes), 1.0) == list(range(2000))
 
-    def test_duplicates_take_one_kernel_call(self, monkeypatch):
-        # the first row suppresses every copy, so no later block runs: no pair list
-        calls = []
+    def test_chain(self):
+        # each box overlaps the next at IoU 7/13 > 0.5 and the one after at 1/4, scores fall
+        # along the chain, so every other box survives; one kernel call, not one per box
+        boxes = [ScoredBox(Box(3 * k, 0, 3 * k + 10, 10), 0, 1 - k / 2000) for k in range(2000)]
+        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+            kept = nms_indices(*columns(boxes), 0.5)
+        assert [id(boxes[i]) for i in kept] == [id(b) for b in reference_nms(boxes, 0.5)]
+        assert kept == list(range(0, 2000, 2))
+        assert kernel.call_count == 1
 
-        def counted(a, b):
-            calls.append((len(a), len(b)))
-            return boxgeom.pairwise_iou(a, b)
 
-        monkeypatch.setattr(fuse, "pairwise_iou", counted)
-        n = 10 * fuse.BLOCK
-        boxes = [ScoredBox(Box(0, 0, 4, 4), 0, 0.5) for _ in range(n)]
-        assert nms_indices(*columns(boxes), 0.5) == [0]
-        assert calls == [(fuse.BLOCK, n)]
+def overlapping_pairs(boxes, classes):
+    """Brute force: the same-class pairs whose x- and y-intervals overlap."""
+    count = 0
+    for c in set(classes.tolist()):
+        b = boxes[classes == c]
+        x, y = (np.maximum(b[:, None, lo], b[None, :, lo])
+                < np.minimum(b[:, None, hi], b[None, :, hi]) for lo, hi in ((0, 2), (1, 3)))
+        count += int(np.triu(x & y, 1).sum())
+    return count
+
+
+class TestNmsScaling:
+    def test_kernel_scores_only_overlapping_pairs(self):
+        """A count, not a timing: on a detector-sized image NMS hands the IoU kernel no more
+        pairs than overlap, where an all-pairs scan would hand it several times as many."""
+        config = PipelineConfig()
+        scene = scenes.generate_scene(SceneSpec(image_size=(1600, 1200), n_clusters=8,
+                                                boxes_per_cluster=(25, 32), rng_seed=5))
+        gts = [GtAnnotation(b, c) for b, c in scene.annotations]
+        regions = pipeline.regions_for_image(gts, scene.image_size, config, seed=5)
+        crops = pipeline.refine_image(regions, gts, config)
+        per_region = [RegionDetections(c.region) for c in crops]
+        for r in range(12):  # oracle replicas with independent jitter, plus false positives
+            oracle = OracleSpec(rng_seed=500 + r, false_positive_rate=15.0)
+            for rd, crop in zip(per_region, crops):
+                rd.detections.extend(scenes.oracle_detect(crop, oracle).detections)
+        regions, boxes, classes, scores, index = fuse._flat(per_region)
+        boxes = fuse._remap(regions, boxes, index)
+        assert len(boxes) > 3000
+        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+            nms_indices(boxes, classes, scores, 0.5)
+        scored = sum(len(call.args[0]) for call in kernel.call_args_list)
+        overlapping = overlapping_pairs(boxes, classes)
+        assert 0 < scored <= overlapping < len(boxes) ** 2 / 20
 
 
 class TestRemap:
@@ -436,7 +475,7 @@ class TestIbs:
 
 class TestOneIouKernel:
     def test_run_path_never_calls_scalar_iou(self, monkeypatch):
-        """Merge and evaluation score box pairs with `pairwise_iou` only."""
+        """Merge and evaluation score box pairs with the array kernel `paired_iou` only."""
 
         def scalar_iou(a, b):
             raise AssertionError("scalar iou called in the run path")

@@ -50,6 +50,20 @@ class TestParseAnnotations:
         f.write_text("10,20,30,40,1,4,0,0,\n")
         assert len(parse_annotation_file(f)) == 1
 
+    @pytest.mark.parametrize("field, class_id", [
+        ("9007199254740993", 9007199254740993),  # 2^53 + 1, which a float rounds down
+        ("9223372036854775807", 2**63 - 1),  # in range, though a float rounds it to 2^63
+        ("3.0", 3),
+        ("3e0", 3),
+    ])
+    @pytest.mark.parametrize("parse, score", [(parse_annotation_file, "1"),
+                                              (parse_detection_file, "0.5")])
+    def test_category_read_exactly(self, tmp_path, field, class_id, parse, score):
+        f = tmp_path / "img.txt"
+        f.write_text(f"10,20,30,40,{score},{field},0,0\n")
+        (record,) = parse(f)
+        assert record.class_id == class_id
+
     def test_seven_fields_rejected_with_location(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("1,2,3,4,5,6,7\n")
