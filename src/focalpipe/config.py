@@ -65,15 +65,15 @@ class PipelineConfig:
 
     @classmethod
     def load(cls, path: str | Path | None = None, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
-        """Build a config from an optional JSON file plus explicit overrides.
+        """Build a config from an optional JSON file, then apply the overrides that are not None.
 
-        Unknown keys in either source are rejected. A file value must be a JSON
+        Unknown keys in the file are rejected. A file value must be a JSON
         integer for an int field and any JSON number for a float field, never a boolean,
         and the file's values must be valid on their own, so that their errors name it.
         """
-        values: dict[str, Any] = {}
-        types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
+        config = cls()
         if path is not None:
+            types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
             data = json.loads(Path(path).read_text())
             if not isinstance(data, dict):
                 raise ValueError(f"config file {path} must hold a JSON object")
@@ -86,13 +86,8 @@ class PipelineConfig:
                     kind = "an integer" if types[key] is int else "a number"
                     raise ValueError(f"config file {path}: {key} must be {kind}, got {value!r}")
             try:
-                cls(**data)
+                config = cls(**data)
             except ValueError as e:
                 raise ValueError(f"config file {path}: {e}") from e
-            values.update(data)
-        if overrides:
-            unknown = set(overrides) - set(types)
-            if unknown:
-                raise ValueError(f"unknown config overrides: {sorted(unknown)}")
-            values.update({k: v for k, v in overrides.items() if v is not None})
-        return cls(**values)
+        return dataclasses.replace(
+            config, **{k: v for k, v in (overrides or {}).items() if v is not None})

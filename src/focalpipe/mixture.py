@@ -7,6 +7,8 @@ on the center, and EM on the feature is EM on the centers with every
 component log density multiplied by P. The pipeline fits that 2-D mixture
 (`density_power=P`); `featurize` stays as the reference the equivalence
 tests compare against. The component count grows as log2 of the box count.
+`posterior` and `assign_clusters` share one batched path, and its nearest-mean
+fallback for a row whose mixture density underflows to zero.
 """
 
 from __future__ import annotations
@@ -231,6 +233,19 @@ def fit_em(
     return max(runs, key=lambda model: model.log_likelihood)
 
 
+def _posteriors(model: MixtureModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`posterior` of each row of `x` (n, dim): probabilities (n, k) and fallback flags (n,)."""
+    log_joint = _log_joint(x, model.weights, model.means, model.variances, model.density_power)
+    norm = _logsumexp(log_joint)
+    with np.errstate(over="ignore", invalid="ignore"):
+        probs = np.exp(log_joint - norm[:, None])
+        fallback = ~np.isfinite(norm) | (np.exp(norm) == 0.0)
+    if fallback.any():
+        nearest = np.argmin(((x[fallback, None, :] - model.means) ** 2).sum(axis=2), axis=1)
+        probs[fallback] = np.eye(model.n_components)[nearest]
+    return probs, fallback
+
+
 def posterior(model: MixtureModel, x: np.ndarray | Sequence[float]) -> Posterior:
     """Component membership probabilities for one feature vector.
 
@@ -240,36 +255,13 @@ def posterior(model: MixtureModel, x: np.ndarray | Sequence[float]) -> Posterior
     v = np.asarray(x, dtype=float)
     if v.shape != (model.dim,):
         raise ValueError(f"feature length {v.shape} does not match model dim {model.dim}")
-    log_joint = _log_joint(v[None, :], model.weights, model.means, model.variances,
-                           model.density_power)[0]
-    shift = log_joint.max()
-    if np.isfinite(shift):
-        norm = shift + np.log(np.exp(log_joint - shift).sum())
-    else:
-        norm = shift
-    # fallback when the mixture density underflows to zero in linear space
-    if not np.isfinite(norm) or np.exp(norm) == 0.0:
-        nearest = int(np.argmin(np.sum((model.means - v[None, :]) ** 2, axis=1)))
-        probs = np.zeros(model.n_components)
-        probs[nearest] = 1.0
-        return Posterior(probs=probs, nearest_mean_fallback=True)
-    return Posterior(probs=np.exp(log_joint - norm), nearest_mean_fallback=False)
+    probs, fallback = _posteriors(model, v[None, :])
+    return Posterior(probs=probs[0], nearest_mean_fallback=bool(fallback[0]))
 
 
 def assign_clusters(
     model: MixtureModel, features: np.ndarray | Sequence[Sequence[float]]
 ) -> list[int]:
-    """Hard cluster assignment: argmax posterior, ties to the lowest index.
-
-    All rows are scored at once; only rows whose mixture density underflows
-    go through `posterior` for its nearest-mean fallback.
-    """
+    """Hard cluster assignment: argmax posterior, ties to the lowest index."""
     x = np.asarray(features, dtype=float).reshape(len(features), model.dim)
-    log_joint = _log_joint(x, model.weights, model.means, model.variances, model.density_power)
-    norm = _logsumexp(log_joint)
-    with np.errstate(over="ignore", invalid="ignore"):
-        labels = np.argmax(np.exp(log_joint - norm[:, None]), axis=1)
-        underflow = ~np.isfinite(norm) | (np.exp(norm) == 0.0)
-    for i in np.flatnonzero(underflow):
-        labels[i] = np.argmax(posterior(model, x[i]).probs)
-    return labels.tolist()
+    return np.argmax(_posteriors(model, x)[0], axis=1).tolist()

@@ -2,16 +2,13 @@
 
 One comma-separated file per image, one record per line:
     bbox_left,bbox_top,bbox_width,bbox_height,score,category,truncation,occlusion
-Category 0 marks ignored regions and maps to the ignore flag. The class-id
-mapping ships as data (visdrone_classes.json) and can be overridden by the
-user.
+Category 0 marks ignored regions and maps to the ignore flag.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -28,22 +25,17 @@ class VisDroneFormatError(ValueError):
     """Malformed VisDrone text input."""
 
 
-def default_class_names() -> dict[int, str]:
-    data = resources.files("focalpipe").joinpath("visdrone_classes.json").read_text()
-    return {int(k): v for k, v in json.loads(data).items()}
-
-
-def load_class_names(path: str | Path | None = None) -> dict[int, str]:
-    """The shipped class-id -> name mapping, or the JSON object at `path`."""
-    if path is None:
-        return default_class_names()
+def load_class_names(path: str | Path) -> dict[int, str]:
+    """The class-id -> name mapping in the JSON object at `path`. A key is a class id as a
+    category is: decimal digits alone, of a value below 2^63."""
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
         raise VisDroneFormatError("class names must be a JSON object of class id -> name")
-    try:
-        return {int(k): v for k, v in doc.items()}
-    except ValueError as e:
-        raise VisDroneFormatError(f"class id is not an integer: {e}") from e
+    bad = [k for k in doc if not (k.isascii() and k.isdecimal()
+                                  and len(k.lstrip("0")) <= 19 and int(k) < 2**63)]
+    if bad:
+        raise VisDroneFormatError(f"class id {bad[0]!r} is not an integer in [0, 2^63)")
+    return {int(k): v for k, v in doc.items()}
 
 
 def _parse_line(line: str, path: Path, lineno: int) -> tuple[float, ...]:
@@ -98,29 +90,21 @@ def _detection(values: tuple[float, ...]) -> ScoredBox:
     return ScoredBox(box=_record_box(values), class_id=int(values[5]), score=values[4])
 
 
-def parse_annotation_file(path: str | Path) -> list[GtAnnotation]:
-    return _parse_records(path, _annotation)
-
-
-def parse_annotations(path: str | Path) -> dict[str, list[GtAnnotation]]:
+def _parse_dir(path: str | Path, what: str,
+               make: Callable[[tuple[float, ...]], Any]) -> dict[str, list[Any]]:
     """Parse a directory of per-image .txt files (image id = file stem)."""
     path = Path(path)
     if not path.is_dir():
-        raise VisDroneFormatError(f"annotation path {path} is not a directory")
-    return {
-        f.stem: parse_annotation_file(f) for f in sorted(path.glob("*.txt"))
-    }
+        raise VisDroneFormatError(f"{what} path {path} is not a directory")
+    return {f.stem: _parse_records(f, make) for f in sorted(path.glob("*.txt"))}
 
 
-def parse_detection_file(path: str | Path) -> list[ScoredBox]:
-    return _parse_records(path, _detection)
+def parse_annotations(path: str | Path) -> dict[str, list[GtAnnotation]]:
+    return _parse_dir(path, "annotation", _annotation)
 
 
 def parse_detections(path: str | Path) -> dict[str, list[ScoredBox]]:
-    path = Path(path)
-    if not path.is_dir():
-        raise VisDroneFormatError(f"detection path {path} is not a directory")
-    return {f.stem: parse_detection_file(f) for f in sorted(path.glob("*.txt"))}
+    return _parse_dir(path, "detection", _detection)
 
 
 def format_annotation_line(a: GtAnnotation) -> str:

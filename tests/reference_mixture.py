@@ -4,6 +4,9 @@ This is EM as first written: the log joint reduces an (n, k, d) array over
 its last axis, the M-step variances are one `"nk,nkd->kd"` einsum, and
 k-means++ recomputes the (n, chosen, d) distances to every chosen mean at
 each step. The package's per-dimension forms must match it bit for bit.
+`ref_posterior` scores one feature vector on its own, with a scalar
+log-sum-exp and its own nearest-mean fallback; `posterior`'s batched path
+must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import math
 
 import numpy as np
 
-from focalpipe.mixture import LOG_2PI, EmConfig, MixtureModel, _logsumexp
+from focalpipe.mixture import LOG_2PI, EmConfig, MixtureModel, Posterior, _logsumexp
 
 
 def ref_log_joint(x, weights, means, variances, power):
@@ -78,6 +81,26 @@ def ref_fit_em(features, k, cfg=EmConfig(), density_power=1.0):
     runs = (_ref_single_run(x, k, cfg, density_power, np.random.default_rng(child))
             for child in np.random.SeedSequence(cfg.rng_seed).spawn(cfg.restarts))
     return max(runs, key=lambda model: model.log_likelihood)
+
+
+def ref_posterior(model, x):
+    """Membership probabilities of one feature vector, scored on its own: the
+    log-sum-exp shifted by the row max, and a one-hot at the nearest mean when
+    the mixture density underflows to zero in linear space."""
+    v = np.asarray(x, dtype=float)
+    log_joint = ref_log_joint(v[None, :], model.weights, model.means, model.variances,
+                              model.density_power)[0]
+    shift = log_joint.max()
+    if np.isfinite(shift):
+        norm = shift + np.log(np.exp(log_joint - shift).sum())
+    else:
+        norm = shift
+    if not np.isfinite(norm) or np.exp(norm) == 0.0:
+        nearest = int(np.argmin(np.sum((model.means - v[None, :]) ** 2, axis=1)))
+        probs = np.zeros(model.n_components)
+        probs[nearest] = 1.0
+        return Posterior(probs=probs, nearest_mean_fallback=True)
+    return Posterior(probs=np.exp(log_joint - norm), nearest_mean_fallback=False)
 
 
 def ref_assign_clusters(model, features):

@@ -344,11 +344,14 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         dets = tmp_path / "merged.json"
         serialize.write_json_atomic(dets, {"images": {"img": image}})
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out], dets
-    if case in ("class-id-not-an-integer", "class-names-is-a-list"):
+    if case.startswith(("class-id-", "class-names-")):
         dets, names = tmp_path / "merged.json", tmp_path / "names.json"
         serialize.write_json_atomic(dets, serialize.merged_detections_doc(
             {"img": [ScoredBox(Box(0, 0, 10, 10), 1, 0.9)]}))
-        serialize.write_json_atomic(names, {"a": "x"} if case == "class-id-not-an-integer" else [])
+        key = {"class-id-not-an-integer": "a", "class-id-negative": "-1",
+               "class-id-with-an-underscore": "1_0", "class-id-with-a-space": " 7",
+               "class-id-with-a-plus": "+3", "class-id-2-to-63": str(2**63)}
+        serialize.write_json_atomic(names, {key[case]: "x"} if case in key else [])
         return ["eval", "--detections", str(dets), "--annotations", str(ann), "--out", out,
                 "--class-names", str(names)], names
     if case == "flag-margin-nan":
@@ -392,7 +395,8 @@ class TestMalformedDocuments:
         "visdrone-detection-category-2-to-64", "annotation-size-has-a-negative",
         "annotation-size-has-a-zero", "annotation-size-has-a-nan",
         "annotation-size-has-an-infinity", "annotation-size-has-an-overflow",
-        "image-size-infinite",
+        "image-size-infinite", "class-id-negative", "class-id-with-an-underscore",
+        "class-id-with-a-space", "class-id-with-a-plus", "class-id-2-to-63",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)

@@ -1,6 +1,7 @@
 """focalpipe runs on its declared runtime dependencies, numpy and click, its
-tests and scripts need no scipy, and every public function and class of the
-package is used by the package, the scripts or the benchmark."""
+tests and scripts need no scipy, the package ships only Python modules, and
+every public function and class of the package is used by the package, the
+scripts or the benchmark."""
 
 import ast
 import os
@@ -49,6 +50,15 @@ def test_no_script_or_test_imports_scipy():
     paths = sorted((ROOT / "scripts").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
     assert ROOT / "scripts" / "claims.py" in paths
     assert [p.name for p in paths if "scipy" in imported_modules(p)] == []
+
+
+def test_package_ships_only_python_modules():
+    # nothing in the package reads a data file, so none ships beside the modules
+    package = ROOT / "src" / "focalpipe"
+    files = [p for p in package.rglob("*") if p.is_file() and "__pycache__" not in p.parts]
+    assert package / "visdrone.py" in files
+    assert [p.name for p in files if p.suffix != ".py"] == []
+    assert "package-data" not in (ROOT / "pyproject.toml").read_text()
 
 
 MERGE_THEN_LIST_MA = """

@@ -107,6 +107,26 @@ def lattice_detections(draw, frame=(0, 0, 14, 14), max_size=40):
 
 
 @st.composite
+def chain_detections(draw, max_size=24):
+    """Shifted copies of one integer box along x or y, each at IoU above 0.5 with
+    the next and at most 0.5 with the one after, with lattice scores and one to
+    three classes: which copies survive depends on the greedy order along the chain."""
+    length, thickness = draw(st.integers(6, 30)), draw(st.integers(1, 10))
+    # (length - step) / (length + step) > 0.5 and (length - 2 step) / (length + 2 step) <= 0.5
+    step = draw(st.integers(-(-length // 6), (length - 1) // 3))
+    n_classes = draw(st.integers(1, 3))
+    links = draw(st.lists(st.tuples(st.integers(0, n_classes - 1), LATTICE_SCORES),
+                          max_size=max_size))
+    vertical = draw(st.booleans())
+    dets = []
+    for i, (c, s) in enumerate(links):
+        x1, y1, x2, y2 = i * step, 0, i * step + length, thickness
+        box = Box(y1, x1, y2, x2) if vertical else Box(x1, y1, x2, y2)
+        dets.append(ScoredBox(box, c, s))
+    return dets
+
+
+@st.composite
 def lattice_regions(draw):
     """One to five regions on a lattice; any may be empty, and any may sit far
     from the rest, with no overlapping neighbour."""
@@ -234,7 +254,7 @@ class TestNms:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        boxes=lattice_detections(),
+        boxes=st.one_of(lattice_detections(), chain_detections()),
         threshold=st.sampled_from([0.0, 0.5, 1.0]),
         per_class=st.booleans(),
     )

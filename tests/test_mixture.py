@@ -19,7 +19,12 @@ from focalpipe.mixture import (
 )
 from focalpipe.scenes import SceneSpec, generate_scene
 
-from reference_mixture import ref_assign_clusters, ref_fit_em, ref_kmeanspp_indices
+from reference_mixture import (
+    ref_assign_clusters,
+    ref_fit_em,
+    ref_kmeanspp_indices,
+    ref_posterior,
+)
 from test_scenes import DENSE_SPEC, claims
 
 
@@ -267,9 +272,13 @@ class TestAssignClusters:
         # rows 1e4 from every mean: the mixture density underflows to zero
         far = rng.normal(0, 10, (5, d)) + rng.choice([-1e4, 1e4], (5, d))
         x = np.vstack([rng.normal(0, 10, (30, d)), far])
-        per_row = [posterior(model, row) for row in x]
-        assert all(p.nearest_mean_fallback for p in per_row[30:])
-        assert assign_clusters(model, x) == [int(np.argmax(p.probs)) for p in per_row]
+        expected = [ref_posterior(model, row) for row in x]
+        assert all(p.nearest_mean_fallback for p in expected[30:])
+        for row, want in zip(x, expected):
+            got = posterior(model, row)
+            assert got.probs.tobytes() == want.probs.tobytes()
+            assert got.nearest_mean_fallback == want.nearest_mean_fallback
+        assert assign_clusters(model, x) == [int(np.argmax(p.probs)) for p in expected]
 
     def test_empty_and_mismatched_features(self):
         model = MixtureModel(

@@ -1,3 +1,4 @@
+import json
 import os
 
 import pytest
@@ -7,24 +8,23 @@ from focalpipe.evalkit import GtAnnotation
 from focalpipe.fuse import scored_columns
 from focalpipe.visdrone import (
     VisDroneFormatError,
+    _annotation,
+    _detection,
     _detection_lines,
-    default_class_names,
+    _parse_records,
     format_annotation_line,
     load_class_names,
-    parse_annotation_file,
     parse_annotations,
-    parse_detection_file,
     parse_detections,
     write_annotations,
     write_detections,
 )
 
-
 class TestParseAnnotations:
     def test_corner_conversion(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("10,20,30,40,1,4,0,0\n")
-        (a,) = parse_annotation_file(f)
+        (a,) = _parse_records(f, _annotation)
         assert a.box == Box(10, 20, 40, 60)
         assert a.class_id == 4
         assert not a.ignore
@@ -32,23 +32,23 @@ class TestParseAnnotations:
     def test_category_zero_is_ignore(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("0,0,50,50,1,0,0,0\n")
-        (a,) = parse_annotation_file(f)
+        (a,) = _parse_records(f, _annotation)
         assert a.ignore
 
     def test_empty_file(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("")
-        assert parse_annotation_file(f) == []
+        assert _parse_records(f, _annotation) == []
 
     def test_blank_lines_skipped(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("\n10,20,30,40,1,4,0,0\n\n")
-        assert len(parse_annotation_file(f)) == 1
+        assert len(_parse_records(f, _annotation)) == 1
 
     def test_trailing_comma_tolerated(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("10,20,30,40,1,4,0,0,\n")
-        assert len(parse_annotation_file(f)) == 1
+        assert len(_parse_records(f, _annotation)) == 1
 
     @pytest.mark.parametrize("field, class_id", [
         ("9007199254740993", 9007199254740993),  # 2^53 + 1, which a float rounds down
@@ -56,31 +56,30 @@ class TestParseAnnotations:
         ("3.0", 3),
         ("3e0", 3),
     ])
-    @pytest.mark.parametrize("parse, score", [(parse_annotation_file, "1"),
-                                              (parse_detection_file, "0.5")])
-    def test_category_read_exactly(self, tmp_path, field, class_id, parse, score):
+    @pytest.mark.parametrize("make, score", [(_annotation, "1"), (_detection, "0.5")])
+    def test_category_read_exactly(self, tmp_path, field, class_id, make, score):
         f = tmp_path / "img.txt"
         f.write_text(f"10,20,30,40,{score},{field},0,0\n")
-        (record,) = parse(f)
+        (record,) = _parse_records(f, make)
         assert record.class_id == class_id
 
     def test_seven_fields_rejected_with_location(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("1,2,3,4,5,6,7\n")
         with pytest.raises(VisDroneFormatError, match=r"img\.txt:1.*8 comma"):
-            parse_annotation_file(f)
+            _parse_records(f, _annotation)
 
     def test_non_numeric_rejected(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("1,2,x,4,5,6,7,8\n")
         with pytest.raises(VisDroneFormatError, match=r"img\.txt:1"):
-            parse_annotation_file(f)
+            _parse_records(f, _annotation)
 
     def test_negative_size_rejected(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("10,20,30,40,1,4,0,0\n10,20,-5,40,1,4,0,0\n")
         with pytest.raises(VisDroneFormatError, match=r"img\.txt:2.*negative"):
-            parse_annotation_file(f)
+            _parse_records(f, _annotation)
 
     def test_directory_keyed_by_stem(self, tmp_path):
         (tmp_path / "b.txt").write_text("0,0,10,10,1,1,0,0\n")
@@ -100,14 +99,14 @@ class TestParseDetections:
     def test_score_parsed(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("10,20,30,40,0.75,2,-1,-1\n")
-        (d,) = parse_detection_file(f)
+        (d,) = _parse_records(f, _detection)
         assert d == ScoredBox(box=Box(10, 20, 40, 60), class_id=2, score=0.75)
 
     def test_score_outside_unit_interval_rejected(self, tmp_path):
         f = tmp_path / "img.txt"
         f.write_text("10,20,30,40,1.5,2,-1,-1\n")
         with pytest.raises(VisDroneFormatError, match="outside"):
-            parse_detection_file(f)
+            _parse_records(f, _detection)
 
 
 # one bad field each; every one is reported with its file and line
@@ -126,13 +125,12 @@ BAD_FIELDS = {
 
 class TestMalformedFields:
     @pytest.mark.parametrize("case", sorted(BAD_FIELDS))
-    @pytest.mark.parametrize("parse, score", [(parse_annotation_file, "1"),
-                                              (parse_detection_file, "0.5")])
-    def test_rejected_with_location(self, tmp_path, case, parse, score):
+    @pytest.mark.parametrize("make, score", [(_annotation, "1"), (_detection, "0.5")])
+    def test_rejected_with_location(self, tmp_path, case, make, score):
         f = tmp_path / "img.txt"
         f.write_text("0,0,10,10,0.5,1,0,0\n" + BAD_FIELDS[case].format(score=score) + "\n")
         with pytest.raises(VisDroneFormatError, match=r"img\.txt:2: "):
-            parse(f)
+            _parse_records(f, make)
 
 
 class TestRoundTrip:
@@ -179,12 +177,16 @@ class TestRoundTrip:
 
 
 class TestClassNames:
-    def test_default_mapping_ships_as_data(self):
-        names = default_class_names()
-        assert names[0] == "ignored-regions"
-        assert names[1] == "pedestrian"
-
     def test_user_override(self, tmp_path):
         f = tmp_path / "classes.json"
-        f.write_text('{"1": "widget", "2": "gadget"}')
-        assert load_class_names(f) == {1: "widget", 2: "gadget"}
+        f.write_text('{"1": "widget", "007": "gadget", "9223372036854775807": "last"}')
+        assert load_class_names(f) == {1: "widget", 7: "gadget", 2**63 - 1: "last"}
+
+    @pytest.mark.parametrize("key", ["-1", "1_0", " 7", "7 ", "+3", "\u0663", "a", "",
+                                     str(2**63), "1" * 5000])
+    def test_key_that_is_not_a_class_id_rejected(self, tmp_path, key):
+        f = tmp_path / "classes.json"
+        f.write_text(json.dumps({"1": "widget", key: "gadget"}))
+        with pytest.raises(VisDroneFormatError) as e:
+            load_class_names(f)
+        assert str(e.value) == f"class id {key!r} is not an integer in [0, 2^63)"
