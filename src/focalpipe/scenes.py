@@ -8,13 +8,14 @@ boxes. Everything is reproducible bit-for-bit from the configured seeds.
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .boxgeom import Box, ScoredBox, area, intersect
+from .boxgeom import Box, ScoredBox, area
 from .focal import RefinedCrop, crop_gt_to_detector
 from .fuse import RegionDetections
 
@@ -119,20 +120,27 @@ def _crop_rng(spec: OracleSpec, crop: RefinedCrop) -> np.random.Generator:
 
 
 def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
-    """Emit noise-perturbed crop ground truth as detector-frame detections."""
+    """Emit noise-perturbed crop ground truth as detector-frame detections. Each box is
+    mapped, jittered and clipped with the operations of `Box.translate`, `apply_map` and
+    `intersect` in their order, on plain floats; only the detection's own `Box` is built."""
     rng = _crop_rng(spec, crop)
-    det_w, det_h = crop.region.detector_size
-    frame = Box(0.0, 0.0, det_w, det_h)
+    frame, m = Box(0.0, 0.0, *crop.region.detector_size), crop.region.to_detector
+    det_w, det_h, ox, oy = frame.x2, frame.y2, crop.region.rect.x1, crop.region.rect.y1
 
     detections: list[ScoredBox] = []
-    for box, class_id, fraction in crop_gt_to_detector(crop):
+    for box, class_id, fraction in crop.gt:
+        x1, x2 = m.scale_x * (box.x1 + ox) + m.offset_x, m.scale_x * (box.x2 + ox) + m.offset_x
+        y1, y2 = m.scale_y * (box.y1 + oy) + m.offset_y, m.scale_y * (box.y2 + oy) + m.offset_y
+        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            raise ValueError(f"non-finite detector-frame box: {(x1, y1, x2, y2)}")
         if rng.uniform() < spec.miss_rate:
             continue
         if spec.localization_noise > 0:
             jitter = rng.normal(0.0, spec.localization_noise, size=4)
-            x1 = min(box.x1 + jitter[0], box.x2 + jitter[2] - 1e-6)
-            y1 = min(box.y1 + jitter[1], box.y2 + jitter[3] - 1e-6)
-            box = Box(x1, y1, box.x2 + jitter[2], box.y2 + jitter[3])
+            x2, y2 = x2 + jitter[2], y2 + jitter[3]
+            x1, y1 = min(x1 + jitter[0], x2 - 1e-6), min(y1 + jitter[1], y2 - 1e-6)
+            if not all(map(math.isfinite, (x1, y1, x2, y2))):
+                raise ValueError(f"non-finite jittered box: {(x1, y1, x2, y2)}")
         out_class = class_id
         if fraction < 1.0 and spec.n_classes > 1 and rng.uniform() < spec.class_flip_rate_truncated:
             out_class = int((class_id + 1 + rng.integers(spec.n_classes - 1)) % spec.n_classes)
@@ -140,12 +148,11 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
             score = _clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0)
         else:
             score = spec.score_mean_tp
-        clipped = intersect(box, frame)
-        if clipped is not None:
-            detections.append(ScoredBox(box=clipped, class_id=out_class, score=score))
+        x1, y1, x2, y2 = max(x1, 0.0), max(y1, 0.0), min(x2, det_w), min(y2, det_h)
+        if x1 < x2 and y1 < y2:
+            detections.append(ScoredBox(box=Box(x1, y1, x2, y2), class_id=out_class, score=score))
 
-    n_fp = int(rng.poisson(spec.false_positive_rate))
-    for _ in range(n_fp):
+    for _ in range(int(rng.poisson(spec.false_positive_rate))):
         fw = rng.uniform(0.02, 0.15) * det_w
         fh = rng.uniform(0.02, 0.15) * det_h
         fx = rng.uniform(0.0, det_w - fw)

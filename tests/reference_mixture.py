@@ -4,6 +4,7 @@ This is EM as first written: the log joint reduces an (n, k, d) array over
 its last axis, the M-step variances are one `"nk,nkd->kd"` einsum, and
 k-means++ recomputes the (n, chosen, d) distances to every chosen mean at
 each step. The package's per-dimension forms must match it bit for bit.
+The restarts run one after another, and every `exp` is a plain `np.exp`.
 `ref_posterior` scores one feature vector on its own, with a scalar
 log-sum-exp and its own nearest-mean fallback; `posterior`'s batched path
 must match it bit for bit.
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from focalpipe.mixture import LOG_2PI, EmConfig, MixtureModel, Posterior, _logsumexp
+from focalpipe.mixture import LOG_2PI, EmConfig, MixtureModel, Posterior
 
 
 def ref_log_joint(x, weights, means, variances, power):
@@ -25,6 +26,14 @@ def ref_log_joint(x, weights, means, variances, power):
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)
     return log_w[None, :] + power * (-0.5 * (maha + log_norm[None, :]))
+
+
+def ref_logsumexp(a):
+    """Row-wise log(sum(exp(a))) of an (n, k) array, shifted by the row max."""
+    shift = a.max(axis=1, keepdims=True)
+    shift[~np.isfinite(shift)] = 0.0
+    with np.errstate(divide="ignore"):
+        return shift[:, 0] + np.log(np.exp(a - shift).sum(axis=1))
 
 
 def ref_kmeanspp_indices(x, k, rng):
@@ -53,7 +62,7 @@ def _ref_single_run(x, k, cfg, power, rng):
     prev_ll = float("-inf")
     for _ in range(cfg.max_iterations):
         log_joint = ref_log_joint(x, weights, means, variances, power)
-        log_norm = _logsumexp(log_joint)
+        log_norm = ref_logsumexp(log_joint)
         ll = float(np.sum(log_norm))
         history.append(ll)
         resp = np.exp(log_joint - log_norm[:, None])
@@ -69,7 +78,7 @@ def _ref_single_run(x, k, cfg, power, rng):
             break
         prev_ll = ll
 
-    final_ll = float(np.sum(_logsumexp(ref_log_joint(x, weights, means, variances, power))))
+    final_ll = float(np.sum(ref_logsumexp(ref_log_joint(x, weights, means, variances, power))))
     history.append(final_ll)
     return MixtureModel(weights, means, variances, log_likelihood=final_ll,
                         ll_history=history, density_power=power)
@@ -109,7 +118,7 @@ def ref_assign_clusters(model, features):
     x = np.asarray(features, dtype=float).reshape(len(features), model.dim)
     log_joint = ref_log_joint(x, model.weights, model.means, model.variances,
                               model.density_power)
-    norm = _logsumexp(log_joint)
+    norm = ref_logsumexp(log_joint)
     with np.errstate(over="ignore", invalid="ignore"):
         labels = np.argmax(np.exp(log_joint - norm[:, None]), axis=1)
         underflow = ~np.isfinite(norm) | (np.exp(norm) == 0.0)

@@ -6,10 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from focalpipe.boxgeom import Box
+import focalpipe.mixture as mixture
 from focalpipe.mixture import (
+    _EXP_FAST,
+    _EXP_ZERO,
     EmConfig,
     FeatureGrid,
     MixtureModel,
+    _exp,
     _kmeanspp_indices,
     assign_clusters,
     featurize,
@@ -216,6 +220,16 @@ class TestPosterior:
         assert abs(p.probs.sum() - 1.0) < 1e-9
         assert np.all(p.probs >= 0) and np.all(p.probs <= 1)
 
+    def test_one_row_stays_on_plain_exp(self, monkeypatch):
+        """On one row the split `_exp` costs more than it saves; `posterior` keeps `np.exp`."""
+        def split_exp(a):
+            raise AssertionError("one-row posterior went through the split exp")
+
+        monkeypatch.setattr(mixture, "_exp", split_exp)
+        model = MixtureModel(weights=np.array([0.5, 0.5]), means=np.array([[0.0], [9.0]]),
+                             variances=np.array([[1.0], [1.0]]))
+        assert posterior(model, [1.0]).probs.argmax() == 0
+
 
 class TestAssignClusters:
     def test_k1_all_zero(self):
@@ -280,6 +294,21 @@ class TestAssignClusters:
             assert got.nearest_mean_fallback == want.nearest_mean_fallback
         assert assign_clusters(model, x) == [int(np.argmax(p.probs)) for p in expected]
 
+    @given(st.integers(0, 10_000), st.integers(1, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_equals_its_row_in_a_batch(self, seed, d):
+        """`posterior` on one row gives the bits that row gets among many, at any d."""
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(1, 12))
+        w = rng.uniform(0.1, 1.0, k)
+        # wide components, so no probability saturates at 0 or 1 and every last bit shows
+        model = MixtureModel(weights=w / w.sum(), means=rng.normal(0, 1, (k, d)),
+                             variances=rng.uniform(20.0, 50.0, (k, d)))
+        x = rng.normal(0, 1, (20, d))
+        batch = mixture._posteriors(model, x)[0]
+        for row, want in zip(x, batch):
+            assert posterior(model, row).probs.tobytes() == want.tobytes()
+
     def test_empty_and_mismatched_features(self):
         model = MixtureModel(
             weights=np.array([1.0]),
@@ -291,9 +320,17 @@ class TestAssignClusters:
             assign_clusters(model, [[1.0], [2.0]])
 
 
+def assert_same_fit(got, want, case=None):
+    for name in ("weights", "means", "variances"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (case, name)
+    assert got.ll_history == want.ll_history, case
+    assert got.log_likelihood == want.log_likelihood, case
+
+
 class TestEmEqualsReference:
-    """The per-dimension EM against the (n, k, d) forms of `reference_mixture`:
-    every float of the fit bit for bit, and the same labels and rng draws."""
+    """The per-dimension, lockstep EM against the (n, k, d), one-restart-at-a-time
+    forms of `reference_mixture`: every float of the fit bit for bit, and the same
+    labels and rng draws."""
 
     @pytest.mark.parametrize("spec,n_scenes", [(claims.IBS_SCENE, 200), (DENSE_SPEC, 20)],
                              ids=["ablation", "dense"])
@@ -304,10 +341,30 @@ class TestEmEqualsReference:
             k, em = num_focal_regions(len(centers)), EmConfig(rng_seed=seed)
             got = fit_em(centers, k, em, density_power=16)
             want = ref_fit_em(centers, k, em, density_power=16)
-            for name in ("weights", "means", "variances"):
-                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (seed, name)
-            assert got.ll_history == want.ll_history, seed
+            assert_same_fit(got, want, seed)
             assert assign_clusters(got, centers) == ref_assign_clusters(want, centers), seed
+
+    @given(st.integers(1, 60).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+           st.integers(1, 3), st.integers(1, 5), st.integers(1, 80),
+           st.sampled_from([1.0, 16.0]), st.booleans(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_random_fits_bit_equal(self, nk, dim, restarts, max_iterations, power, duplicate,
+                                   seed):
+        (n, k), rng = nk, np.random.default_rng(seed)
+        x = rng.normal(0, rng.choice([1.0, 30.0, 300.0]), (n, dim))
+        if duplicate:
+            x[rng.integers(n, size=n // 2 + 1)] = x[rng.integers(n)]
+        em = EmConfig(rng_seed=seed, restarts=restarts, max_iterations=max_iterations)
+        assert_same_fit(fit_em(x, k, em, power), ref_fit_em(x, k, em, power))
+
+    @pytest.mark.parametrize("power", [1.0, 16.0])
+    def test_one_component_bit_equal(self, power):
+        """At k = 1 einsum sums an (n, 1) operand in another order than at k > 1."""
+        rng = np.random.default_rng(3)
+        for seed in range(100):
+            x = rng.normal(0, 30, (int(rng.integers(1, 61)), 2))
+            em = EmConfig(rng_seed=seed)
+            assert_same_fit(fit_em(x, 1, em, power), ref_fit_em(x, 1, em, power), seed)
 
     @pytest.mark.parametrize("case", ["distinct", "three-points-k5", "all-identical"])
     def test_kmeanspp_same_draws(self, case):
@@ -319,3 +376,34 @@ class TestEmEqualsReference:
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             assert _kmeanspp_indices(x, 5, got_rng) == ref_kmeanspp_indices(x, 5, want_rng)
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestExp:
+    """`_exp`, the E-step's split `np.exp`, against `np.exp` itself."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 1), (40, 7), (3, 40, 7), (5, 1, 2)]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_np_exp(self, seed, shape):
+        rng = np.random.default_rng(seed)
+        size = int(np.prod(shape))
+        nan = np.array([np.nan])
+        pool = np.concatenate([
+            rng.uniform(-708.0, 710.0, size),  # normal results, and overflow to inf
+            rng.uniform(-745.2, -708.3, size),  # subnormal results
+            rng.uniform(-2000.0, -745.0, size),  # results that underflow to zero
+            [np.inf, -np.inf, -0.0, _EXP_FAST, _EXP_ZERO, np.nextafter(_EXP_ZERO, 0)],
+            nan, -nan, (nan.view(np.uint64) | np.uint64(12345)).view(float),
+        ])
+        a = rng.choice(pool, shape)
+        with np.errstate(over="ignore"):
+            assert _exp(a).tobytes() == np.exp(a).tobytes()
+            assert _exp(a.T).tobytes() == np.exp(a.T).tobytes()
+
+    def test_np_exp_is_positive_zero_below_threshold(self):
+        """`_exp` returns +0.0 below `_EXP_ZERO` without calling `np.exp`: this numpy must
+        agree, on a fine grid down to -1e4 and on the 10^5 doubles just below it."""
+        edge = (np.float64(_EXP_ZERO).view(np.uint64) + np.arange(1, 100_001, dtype=np.uint64))
+        below = np.concatenate([np.linspace(-1e4, _EXP_ZERO, 1_000_001)[:-1], edge.view(float),
+                                [-1e300, -np.finfo(float).max, -np.inf]])
+        assert np.all(below < _EXP_ZERO)
+        assert np.all(np.exp(below).view(np.uint64) == 0)

@@ -1,9 +1,10 @@
+import math
 from itertools import permutations, product
 
 import numpy as np
 import pytest
 
-from focalpipe.boxgeom import Box
+from focalpipe.boxgeom import AffineMap2D, Box
 from focalpipe.config import PipelineConfig
 from focalpipe.mixture import (
     EmConfig,
@@ -15,7 +16,7 @@ from focalpipe.mixture import (
 )
 from focalpipe.pipeline import cluster_boxes, refine_image, regions_for_image, run_scene
 from focalpipe.evalkit import GtAnnotation
-from focalpipe.focal import refine_gt, regions_from_clusters
+from focalpipe.focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
 from focalpipe.scenes import (
     OracleSpec,
     _clip,
@@ -26,6 +27,7 @@ from focalpipe.scenes import (
 )
 
 from reference_focal import columns
+from reference_scenes import ref_oracle_detect
 from test_claims import claims
 
 
@@ -124,6 +126,12 @@ class TestCenterFitEqualsGridFeatureFit:
             assert len(model.ll_history) == len(reference.ll_history)
 
 
+def crops_for(scene, config=PipelineConfig()):
+    annotations = [GtAnnotation(b, c) for b, c in scene.annotations]
+    regions = regions_for_image(annotations, scene.image_size, config, seed=0)
+    return refine_image(regions, annotations, config)
+
+
 class TestOracleDetect:
     def perfect_spec(self):
         return OracleSpec(
@@ -135,14 +143,9 @@ class TestOracleDetect:
             rng_seed=0,
         )
 
-    def crop_for(self, scene, config=PipelineConfig()):
-        annotations = [GtAnnotation(b, c) for b, c in scene.annotations]
-        regions = regions_for_image(annotations, scene.image_size, config, seed=0)
-        return refine_image(regions, annotations, config)
-
     def test_perfect_oracle_reproduces_gt(self):
         scene = generate_scene(separated_spec(1))
-        crops = self.crop_for(scene)
+        crops = crops_for(scene)
         spec = self.perfect_spec()
         for crop in crops:
             rd = oracle_detect(crop, spec)
@@ -152,14 +155,14 @@ class TestOracleDetect:
 
     def test_miss_rate_one_empty(self):
         scene = generate_scene(separated_spec(2))
-        crops = self.crop_for(scene)
+        crops = crops_for(scene)
         spec = OracleSpec(miss_rate=1.0, false_positive_rate=0.0, rng_seed=0)
         for crop in crops:
             assert oracle_detect(crop, spec).detections == []
 
     def test_deterministic_per_seed(self):
         scene = generate_scene(separated_spec(3))
-        crops = self.crop_for(scene)
+        crops = crops_for(scene)
         spec = OracleSpec(rng_seed=9)
         for crop in crops:
             a = oracle_detect(crop, spec)
@@ -168,13 +171,73 @@ class TestOracleDetect:
 
     def test_detections_inside_detector_frame(self):
         scene = generate_scene(separated_spec(4))
-        crops = self.crop_for(scene)
+        crops = crops_for(scene)
         spec = OracleSpec(localization_noise=10.0, false_positive_rate=3.0, rng_seed=1)
         for crop in crops:
             det_w, det_h = crop.region.detector_size
             for d in oracle_detect(crop, spec).detections:
                 assert -1e-9 <= d.box.x1 <= d.box.x2 <= det_w + 1e-9
                 assert -1e-9 <= d.box.y1 <= d.box.y2 <= det_h + 1e-9
+
+
+def detection_bits(rd):
+    """Every field of every detection with its type; floats as their exact hex."""
+    return [(tuple((type(v), float(v).hex()) for v in d.box.as_tuple()),
+             type(d.class_id), d.class_id, type(d.score), float(d.score).hex())
+            for d in rd.detections]
+
+
+class TestOracleEqualsReference:
+    """`oracle_detect`'s float form against the object form of `reference_scenes`:
+    the same detections, value and element type, from the same draws."""
+
+    ORACLES = {
+        "default": {},
+        "no-noise": dict(localization_noise=0.0),
+        "no-score-noise": dict(score_std=0.0),
+        "one-class": dict(n_classes=1),
+        "many-fp": dict(false_positive_rate=6.0, miss_rate=0.3),
+    }
+
+    @pytest.mark.parametrize("oracle", list(ORACLES))
+    @pytest.mark.parametrize("spec,n_scenes", [(claims.IBS_SCENE, 12), (DENSE_SPEC, 2), ({}, 12)],
+                             ids=["ablation", "dense", "default"])
+    def test_same_detections(self, spec, n_scenes, oracle):
+        for seed in range(n_scenes):
+            scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
+            crops = crops_for(scene)
+            spec_o = OracleSpec(rng_seed=seed, **{"n_classes": spec.get("classes", 3),
+                                                  **self.ORACLES[oracle]})
+            for crop in crops:
+                got, want = oracle_detect(crop, spec_o), ref_oracle_detect(crop, spec_o)
+                assert got.region is want.region
+                assert detection_bits(got) == detection_bits(want), (seed, crop.region.region_id)
+
+    def test_signed_zero_clips_as_intersect(self):
+        """A corner mapped to -0.0 stays -0.0: `max(x1, 0.0)` keeps its first argument."""
+        region = FocalRegion(rect=Box(-0.0, -0.0, 10.0, 10.0), region_id=0, image_id="img",
+                             to_detector=AffineMap2D(1.0, 1.0, -0.0, -0.0))
+        crop = RefinedCrop(region=region, gt=[(Box(-0.0, -0.0, 5.0, 5.0), 0, 1.0)])
+        spec = OracleSpec(localization_noise=0.0, miss_rate=0.0, false_positive_rate=0.0)
+        got, want = oracle_detect(crop, spec), ref_oracle_detect(crop, spec)
+        assert detection_bits(got) == detection_bits(want)
+        assert math.copysign(1.0, got.detections[0].box.x1) == -1.0
+
+    @pytest.mark.parametrize("rect,gt,scale,spec", [
+        (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec()),
+        (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec(miss_rate=1.0)),
+        (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 5.0, 5.0), 1.0,
+         OracleSpec(localization_noise=math.inf)),
+        (Box(0.0, 0.0, 1e10, 1.0), Box(0.0, 0.0, 1.0, 1.0), 1e300, OracleSpec()),
+    ], ids=["map-overflow", "map-overflow-missed", "jitter-inf", "frame-overflow"])
+    def test_same_errors(self, rect, gt, scale, spec):
+        """Where the object form raises ValueError on a non-finite box, so does the float form."""
+        region = FocalRegion(rect=rect, region_id=0, image_id="img", to_detector=AffineMap2D(
+            scale, 1.0, -rect.x1 * scale, -rect.y1))
+        crop = RefinedCrop(region=region, gt=[(gt, 0, 1.0)])
+        for detect in (ref_oracle_detect, oracle_detect):
+            with pytest.raises(ValueError):
+                detect(crop, spec)
 
 
 class TestScaleStats:
