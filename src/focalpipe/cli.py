@@ -32,13 +32,18 @@ class DataError(click.ClickException):
     """Invalid or inconsistent input data; maps to exit code 2."""
 
 
-def config_options(f):
-    """Add `--config` and one `--name-with-dashes` flag per `PipelineConfig` field."""
-    for field in reversed(dataclasses.fields(PipelineConfig)):
-        f = click.option(f"--{field.name.replace('_', '-')}", type=type(field.default),
-                         default=None, help=field.metadata.get("help"))(f)
-    return click.option("--config", "config_path", type=click.Path(exists=True), default=None,
-                        help="JSON config file; CLI flags override it.")(f)
+def config_options(*names: str):
+    """Add `--config` and a `--name-with-dashes` flag for each named `PipelineConfig` field,
+    in field order: the fields the command reads, so that every flag it takes has an effect."""
+    fields = [f for f in dataclasses.fields(PipelineConfig) if f.name in names]
+
+    def decorate(f):
+        for field in reversed(fields):
+            f = click.option(f"--{field.name.replace('_', '-')}", type=type(field.default),
+                             default=None, help=field.metadata.get("help"))(f)
+        return click.option("--config", "config_path", type=click.Path(exists=True),
+                            default=None, help="JSON config file; CLI flags override it.")(f)
+    return decorate
 
 
 def _load_config(config_path: Optional[str], **overrides) -> PipelineConfig:
@@ -120,12 +125,15 @@ def synth_cmd(out_dir, seed, num_scenes) -> None:
 @cli.command("gen-regions")
 @click.option("--annotations", "annotations_path", type=click.Path(exists=True), required=True)
 @click.option("--image-sizes", "sizes_path", type=click.Path(exists=True), default=None,
-              help="image_id -> [w, h] JSON; required for VisDrone directories.")
+              help="image_id -> [w, h] JSON; for (and required by) a VisDrone directory.")
 @click.option("--out", "out_path", type=click.Path(), required=True)
 @click.option("--seed", type=int, default=0, show_default=True, help="EM seed.")
-@config_options
+@config_options("margin", "detector_width", "detector_height", "grid_points")
 def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, **overrides) -> None:
     """Cluster ground truth per image and emit focal-region JSON."""
+    if sizes_path is not None and not Path(annotations_path).is_dir():
+        raise click.UsageError("--image-sizes applies only to a VisDrone directory; "
+                               f"{annotations_path} carries its own image sizes")
     config = _load_config(config_path, **overrides)
     gts, sizes = _load_annotations(annotations_path)
     sizes_from = annotations_path
@@ -153,7 +161,7 @@ def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, *
 @click.option("--annotations", "annotations_path", type=click.Path(exists=True), required=True)
 @click.option("--regions", "regions_path", type=click.Path(exists=True), required=True)
 @click.option("--out", "out_path", type=click.Path(), required=True)
-@config_options
+@config_options("keep_threshold")
 def refine_gt_cmd(annotations_path, regions_path, out_path, config_path, **overrides) -> None:
     """Clip and filter ground truth into focal-region crops."""
     config = _load_config(config_path, **overrides)
@@ -174,7 +182,7 @@ def refine_gt_cmd(annotations_path, regions_path, out_path, config_path, **overr
 @click.option("--out-visdrone", type=click.Path(), default=None,
               help="Also write VisDrone-format result text files here.")
 @click.option("--no-ibs", is_flag=True, help="Skip Incomplete Box Suppression (ablation).")
-@config_options
+@config_options("nms_iou", "ibs_region_iou", "ibs_box_iou")
 def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides) -> None:
     """Merge per-region detections into image-level results (NMS then IBS)."""
     config = _load_config(config_path, **overrides)
@@ -204,7 +212,7 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
 @click.option("--voc-iou", type=float, default=None,
               help="Also report VOC all-point AP at this IoU (classes merged).")
 @click.option("--class-names", "class_names_path", type=click.Path(exists=True), default=None)
-@config_options
+@config_options("max_dets")
 def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
              voc_iou, class_names_path, config_path, **overrides) -> None:
     """Score merged detections against ground truth."""
@@ -250,7 +258,7 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
               help="Base seed; auto-chosen and recorded in metadata when omitted.")
 @click.option("--num-scenes", type=click.IntRange(min=0), default=10, show_default=True)
 @click.option("--no-ibs", is_flag=True)
-@config_options
+@config_options(*(f.name for f in dataclasses.fields(PipelineConfig)))
 @click.pass_context
 def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **overrides) -> None:
     """Closed loop: synth, gen-regions, refine-gt, oracle detect, merge, eval."""

@@ -2,8 +2,9 @@
 
 Defaults follow the constants the pipeline is built around: 20 px region
 margin, 0.30 keep threshold, NMS IoU 0.5, IBS thresholds 0.05 (regions) and
-0.5 (boxes). Precedence when loading: CLI flag > config file > default. Each
-field is also a CLI flag, `--name-with-dashes` (see `cli.config_options`).
+0.5 (boxes), 16 grid points. Precedence when loading: CLI flag > config file >
+default. A field is a CLI flag, `--name-with-dashes`, on each command that reads
+it (see `cli.config_options`); a config file may set every field on every command.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 from typing import Any
 
 from .fuse import FuseConfig
+from .serialize import integer, number
 
 
 @dataclass(frozen=True)
@@ -28,10 +30,8 @@ class PipelineConfig:
     ibs_box_iou: float = 0.5
     detector_width: float = 1000.0
     detector_height: float = 600.0
-    # the grid acts only through its point count: the clustering density power
-    # is grid_rows * grid_cols (see `mixture`), so 4 x 4 and 2 x 8 cluster alike
-    grid_rows: int = 4
-    grid_cols: int = 4
+    grid_points: int = field(default=16, metadata={
+        "help": "Grid points P: the clustering density power (see `mixture`)."})
     max_dets: int = 500
 
     def __post_init__(self) -> None:
@@ -43,8 +43,8 @@ class PipelineConfig:
                 finite, value = False, "an integer too large for a float"
             if not finite:
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        if self.grid_rows < 1 or self.grid_cols < 1:
-            raise ValueError("grid_rows and grid_cols must be >= 1")
+        if self.grid_points < 1:
+            raise ValueError("grid_points must be >= 1")
         if self.margin < 0:
             raise ValueError("margin must be nonnegative")
         if not 0.0 < self.keep_threshold <= 1.0:
@@ -67,9 +67,10 @@ class PipelineConfig:
     def load(cls, path: str | Path | None = None, overrides: dict[str, Any] | None = None) -> "PipelineConfig":
         """Build a config from an optional JSON file, then apply the overrides that are not None.
 
-        Unknown keys in the file are rejected. A file value must be a JSON
-        integer for an int field and any JSON number for a float field, never a boolean,
-        and the file's values must be valid on their own, so that their errors name it.
+        Unknown keys in the file are rejected. File values follow the stage-document
+        number rule (`serialize.number` for a float field, `serialize.integer` for an int
+        field, so `16.0` loads as 16), and they must be valid on their own, so that their
+        errors name the file.
         """
         config = cls()
         if path is not None:
@@ -80,13 +81,9 @@ class PipelineConfig:
             unknown = set(data) - set(types)
             if unknown:
                 raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
-            for key, value in data.items():
-                allowed = int if types[key] is int else (int, float)
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    kind = "an integer" if types[key] is int else "a number"
-                    raise ValueError(f"config file {path}: {key} must be {kind}, got {value!r}")
             try:
-                config = cls(**data)
+                config = cls(**{key: (integer if types[key] is int else number)(value, key)
+                                for key, value in data.items()})
             except ValueError as e:
                 raise ValueError(f"config file {path}: {e}") from e
         return dataclasses.replace(

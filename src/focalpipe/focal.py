@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -59,33 +59,25 @@ def make_detector_map(rect: Box, detector_w: float, detector_h: float) -> Affine
 
 
 def _build_region(
-    rect: Box,
-    region_id: int,
-    image_id: str,
-    detector_size: Optional[tuple[float, float]],
+    rect: Box, region_id: int, image_id: str, detector_size: tuple[float, float]
 ) -> FocalRegion:
-    if detector_size is None:
-        detector_size = (rect.width, rect.height)
-    return FocalRegion(
-        rect=rect,
-        region_id=region_id,
-        image_id=image_id,
-        to_detector=make_detector_map(rect, detector_size[0], detector_size[1]),
-    )
+    return FocalRegion(rect=rect, region_id=region_id, image_id=image_id,
+                       to_detector=make_detector_map(rect, *detector_size))
 
 
 def regions_from_clusters(
     boxes: Sequence[Box],
     labels: Sequence[int],
     image_size: tuple[float, float],
+    detector_size: tuple[float, float],
     margin: float = 20.0,
-    detector_size: Optional[tuple[float, float]] = None,
     image_id: str = "",
 ) -> list[FocalRegion]:
     """Envelope of each cluster's boxes, expanded by margin, clamped to the image.
 
     Regions are emitted in ascending cluster-label order with sequential ids.
-    Empty clusters yield no region.
+    Empty clusters yield no region. The far edges clamp to `float(w)` and `float(h)`,
+    so a region at the image edge is written `1600.0` as `refine-gt` reads it back.
     """
     if len(boxes) != len(labels):
         raise ValueError("boxes and labels length mismatch")
@@ -102,8 +94,8 @@ def regions_from_clusters(
         rect = Box(
             x1=max(0.0, min(b.x1 for b in cluster) - margin),
             y1=max(0.0, min(b.y1 for b in cluster) - margin),
-            x2=min(w, max(b.x2 for b in cluster) + margin),
-            y2=min(h, max(b.y2 for b in cluster) + margin),
+            x2=min(float(w), max(b.x2 for b in cluster) + margin),
+            y2=min(float(h), max(b.y2 for b in cluster) + margin),
         )
         regions.append(_build_region(rect, region_id, image_id, detector_size))
     return regions
@@ -153,9 +145,7 @@ def crop_gt_to_detector(crop: RefinedCrop) -> list[tuple[Box, int, float]]:
 
 
 def eip_regions(
-    image_size: tuple[float, float],
-    detector_size: Optional[tuple[float, float]] = None,
-    image_id: str = "",
+    image_size: tuple[float, float], detector_size: tuple[float, float], image_id: str = ""
 ) -> list[FocalRegion]:
     """Evenly-image-partition baseline: six non-overlapping tiles (3 cols x 2 rows).
 

@@ -3,7 +3,8 @@
 A box's clustering feature is its center's offsets from a grid of P image
 points (`featurize`). A diagonal Gaussian log density on it is exactly P times
 a 2-D one on the center, so the pipeline fits the centers with every component
-log density multiplied by P (`density_power=P`); `featurize` stays as the
+log density multiplied by P (`density_power=P`, P = `PipelineConfig.grid_points`):
+only the point count acts, not the grid's layout. `featurize` stays as the
 reference the equivalence tests compare against. The component count grows as
 log2 of the box count. A fit's restarts run in lockstep as one stacked array,
 and `exp` over more than one row skips numpy's slow path for subnormal and zero

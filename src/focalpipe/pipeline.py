@@ -19,11 +19,11 @@ from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 
 def cluster_boxes(boxes: Sequence[Box], config: PipelineConfig, seed: int = 0) -> list[int]:
-    """Cluster labels of the mixture fit on box centers, density power rows x cols."""
+    """Cluster labels of the mixture fit on box centers, with density power P =
+    `config.grid_points`: the fit on each center's offsets to P grid points."""
     centers = np.array([b.center for b in boxes], dtype=float)
     k = num_focal_regions(len(boxes))
-    model = fit_em(centers, k, EmConfig(rng_seed=seed),
-                   density_power=config.grid_rows * config.grid_cols)
+    model = fit_em(centers, k, EmConfig(rng_seed=seed), density_power=config.grid_points)
     return assign_clusters(model, centers)
 
 
@@ -39,14 +39,8 @@ def regions_for_image(
     if not boxes:
         return []
     labels = cluster_boxes(boxes, config, seed=seed)
-    return regions_from_clusters(
-        boxes,
-        labels,
-        image_size,
-        margin=config.margin,
-        detector_size=config.detector_size,
-        image_id=image_id,
-    )
+    return regions_from_clusters(boxes, labels, image_size, config.detector_size,
+                                 margin=config.margin, image_id=image_id)
 
 
 def refine_image(

@@ -5,11 +5,12 @@ replace the built-in oracle by consuming region JSON and producing
 region-detection JSON. Writes are atomic (write to a temp file, then rename)
 so a failed run never leaves a half-written output.
 
-Every numeric field is read by one rule: a JSON number is an `int` or a `float`, never a
-`bool` or a string (`_number`), and an integer field is an integral number in [0, 2^63)
-(`_int`). Region and merged detections load as arrays, validated in one vectorized check per
-region or image, and merged detections are written from arrays; a document that does not fit
-raises `DocumentError` naming its JSON path, e.g. `images/m00/[2]/detections/[17]/score`.
+Every numeric field, here and in a config file, is read by one rule: a JSON number is an
+`int` or a `float`, never a `bool` or a string (`number`), and an integer field is an
+integral number in [0, 2^63) (`integer`). Region and merged detections load as arrays,
+validated in one vectorized check per region or image, and merged detections are written
+from arrays; a document that does not fit raises `DocumentError` naming its JSON path, e.g.
+`images/m00/[2]/detections/[17]/score`.
 """
 
 from __future__ import annotations
@@ -79,16 +80,16 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
 
 
-def _number(v: Any, name: str) -> int | float:
+def number(v: Any, name: str) -> int | float:
     """A numeric field as JSON gives it: an `int` or a `float`, never a `bool` or a string."""
     if type(v) not in NUMBER:
         raise ValueError(f"{name} must be a number, got {v!r}")
     return v
 
 
-def _int(v: Any, name: str) -> int:
+def integer(v: Any, name: str) -> int:
     """An integer field: an integral number in [0, 2^63); 2.0 loads as 2, 2.7 is an error."""
-    if not (type(_number(v, name)) is int or v.is_integer()) or not 0 <= v < 2**63:
+    if not (type(number(v, name)) is int or v.is_integer()) or not 0 <= v < 2**63:
         raise ValueError(f"{name} must be an integer in [0, 2^63), got {v!r}")
     return int(v)
 
@@ -108,7 +109,7 @@ def box_from_list(v: Any) -> Box:
     """A box from a JSON list of four numbers; a string of four characters is no box."""
     if not (isinstance(v, list) and len(v) == 4):
         raise ValueError(f"a box must be a list of four numbers, got {v!r}")
-    return Box(*(float(_number(x, "a box coordinate")) for x in v))
+    return Box(*(float(number(x, "a box coordinate")) for x in v))
 
 
 def region_to_dict(r: FocalRegion) -> dict:
@@ -125,9 +126,9 @@ def region_from_dict(d: Mapping) -> FocalRegion:
         raise ValueError(f"image_id must be a string, got {d['image_id']!r}")
     return FocalRegion(
         rect=box_from_list(d["rect"]),
-        region_id=_int(d["region_id"], "region_id"),
+        region_id=integer(d["region_id"], "region_id"),
         image_id=d["image_id"],
-        to_detector=AffineMap2D(**{k: float(_number(v, k)) for k, v in d["to_detector"].items()}),
+        to_detector=AffineMap2D(**{k: float(number(v, k)) for k, v in d["to_detector"].items()}),
     )
 
 
@@ -137,8 +138,8 @@ def scored_box_to_dict(d: ScoredBox) -> dict:
 
 def scored_box_from_dict(d: Mapping) -> ScoredBox:
     return ScoredBox(
-        box=box_from_list(d["bbox"]), class_id=_int(d["class_id"], "class_id"),
-        score=float(_number(d["score"], "score")),
+        box=box_from_list(d["bbox"]), class_id=integer(d["class_id"], "class_id"),
+        score=float(number(d["score"], "score")),
     )
 
 
@@ -186,9 +187,9 @@ def crops_from_doc(doc: Mapping) -> dict[str, list[RefinedCrop]]:
         out[image_id] = [
             RefinedCrop(
                 region=region_from_dict(e["region"]),
-                gt=[(box_from_list(g["bbox"]), _int(g["class_id"], "class_id"),
-                     float(_number(g["kept_fraction"], "kept_fraction"))) for g in e["gt"]],
-                dropped_zero_area=_int(e.get("dropped_zero_area", 0), "dropped_zero_area"),
+                gt=[(box_from_list(g["bbox"]), integer(g["class_id"], "class_id"),
+                     float(number(g["kept_fraction"], "kept_fraction"))) for g in e["gt"]],
+                dropped_zero_area=integer(e.get("dropped_zero_area", 0), "dropped_zero_area"),
             )
             for e in entries
         ]
@@ -219,12 +220,12 @@ def _list(v: Any, path: str) -> list:
 def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Boxes (n, 4) float64, class ids int64 and scores float64 of a list of detections: one
     region's, or one image's merged. Each field converts as one array, once its values pass
-    `_number` and `_int` as a whole column; a list that does not is reported at the first
+    `number` and `integer` as a whole column; a list that does not is reported at the first
     detection `scored_box_from_dict` rejects."""
     try:
         bboxes, ids, scores = ([d[k] for d in dets] for k in ("bbox", "class_id", "score"))
-        if float in set(map(type, ids)):  # integral floats load as `_int` gives them
-            ids = [_int(c, "class_id") for c in ids]
+        if float in set(map(type, ids)):  # integral floats load as `integer` gives them
+            ids = [integer(c, "class_id") for c in ids]
         if not (set(map(type, bboxes)) <= {list}
                 and set(map(type, chain(ids, scores, chain.from_iterable(bboxes)))) <= NUMBER):
             raise TypeError("not JSON numbers")
@@ -340,7 +341,7 @@ def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
         if not (isinstance(v, list) and len(v) == 2):
             raise ValueError(f"size of {image_id!r} is not a [width, height] pair: {v!r}")
         for name, side in zip(("width", "height"), v):  # compared exactly, integers too
-            if not 0 < _number(side, f"{name} of {image_id!r}") <= sys.float_info.max:
+            if not 0 < number(side, f"{name} of {image_id!r}") <= sys.float_info.max:
                 raise ValueError(f"{name} of {image_id!r} must be positive and finite: {side!r}")
     return {image_id: (v[0], v[1]) for image_id, v in doc.items()}
 
@@ -350,7 +351,7 @@ def annotations_from_doc(
 ) -> tuple[dict[str, list[GtAnnotation]], dict[str, tuple[float, float]]]:
     gts: dict[str, list[GtAnnotation]] = {}
     for image_id, entry in doc["images"].items():
-        gts[image_id] = [GtAnnotation(box_from_list(a["bbox"]), _int(a["class_id"], "class_id"),
+        gts[image_id] = [GtAnnotation(box_from_list(a["bbox"]), integer(a["class_id"], "class_id"),
                                       _bool(a.get("ignore", False), "ignore"))
                          for a in entry["annotations"]]
     sizes = image_sizes_from_doc({k: e["image_size"] for k, e in doc["images"].items()})

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import focalpipe.cli
 from focalpipe import serialize, visdrone
 from focalpipe.boxgeom import Box, ScoredBox
 from focalpipe.cli import _image_seed, cli, main
@@ -24,6 +25,16 @@ from focalpipe.scenes import OracleSpec
 
 def run(*argv) -> int:
     return main(list(argv))
+
+
+# the config fields each config-taking command reads; it has a flag for each
+COMMAND_FIELDS = {
+    "gen-regions": ["margin", "detector_width", "detector_height", "grid_points"],
+    "refine-gt": ["keep_threshold"],
+    "merge": ["nms_iou", "ibs_region_iou", "ibs_box_iou"],
+    "eval": ["max_dets"],
+    "pipeline": [f.name for f in dataclasses.fields(PipelineConfig)],
+}
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
@@ -79,14 +90,32 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"margin": 10**300}))
         assert PipelineConfig.load(cfg).margin == 10**300
 
-    def test_config_flags_are_the_config_fields(self):
-        flags = ["--margin", "--keep-threshold", "--nms-iou", "--ibs-region-iou",
-                 "--ibs-box-iou", "--detector-width", "--detector-height", "--grid-rows",
-                 "--grid-cols", "--max-dets"]
-        assert flags == [f"--{f.name.replace('_', '-')}" for f in dataclasses.fields(PipelineConfig)]
-        for name in ("gen-regions", "refine-gt", "merge", "eval", "pipeline"):
+    def test_config_flags_are_the_fields_each_command_reads(self):
+        fields = [f.name for f in dataclasses.fields(PipelineConfig)]
+        assert fields == ["margin", "keep_threshold", "nms_iou", "ibs_region_iou",
+                          "ibs_box_iou", "detector_width", "detector_height", "grid_points",
+                          "max_dets"]
+        for name, reads in COMMAND_FIELDS.items():
             opts = [o for p in cli.commands[name].params for o in p.opts]
-            assert [o for o in opts if o in flags or o == "--config"] == ["--config", *flags]
+            config_opts = [o for o in opts if o == "--config" or o[2:].replace("-", "_") in fields]
+            assert config_opts == ["--config", *(f"--{f.replace('_', '-')}" for f in reads)]
+        assert sum(map(len, COMMAND_FIELDS.values())) == 18
+
+    @pytest.mark.parametrize("command, flag", [
+        ("gen-regions", "--keep-threshold"), ("refine-gt", "--margin"), ("merge", "--max-dets"),
+        ("eval", "--nms-iou"), ("gen-regions", "--grid-rows")])
+    def test_config_flag_a_command_does_not_read_is_usage_error(self, command, flag, tmp_path,
+                                                                capsys):
+        assert run(command, flag, "1", "--out", str(tmp_path / "out.json")) == 1
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out.json").exists()
+
+    def test_config_numbers_follow_the_document_rule(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"grid_points": 16.0, "max_dets": 2.0, "margin": 5}))
+        config = PipelineConfig.load(cfg)
+        assert (config.grid_points, config.max_dets, config.margin) == (16, 2, 5)
+        assert type(config.grid_points) is int and type(config.max_dets) is int
 
     def test_simulation_flags_are_seed_count_and_config(self):
         # the scene and oracle parameters are `SceneSpec`'s and `OracleSpec`'s defaults
@@ -137,6 +166,17 @@ class TestStageChaining:
         sizes.write_text('{"img": [200, 200]}')
         assert run("gen-regions", "--annotations", str(ann_dir), "--image-sizes", str(sizes),
                    "--out", str(tmp_path / "r.json")) == 0
+
+    def test_image_sizes_with_an_annotations_document_is_usage_error(self, tmp_path, capsys):
+        ann, sizes = tmp_path / "annotations.json", tmp_path / "sizes.json"
+        write_annotations_doc(ann, {"img": [GtAnnotation(Box(10, 20, 30, 40), 1)]},
+                              {"img": (200, 200)})
+        sizes.write_text('{"img": [10, 10]}')
+        out = tmp_path / "r.json"
+        assert run("gen-regions", "--annotations", str(ann), "--image-sizes", str(sizes),
+                   "--out", str(out)) == 1
+        assert "--image-sizes" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_refine_gt_and_eval_take_a_visdrone_directory_without_sizes(self, tmp_path, capsys):
         ann_dir, ann = tmp_path / "ann", tmp_path / "annotations.json"
@@ -361,7 +401,7 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         key, value = {"config-margin-a-string": ("margin", "x"),
                       "config-nms-iou-null": ("nms_iou", None),
                       "config-max-dets-fraction": ("max_dets", 1.5),
-                      "config-grid-rows-fraction": ("grid_rows", 2.5),
+                      "config-grid-points-fraction": ("grid_points", 2.5),
                       "config-max-dets-a-boolean": ("max_dets", True),
                       "config-margin-nan": ("margin", float("nan")),
                       "config-margin-negative": ("margin", -1),
@@ -388,7 +428,7 @@ class TestMalformedDocuments:
         "visdrone-annotation-category-inf", "annotation-class-id-inf",
         "annotation-class-id-fraction", "region-id-inf", "annotation-bbox-a-string",
         "annotation-ignore-a-string", "config-margin-a-string", "config-nms-iou-null",
-        "config-max-dets-fraction", "config-grid-rows-fraction", "config-max-dets-a-boolean",
+        "config-max-dets-fraction", "config-grid-points-fraction", "config-max-dets-a-boolean",
         "config-margin-nan", "config-margin-negative", "config-margin-int-overflows",
         "flag-margin-nan", "annotation-bbox-numeric-strings", "annotation-size-has-a-boolean",
         "detector-scale-a-string", "region-image-id-null", "visdrone-annotation-category-2-to-63",
@@ -698,3 +738,65 @@ class TestOneRunPath:
         }
         for name, doc in expected.items():
             assert json.loads((out / name).read_text()) == json.loads(json.dumps(doc)), name
+
+    @pytest.mark.parametrize("ibs_flags", [[], ["--no-ibs"]], ids=["ibs", "no-ibs"])
+    def test_stages_reproduce_pipeline_files(self, ibs_flags, tmp_path, capsys):
+        whole, staged = tmp_path / "p", tmp_path / "s"
+        assert run("pipeline", "--seed", "7", "--num-scenes", "3", "--out", str(whole),
+                   *ibs_flags) == 0
+        ann = str(whole / "annotations.json")
+        regions, crops, merged = (str(staged / f"{n}.json") for n in ("regions", "crops", "merged"))
+        assert run("gen-regions", "--annotations", ann, "--seed", "7", "--out", regions) == 0
+        assert run("refine-gt", "--annotations", ann, "--regions", regions, "--out", crops) == 0
+        assert run("merge", "--region-detections", str(whole / "region_detections.json"),
+                   "--out", merged, "--out-visdrone", str(staged / "results"), *ibs_flags) == 0
+        assert run("eval", "--detections", merged, "--annotations", ann,
+                   "--out", str(staged / "report.json"), "--table", str(staged / "table.txt")) == 0
+        files = snapshot(staged)
+        assert sorted(files) == ["crops.json", "merged.json", "regions.json", "report.json",
+                                 *(f"results/scene000{i}.txt" for i in range(3)), "table.txt"]
+        report = json.loads((whole / "report.json").read_text())
+        assert (report.pop("seed"), report.pop("ibs")) == (7, not ibs_flags)
+        serialize.write_json_atomic(whole / "report.json", report)
+        for name, data in files.items():
+            assert data == (whole / name).read_bytes(), name
+
+
+class TestConfigReads:
+    """After loading its config, each command reads exactly the fields it has flags for,
+    so no flag is dead and no field it reads lacks a flag."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("reads") / "p"
+        assert run("pipeline", "--seed", "3", "--num-scenes", "2", "--out", str(out)) == 0
+        return out
+
+    @pytest.mark.parametrize("command", list(COMMAND_FIELDS))
+    def test_reads_are_the_flags(self, command, corpus, tmp_path, monkeypatch, capsys):
+        ann = str(corpus / "annotations.json")
+        argv = {
+            "gen-regions": ["--annotations", ann],
+            "refine-gt": ["--annotations", ann, "--regions", str(corpus / "regions.json")],
+            "merge": ["--region-detections", str(corpus / "region_detections.json")],
+            "eval": ["--detections", str(corpus / "merged.json"), "--annotations", ann],
+            "pipeline": ["--seed", "3", "--num-scenes", "2"],
+        }[command]
+        fields, reads = {f.name for f in dataclasses.fields(PipelineConfig)}, set()
+        load = focalpipe.cli._load_config
+
+        def load_then_record(*args, **kwargs):
+            config = load(*args, **kwargs)  # reads while building and validating do not count
+
+            def getattribute(self, name):
+                if self is config and name in fields:
+                    reads.add(name)
+                return object.__getattribute__(self, name)
+
+            monkeypatch.setattr(PipelineConfig, "__getattribute__", getattribute)
+            return config
+
+        monkeypatch.setattr(focalpipe.cli, "_load_config", load_then_record)
+        assert run(command, *argv, "--out", str(tmp_path / "out")) == 0
+        flags = {o[2:].replace("-", "_") for p in cli.commands[command].params for o in p.opts}
+        assert reads == flags & fields

@@ -16,37 +16,46 @@ from focalpipe.focal import (
 
 from reference_focal import columns, ref_refine_gt
 
+DETECTOR = (1000, 600)
+
 
 class TestRegionsFromClusters:
     def test_one_cluster_envelope_with_margin(self):
         boxes = [Box(100, 100, 150, 150), Box(200, 180, 260, 240)]
-        regions = regions_from_clusters(boxes, [0, 0], (1000, 1000), margin=20)
+        regions = regions_from_clusters(boxes, [0, 0], (1000, 1000), DETECTOR, margin=20)
         assert len(regions) == 1
         assert regions[0].rect == Box(80, 80, 280, 260)
 
     def test_clamped_at_image_border(self):
-        regions = regions_from_clusters([Box(5, 5, 30, 30)], [0], (100, 100), margin=20)
+        regions = regions_from_clusters([Box(5, 5, 30, 30)], [0], (100, 100), DETECTOR, margin=20)
         assert regions[0].rect == Box(0, 0, 50, 50)
+
+    def test_clamped_edge_is_a_float(self):
+        # an integer image size clamps to float edges, so regions.json spells 100.0
+        rect = regions_from_clusters([Box(80.0, 70.0, 95.0, 90.0)], [0], (100, 100), DETECTOR,
+                                     margin=20)[0].rect
+        assert rect == Box(60.0, 50.0, 100.0, 100.0)
+        assert {type(v) for v in rect.as_tuple()} == {float}
 
     def test_zero_margin_equals_box(self):
         b = Box(10, 20, 60, 70)
-        regions = regions_from_clusters([b], [0], (500, 500), margin=0)
+        regions = regions_from_clusters([b], [0], (500, 500), DETECTOR, margin=0)
         assert regions[0].rect == b
 
     def test_two_clusters_ordered_by_label(self):
         boxes = [Box(0, 0, 10, 10), Box(400, 400, 420, 420)]
-        regions = regions_from_clusters(boxes, [1, 0], (500, 500), margin=0)
+        regions = regions_from_clusters(boxes, [1, 0], (500, 500), DETECTOR, margin=0)
         assert [r.region_id for r in regions] == [0, 1]
         assert regions[0].rect == boxes[1]
         assert regions[1].rect == boxes[0]
 
     def test_empty_input(self):
-        assert regions_from_clusters([], [], (100, 100)) == []
+        assert regions_from_clusters([], [], (100, 100), DETECTOR) == []
 
     def test_members_contained_before_clamping(self):
         boxes = [Box(100, 100, 140, 150), Box(90, 210, 160, 260), Box(300, 50, 340, 90)]
         labels = [0, 0, 1]
-        regions = regions_from_clusters(boxes, labels, (1000, 1000), margin=20)
+        regions = regions_from_clusters(boxes, labels, (1000, 1000), DETECTOR, margin=20)
         for box, label in zip(boxes, labels):
             rect = regions[label].rect
             assert intersect(box, rect) == box
@@ -54,7 +63,8 @@ class TestRegionsFromClusters:
 
 class TestRefineGt:
     def region(self, rect):
-        return regions_from_clusters([rect], [0], (1000, 1000), margin=0)[0]
+        return regions_from_clusters([rect], [0], (1000, 1000), (rect.width, rect.height),
+                                     margin=0)[0]
 
     def test_fully_inside_kept(self):
         region = self.region(Box(50, 50, 200, 200))
@@ -194,18 +204,18 @@ class TestCropGtToDetector:
 
 class TestEipRegions:
     def test_even_partition(self):
-        regions = eip_regions((300, 200))
+        regions = eip_regions((300, 200), DETECTOR)
         assert len(regions) == 6
         for r in regions:
             assert r.rect.width == 100 and r.rect.height == 100
 
     def test_remainder_to_first_column(self):
-        widths = [r.rect.width for r in eip_regions((301, 200))[:3]]
+        widths = [r.rect.width for r in eip_regions((301, 200), DETECTOR)[:3]]
         assert widths == [101, 100, 100]
 
     def test_exact_partition(self):
         w, h = 641, 479
-        regions = eip_regions((w, h))
+        regions = eip_regions((w, h), DETECTOR)
         assert sum(area(r.rect) for r in regions) == w * h
         for i, a in enumerate(regions):
             for b in regions[i + 1:]:
@@ -214,7 +224,7 @@ class TestEipRegions:
     @given(st.integers(6, 4000), st.integers(4, 3000))
     @settings(max_examples=100)
     def test_partition_property(self, w, h):
-        regions = eip_regions((w, h))
+        regions = eip_regions((w, h), DETECTOR)
         assert len(regions) == 6
         assert sum(area(r.rect) for r in regions) == w * h
         for i, a in enumerate(regions):

@@ -27,7 +27,9 @@ from focalpipe.scenes import OracleSpec, SceneSpec
 
 
 def region_at(rect, region_id=0, detector_size=None, image=(2000, 2000)):
-    r = regions_from_clusters([rect], [0], image, margin=0, detector_size=detector_size)[0]
+    """The region of `rect` alone; without a detector size, its map is the identity."""
+    r = regions_from_clusters([rect], [0], image, detector_size or (rect.width, rect.height),
+                              margin=0)[0]
     return type(r)(rect=r.rect, region_id=region_id, image_id=r.image_id, to_detector=r.to_detector)
 
 

@@ -101,8 +101,8 @@ DENSE_SPEC = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25,
 
 
 class TestCenterFitEqualsGridFeatureFit:
-    """`cluster_boxes` fits box centers with density power rows x cols; the
-    reference fits the 2*rows*cols grid-offset feature `featurize` with power 1."""
+    """`cluster_boxes` fits box centers with density power `grid_points` = rows x cols;
+    the reference fits the 2*rows*cols grid-offset feature `featurize` with power 1."""
 
     @pytest.mark.parametrize("spec,rows,cols,n_scenes", [
         (claims.IBS_SCENE, 4, 4, 40),
@@ -110,7 +110,7 @@ class TestCenterFitEqualsGridFeatureFit:
         (claims.IBS_SCENE, 2, 3, 10),
     ], ids=["ablation-4x4", "dense-4x4", "ablation-2x3"])
     def test_same_labels_and_likelihood(self, spec, rows, cols, n_scenes):
-        config = PipelineConfig(grid_rows=rows, grid_cols=cols)
+        config = PipelineConfig(grid_points=rows * cols)
         for seed in range(n_scenes):
             scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
             boxes = [b for b, _ in scene.annotations]

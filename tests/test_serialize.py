@@ -152,7 +152,7 @@ class TestClassIdColumn:
                                       for c in ids]))
         _, classes, _ = serialize._detection_columns(dets, "images/img")
         assert classes.dtype == np.int64
-        assert classes.tolist() == [serialize._int(c, "class_id") for c in ids]
+        assert classes.tolist() == [serialize.integer(c, "class_id") for c in ids]
 
 
 def scored_boxes_strategy():
