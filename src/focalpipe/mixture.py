@@ -6,9 +6,11 @@ a 2-D one on the center, so the pipeline fits the centers with every component
 log density multiplied by P (`density_power=P`, P = `PipelineConfig.grid_points`):
 only the point count acts, not the grid's layout. `featurize` stays as the
 reference the equivalence tests compare against. The component count grows as
-log2 of the box count. A fit's restarts run in lockstep as one stacked array,
-and `exp` over more than one row skips numpy's slow path for subnormal and zero
-results, bit for bit (`_exp`). `posterior` and `assign_clusters` share one
+log2 of the box count. A fit's restarts run in lockstep on (restarts, k, n)
+arrays, so that every numpy pass runs along the n boxes; the sum over k keeps
+numpy's pairwise order for a contiguous axis, written out (`_sum_k`, held to
+`np.sum` by `TestSumK`), and `exp` skips numpy's slow path for subnormal and zero
+results (`_exp`), both bit for bit. `posterior` and `assign_clusters` share one
 batched path, with a nearest-mean fallback for a row whose density underflows.
 """
 
@@ -132,56 +134,88 @@ def featurize(boxes: Sequence[Box], grid: FeatureGrid) -> np.ndarray:
 def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
                variances: np.ndarray, power: float) -> np.ndarray:
     """log weight + power * diagonal-Gaussian log density; x (n, d), weights (..., k),
-    means and variances (..., k, d) -> (..., n, k).
-
-    One (..., n, k) plane per dimension, the terms `diff * diff / var` added left to
-    right: for d < 8 that is the sum numpy's reduce over a length-d axis gives, so
-    one row with d < 8 takes that reduce, in fewer numpy calls.
-    """
-    if len(x) == 1 and x.shape[1] < 8:
-        maha = ((x - means) ** 2 / variances).sum(axis=-1)[..., None, :]
-    else:
-        maha = sum(((x[:, j, None] - means[..., None, :, j]) ** 2 / variances[..., None, :, j]
-                    for j in range(x.shape[1])), 0.0)
-    log_norm = np.log(variances).sum(axis=-1) + variances.shape[-1] * LOG_2PI
+    means and variances (..., k, d) -> (..., k, n). The terms `diff * diff / var`, one plane
+    per dimension, are added to 0.0 left to right, in place: for d < 8 the sum numpy's
+    reduce over a length-d axis gives, so one row with d < 8 takes that reduce, in fewer
+    numpy calls, and no in-place ones, which cost more than they save on one row."""
+    log_norm = (np.log(variances).sum(axis=-1) + variances.shape[-1] * LOG_2PI)[..., None]
     with np.errstate(divide="ignore"):
-        log_w = np.log(weights)
-    return log_w[..., None, :] + power * (-0.5 * (maha + log_norm[..., None, :]))
+        log_w = np.log(weights)[..., None]
+    if len(x) == 1 and x.shape[1] < 8:
+        maha = ((x - means) ** 2 / variances).sum(axis=-1)[..., None]
+        return log_w + power * (-0.5 * (maha + log_norm))
+    maha, term = np.zeros(means.shape[:-1] + (len(x),)), None
+    for j in range(x.shape[1]):
+        term = np.square(np.subtract(x[:, j], means[..., j, None], out=term), out=term)
+        maha += np.divide(term, variances[..., j, None], out=term)
+    maha += log_norm
+    np.multiply(power, np.multiply(-0.5, maha, out=maha), out=maha)
+    return np.add(log_w, maha, out=maha)
 
 
-def _exp(a: np.ndarray) -> np.ndarray:
+def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`np.exp(a)` bit for bit, without numpy's slow path for subnormal and zero results,
-    which costs 10-150 times a normal one. `np.exp` runs on the arguments from `_EXP_FAST`
-    up (NaN too, as `~(a < T)` keeps it), on 0.0 in place of the rest, and once more on
-    the compacted band between `_EXP_ZERO` and `_EXP_FAST`; below that the result is +0.0."""
-    fast = ~(a < _EXP_FAST)
-    out = np.exp(np.where(fast, a, 0.0)) * fast
-    band = np.flatnonzero(~fast & ~(a < _EXP_ZERO))
-    out.flat[band] = np.exp(a.flat[band])
+    which costs 10-150 times a normal one: `np.exp` of `a` clamped at `_EXP_FAST` (a NaN
+    keeps its payload), +0.0 where it was clamped, then `np.exp` of the compacted band from
+    `_EXP_ZERO` up to `_EXP_FAST`. `out` may be `a`: the band is read before the overwrite."""
+    low = a < _EXP_FAST
+    band = np.flatnonzero(low & (a >= _EXP_ZERO))
+    edge = np.exp(a.flat[band])
+    out = np.maximum(a, _EXP_FAST, out=out)
+    np.exp(out, out=out)
+    np.copyto(out, 0.0, where=low)
+    out.flat[band] = edge
     return out
 
 
-def _logsumexp(a: np.ndarray, exp: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """log(sum(exp(a))) over the last axis, shifted by its max; -inf for all -inf rows."""
-    shift = a.max(axis=-1, keepdims=True)
+def _sum_k(a: np.ndarray) -> np.ndarray:
+    """Sum over axis -2 of (..., k, n), bit for bit `np.sum(axis=-1)` of the (..., n, k) copy:
+    numpy's pairwise order written out, with halves above k = 128. numpy adds that sum onto
+    +0.0, which only turns -0.0 into +0.0; doing so in each half as well changes no sum.
+    Below k = 8, and at n = 1 where the k axis is contiguous, numpy's reduce has that order."""
+    k = a.shape[-2]
+    if k < 8 or a.shape[-1] == 1:
+        return a.sum(axis=-2)
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _sum_k(a[..., :half, :]) + _sum_k(a[..., half:, :])
+    r = a[..., :8, :].copy()
+    for i in range(8, k - k % 8, 8):
+        r += a[..., i:i + 8, :]
+    while r.shape[-2] > 1:  # ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))
+        r = r[..., 0::2, :] + r[..., 1::2, :]
+    for i in range(k - k % 8, k):
+        r += a[..., i:i + 1, :]
+    return np.add(0.0, r[..., 0, :])
+
+
+def _logsumexp(a: np.ndarray, exp: Callable[..., np.ndarray]) -> np.ndarray:
+    """log(sum(exp(a))) over the k axis of (..., k, n), shifted by its max; -inf if all -inf."""
+    shift = a.max(axis=-2)
     shift[~np.isfinite(shift)] = 0.0
+    t = a - shift[..., None, :]
     with np.errstate(divide="ignore"):
-        return shift[..., 0] + np.log(exp(a - shift).sum(axis=-1))
+        return shift + np.log(_sum_k(exp(t, out=t)))
 
 
 def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """k-means++ style seeding: first row uniform, rest by squared distance."""
+    """k-means++ style seeding: first row uniform, rest by squared distance, each drawn as
+    `Generator.choice(n, p=d2 / total)` draws it, without its checks on p."""
     n = len(x)
     chosen = [int(rng.integers(n))]
     d2 = np.full(n, np.inf)  # squared distance to the nearest chosen row, kept as a running min
     for _ in range(1, k):
         newest = x[chosen[-1]]
-        np.minimum(d2, sum((x[:, j] - newest[j]) ** 2 for j in range(x.shape[1])), out=d2)
-        total = d2.sum()
+        with np.errstate(over="ignore"):
+            np.minimum(d2, sum((x[:, j] - newest[j]) ** 2 for j in range(x.shape[1])), out=d2)
+            total = d2.sum()
+        if not np.isfinite(total):
+            raise ValueError("squared distances between features overflow float64")
         if total <= 0:
             chosen.append(int(rng.integers(n)))
             continue
-        chosen.append(int(rng.choice(n, p=d2 / total)))
+        cdf = (d2 / total).cumsum()
+        chosen.append(int((cdf / cdf[-1]).searchsorted(rng.random(), "right")))
     return chosen
 
 
@@ -218,7 +252,7 @@ def fit_em(
     if not (math.isfinite(density_power) and density_power > 0):
         raise ValueError("density_power must be positive and finite")
 
-    # the restarts run in lockstep, as (a, n, k) arrays over the `a` still running
+    # the restarts run in lockstep, as (a, k, n) arrays over the `a` still running
     n, r = len(x), cfg.restarts
     rngs = map(np.random.default_rng, np.random.SeedSequence(cfg.rng_seed).spawn(r))
     means = np.stack([x[_kmeanspp_indices(x, k, rng)] for rng in rngs])
@@ -233,9 +267,11 @@ def fit_em(
         ll = np.sum(log_norm, axis=1)
         for i, value in zip(running.tolist(), ll.tolist()):
             history[i].append(value)
-        resp = _exp(log_joint - log_norm[..., None])
+        log_joint -= log_norm[:, None]
+        # the M-step adds over n one by one, as the reference does, on an (a, n, k) copy
+        resp = _exp(log_joint, out=log_joint).transpose(0, 2, 1).copy()
 
-        nk = np.maximum(resp.sum(axis=1), 1e-12)
+        nk = np.maximum(np.einsum("ank->ak", resp), 1e-12)  # at k = 1 every term is 1.0
         weights[running] = nk / n
         means[running] = m = np.matmul(resp.transpose(0, 2, 1), x) / nk[..., None]
         variances[running] = np.maximum(_variances(x, resp, m) / nk[..., None],
@@ -261,7 +297,7 @@ def _posteriors(model: MixtureModel, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     exp = np.exp if len(x) == 1 else _exp  # on one row the split costs more than it saves
     norm = _logsumexp(log_joint, exp)
     with np.errstate(over="ignore", invalid="ignore"):
-        probs = exp(log_joint - norm[:, None])
+        probs = exp(log_joint - norm).T
         fallback = ~np.isfinite(norm) | (np.exp(norm) == 0.0)
     if fallback.any():
         nearest = np.argmin(((x[fallback, None, :] - model.means) ** 2).sum(axis=2), axis=1)

@@ -133,7 +133,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
         y1, y2 = m.scale_y * (box.y1 + oy) + m.offset_y, m.scale_y * (box.y2 + oy) + m.offset_y
         if not all(map(math.isfinite, (x1, y1, x2, y2))):
             raise ValueError(f"non-finite detector-frame box: {(x1, y1, x2, y2)}")
-        if rng.uniform() < spec.miss_rate:
+        if rng.random() < spec.miss_rate:
             continue
         if spec.localization_noise > 0:
             jitter = rng.normal(0.0, spec.localization_noise, size=4)
@@ -142,7 +142,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
             if not all(map(math.isfinite, (x1, y1, x2, y2))):
                 raise ValueError(f"non-finite jittered box: {(x1, y1, x2, y2)}")
         out_class = class_id
-        if fraction < 1.0 and spec.n_classes > 1 and rng.uniform() < spec.class_flip_rate_truncated:
+        if fraction < 1.0 and spec.n_classes > 1 and rng.random() < spec.class_flip_rate_truncated:
             out_class = int((class_id + 1 + rng.integers(spec.n_classes - 1)) % spec.n_classes)
         if spec.score_std > 0:
             score = _clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0)

@@ -313,6 +313,9 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     elif case.startswith("annotation-bbox-"):
         ann_doc["images"]["img"]["annotations"][0]["bbox"] = (
             "1234" if case == "annotation-bbox-a-string" else ["0", "0", "10", "10"])
+    elif case == "annotation-centers-overflow":  # squared center distances overflow float64
+        ann_doc["images"]["img"]["annotations"].append(
+            {"bbox": [1e160, 0, 2e160, 10], "class_id": 1, "ignore": False})
     elif case == "annotation-ignore-a-string":
         ann_doc["images"]["img"]["annotations"][0]["ignore"] = "false"
     elif case == "region-id-inf":
@@ -437,6 +440,7 @@ class TestMalformedDocuments:
         "annotation-size-has-an-infinity", "annotation-size-has-an-overflow",
         "image-size-infinite", "class-id-negative", "class-id-with-an-underscore",
         "class-id-with-a-space", "class-id-with-a-plus", "class-id-2-to-63",
+        "annotation-centers-overflow",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -447,6 +451,8 @@ class TestMalformedDocuments:
         assert not (tmp_path / "out.json").exists()
         if "size" in case and "sizes" not in case and "pair" not in case:
             assert "width of 'img'" in err  # the image, not only the file
+        if case == "annotation-centers-overflow":
+            assert f"{bad}: img: " in err and "overflow" in err
 
     @pytest.mark.parametrize("case, json_path", [
         ("detection-bbox-nan", "images/img/[1]/detections/[0]/bbox"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from focalpipe.mixture import (
     MixtureModel,
     _exp,
     _kmeanspp_indices,
+    _sum_k,
     assign_clusters,
     featurize,
     fit_em,
@@ -142,6 +144,16 @@ class TestFitEm:
     def test_bad_density_power_rejected(self, power):
         with pytest.raises(ValueError, match="density_power"):
             fit_em(np.zeros((5, 2)), 1, EmConfig(), density_power=power)
+
+    def test_squared_distance_overflow_rejected(self):
+        """Features 1e160 apart overflow the k-means++ squared distances: `fit_em` says so
+        before a weighted draw from the non-finite distances, and numpy warns of nothing."""
+        x = np.array([[0.0, 5.0], [1e160, 5.0], [3.0, 5.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(5):
+                with pytest.raises(ValueError, match="overflow"):
+                    fit_em(x, 2, EmConfig(rng_seed=seed))
 
 
 def diagonal_density(x, mean, var):
@@ -378,6 +390,40 @@ class TestEmEqualsReference:
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
+class TestSumK:
+    """`_sum_k` over the k planes of (..., k, n) against numpy's own reduce over the
+    contiguous last axis of the (..., n, k) copy, bit for bit."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_bit_equal_to_contiguous_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        # one NaN: the one inf - inf makes. Which of two different NaNs an add keeps
+        # follows the compiler's operand order, not the order of the sum
+        with np.errstate(invalid="ignore"):
+            nan = np.subtract(np.inf, np.inf)
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, np.inf, -np.inf, nan])
+        pools = [special[:5], special, special[1:2]]  # the last gives sums of -0.0 alone
+        for k in [*range(1, 301), 511, 512, 513]:
+            n = int(rng.integers(1, 5))
+            nk = rng.normal(0, 1, (2, n, k)) * 10.0 ** rng.integers(-320, 308, (2, n, k))
+            mix = rng.random((2, n, k)) < rng.choice([0.0, 0.02, 0.3, 1.0])
+            nk[mix] = rng.choice(pools[rng.integers(3)], np.count_nonzero(mix))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = nk.sum(axis=-1)
+                got = _sum_k(np.ascontiguousarray(nk.transpose(0, 2, 1)))
+            assert got.tobytes() == want.tobytes(), (seed, k, n)
+
+    @pytest.mark.parametrize("k", [129, 200])
+    def test_fit_above_128_components_bit_equal(self, k):
+        """Above 128 components numpy's pairwise sum over k splits into halves: `fit_em`
+        against `ref_fit_em` there, beyond the k <= 60 of the random fits."""
+        rng = np.random.default_rng(k)
+        x = rng.normal(0, 300, (2 * k, 2))
+        em = EmConfig(rng_seed=k, max_iterations=15)
+        assert_same_fit(fit_em(x, k, em, 16.0), ref_fit_em(x, k, em, 16.0))
+
+
 class TestExp:
     """`_exp`, the E-step's split `np.exp`, against `np.exp` itself."""
 
@@ -396,8 +442,14 @@ class TestExp:
         ])
         a = rng.choice(pool, shape)
         with np.errstate(over="ignore"):
-            assert _exp(a).tobytes() == np.exp(a).tobytes()
+            want = np.exp(a).tobytes()
+            assert _exp(a).tobytes() == want
             assert _exp(a.T).tobytes() == np.exp(a.T).tobytes()
+            out = np.full(shape, 7.0)
+            assert _exp(a, out=out) is out and out.tobytes() == want
+            # written over its own argument: the band must be read before the overwrite
+            b = a.copy()
+            assert _exp(b, out=b) is b and b.tobytes() == want
 
     def test_np_exp_is_positive_zero_below_threshold(self):
         """`_exp` returns +0.0 below `_EXP_ZERO` without calling `np.exp`: this numpy must
