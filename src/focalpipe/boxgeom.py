@@ -157,22 +157,32 @@ PAIR_BUDGET = 8192  # most candidates `overlap_pairs` tests at once: O(n + budge
 
 
 def overlap_pairs(a: np.ndarray, a_group: np.ndarray, b: Optional[np.ndarray] = None,
-                  b_group: Optional[np.ndarray] = None):
-    """Every pair of a row of `a` (n, 4) and a row of `b` (m, 4) of the same group whose
-    boxes overlap with positive area, as chunks `(i, j, paired_iou)`, `i` indexing `a` and
-    `j` indexing `b`; without `b`, each unordered pair of distinct rows of `a` once. A pair
-    left out has IoU exactly 0. A sweep: each group's boxes are sorted by x1, and a box's
-    candidates are the boxes after it with x1 below its x2, PAIR_BUDGET at a time; those
-    that also overlap in y go to the kernel."""
+                  b_group: Optional[np.ndarray] = None, above: float = 0.0):
+    """Pairs of a row of `a` (n, 4) and a row of `b` (m, 4) of the same group whose boxes
+    overlap with positive area, as chunks `(i, j, paired_iou)`, `i` indexing `a` and `j`
+    indexing `b`; without `b`, each unordered pair of distinct rows of `a` once: all with
+    IoU >= `above`, or all at `above=0`. A sweep over boxes sorted by (group, x1): a box's
+    candidates, PAIR_BUDGET at a time, are the later ones with x1 below x2 - t' * w widened
+    by 16 ulps of max |x|, t' = above * (1 - 1e-9), and that overlap in y. IoU <= overlap /
+    max(side) per axis, so both prefilters keep supersets, and the kernel gets a pair only if
+    its own correctly rounded overlaps, min(x2) - max(x1) and min(y2) - max(y1), exceed t' w
+    and t' h of a box: one left out has computed IoU <= t' (1 + ~10 * 2**-53) < `above`. A
+    box with t' * min(w, 1) * min(h, 1) < 2**-1000 bounds no pair."""
     offset = 0 if b is None else len(np.reshape(a, (-1, 4)))  # of `b`'s rows in `xy`
     xy = np.concatenate([np.reshape(c, (-1, 4)) for c in (a, b) if c is not None], dtype=float)
     groups = np.concatenate([g for g in (a_group, b_group) if g is not None])
     # only boxes of positive area can overlap with positive area
     rows = np.flatnonzero((xy[:, 0] < xy[:, 2]) & (xy[:, 1] < xy[:, 3]))
     rows = rows[np.lexsort((xy[rows, 0], groups[rows]))]
-    group, (x1, y1, x2, y2) = groups[rows], xy[rows].T.copy()
+    group, planes = groups[rows], np.empty((6, len(rows)))  # x1, y1, x2, y2, need_x, need_y
+    planes[:4] = xy[rows].T
+    x1, y1, x2, y2 = planes[:4]
+    t, side = above * (1.0 - 1e-9), planes[2:4] - planes[:2]  # w, h
+    # the overlaps a partner needs on each axis, 0 where the box bounds no pair
+    planes[4:] = np.where(t * np.minimum(side, 1.0).prod(axis=0) >= 2.0**-1000, t * side, 0.0)
+    reach = x2 - planes[4] + 16.0 * np.spacing(np.maximum(-x1, x2))
     cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(rows)]
-    stop = np.concatenate([lo + np.searchsorted(x1[lo:hi], x2[lo:hi])
+    stop = np.concatenate([lo + np.searchsorted(x1[lo:hi], reach[lo:hi])
                            for lo, hi in zip(cuts[:-1], cuts[1:])])
     count = np.maximum(stop - np.arange(1, len(rows) + 1), 0)
     end = np.cumsum(count)
@@ -183,14 +193,19 @@ def overlap_pairs(a: np.ndarray, a_group: np.ndarray, b: Optional[np.ndarray] = 
         k = slice(first, last + 1)
         run = np.minimum(end[k], hi) - np.maximum(end[k] - count[k], lo)  # in [lo, hi)
         p = np.repeat(shift[k], run) + np.arange(lo, hi)
-        # x1 of the partner lies in [x1, x2) of the box, and both have positive width
-        hit = np.flatnonzero((np.repeat(y1[k], run) < y2[p]) & (y1[p] < np.repeat(y2[k], run)))
-        i, j = rows[first + np.searchsorted(np.cumsum(run), hit, "right")], rows[p[hit]]
-        if b is not None:  # only a row of `a` with a row of `b`, `a` first
+        # x1 of the partner p lies in the window of the box q, and both have positive area
+        hit = (np.repeat(y1[k], run) < y2[p]) & (y1[p] < np.repeat(y2[k], run))
+        if b is not None:  # only a row of `a` with a row of `b`
+            hit &= np.repeat(rows[k] >= offset, run) != (rows[p] >= offset)
+        hit = np.flatnonzero(hit)
+        q, p = first + np.searchsorted(np.cumsum(run), hit, "right"), p[hit]
+        u, v = np.take(planes, q, axis=1), np.take(planes, p, axis=1)  # the pairs' planes
+        over = np.minimum(u[2:4], v[2:4]) - np.maximum(u[:2], v[:2])
+        hit = np.flatnonzero((over > np.maximum(u[4:], v[4:])).all(axis=0))
+        i, j = rows[q[hit]], rows[p[hit]]
+        if b is not None:  # `a` first
             i, j = np.minimum(i, j), np.maximum(i, j)
-            cross = (i < offset) & (j >= offset)
-            i, j = i[cross], j[cross]
-        yield i, j - offset, paired_iou(xy[i], xy[j])
+        yield i, j - offset, paired_iou(np.take(u[:4], hit, 1).T, np.take(v[:4], hit, 1).T)
 
 
 def apply_map(b: Box, m: AffineMap2D) -> Box:

@@ -10,11 +10,11 @@ matches without contributing positives or penalties. COCO AP uses 101-point
 interpolated precision averaged over IoU thresholds 0.50:0.05:0.95; size
 buckets split ground truth at areas 32^2 and 96^2.
 
-The core works on arrays. `boxgeom.overlap_pairs` gives the (detection,
-ground truth, IoU) pairs of each (image, class) that overlap at all, and those
-at or above the lowest threshold are kept: any other pair has IoU 0, below
-every threshold. At each (IoU threshold, area range) key, a detection that
-shares none of its candidates with another is decided in bulk from its own
+The core works on arrays. `boxgeom.overlap_pairs`, given the lowest threshold
+as `above`, gives the (detection, ground truth, IoU) pairs of each (image, class)
+that can reach it, and those at or above it are kept: any other pair has IoU
+below the lowest threshold. At each (IoU threshold, area range) key, a detection
+that shares none of its candidates with another is decided in bulk from its own
 candidates; the greedy loop runs only on the rest. Each class is sorted by
 score once, and the precision, recall and AP samples of every key come from
 one pass over its (keys, detections) outcomes.
@@ -152,7 +152,7 @@ def _candidates(d_xy, d_group, g_xy, g_group, min_iou: float) -> tuple:
     class) group, sorted by detection, then descending IoU, then ground truth."""
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
     parts += [(d[v >= min_iou], g[v >= min_iou], v[v >= min_iou])
-              for d, g, v in overlap_pairs(d_xy, d_group, g_xy, g_group)]
+              for d, g, v in overlap_pairs(d_xy, d_group, g_xy, g_group, above=min_iou)]
     tri_d, tri_g, tri_v = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((tri_g, -tri_v, tri_d))
     return tri_d[order], tri_g[order], tri_v[order]

@@ -5,7 +5,7 @@ concatenate, run per-class greedy NMS, then Incomplete Box Suppression (IBS)
 across overlapping regions. IBS lets a complete box from one region suppress
 the truncated duplicate another region predicted for the same object, which
 plain NMS misses because the truncated pair's IoU is small. Both score only the pairs
-`boxgeom.overlap_pairs` gives: any other pair has IoU 0 and passes no threshold >= 0.
+`boxgeom.overlap_pairs(..., above=t)` gives at their threshold t: any other has IoU < t.
 
 The merge runs on columns, one image's detections as flat arrays of boxes (n, 4) float64,
 class ids int64 (a `ScoredBox` holds ids in [0, 2^63) only), scores float64 and region
@@ -133,7 +133,7 @@ def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
     rank = np.argsort(order)
     groups = classes if per_class else np.zeros(len(classes), dtype=np.int64)
     pairs = [(np.empty(0, dtype=np.intp),) * 2]  # each suppressing pair's ranks, high first
-    for i, j, v in overlap_pairs(boxes, groups):
+    for i, j, v in overlap_pairs(boxes, groups, above=iou_threshold):
         i, j = rank[i[v > iou_threshold]], rank[j[v > iou_threshold]]
         pairs.append((np.minimum(i, j), np.maximum(i, j)))
     first, second = (np.concatenate(p) for p in zip(*pairs))
@@ -177,16 +177,17 @@ def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.nda
     near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
     # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
     rank = np.argsort(np.lexsort((index, -scores)))
+    # one sweep by (class rank, region), a key that cannot overflow; clips outside are empty
+    mine, (target, comp) = np.flatnonzero(near.any(axis=1)[index]), np.nonzero(near[:, index])
+    rect = rects[target]
+    clips = np.minimum(np.maximum(boxes[comp], rect[:, [0, 1, 0, 1]]), rect[:, [2, 3, 2, 3]])
     groups = classes if cfg.per_class else np.zeros(len(classes), dtype=np.int64)
+    groups = np.unique(groups, return_inverse=True)[1] * len(regions)
     keep = np.ones(len(boxes), dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)):  # regions with an overlapping neighbour
-        rect, comp = rects[i], np.flatnonzero(near[i][index])
-        # a competitor outside the rect is clipped onto its edge, with zero area
-        clips = np.minimum(np.maximum(boxes[comp], rect[[0, 1, 0, 1]]), rect[[2, 3, 2, 3]])
-        mine = np.flatnonzero(index == i)
-        for r, c, v in overlap_pairs(boxes[mine], groups[mine], clips, groups[comp]):
-            hit = (v > cfg.ibs_box_iou) & (rank[comp[c]] < rank[mine[r]])
-            keep[mine[r[hit]]] = False
+    for r, c, v in overlap_pairs(boxes[mine], groups[mine] + index[mine], clips,
+                                 groups[comp] + target, above=cfg.ibs_box_iou):
+        hit = (v > cfg.ibs_box_iou) & (rank[comp[c]] < rank[mine[r]])
+        keep[mine[r[hit]]] = False
     return keep
 
 

@@ -257,7 +257,10 @@ def fit_em(
     rngs = map(np.random.default_rng, np.random.SeedSequence(cfg.rng_seed).spawn(r))
     means = np.stack([x[_kmeanspp_indices(x, k, rng)] for rng in rngs])
     weights = np.full((r, k), 1.0 / k)
-    variances = np.tile(np.maximum(np.var(x, axis=0), cfg.covariance_floor), (r, k, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        variances = np.tile(np.maximum(np.var(x, axis=0), cfg.covariance_floor), (r, k, 1))
+    if not np.isfinite(variances).all():  # k-means++ seeding checks this only for k >= 2
+        raise ValueError("squared distances between features overflow float64")
     history: list[list[float]] = [[] for _ in range(r)]
     running, prev_ll = np.arange(r), np.full(r, -np.inf)
     for _ in range(cfg.max_iterations):

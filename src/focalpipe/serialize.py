@@ -226,10 +226,11 @@ def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, n
         bboxes, ids, scores = ([d[k] for d in dets] for k in ("bbox", "class_id", "score"))
         if float in set(map(type, ids)):  # integral floats load as `integer` gives them
             ids = [integer(c, "class_id") for c in ids]
-        if not (set(map(type, bboxes)) <= {list}
+        if not (set(map(type, bboxes)) <= {list} and set(map(len, bboxes)) <= {4}
                 and set(map(type, chain(ids, scores, chain.from_iterable(bboxes)))) <= NUMBER):
             raise TypeError("not JSON numbers")
-        boxes = np.array(bboxes, dtype=np.float64).reshape(len(dets), 4)
+        # one flat pass converts faster than the nested lists
+        boxes = np.fromiter(chain.from_iterable(bboxes), np.float64, 4 * len(dets)).reshape(-1, 4)
         classes, scores = np.array(ids, dtype=np.int64), np.array(scores, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
         for j, d in enumerate(dets):  # only to name the first detection that breaks the rule

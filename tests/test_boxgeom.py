@@ -283,6 +283,31 @@ def same_bits(x, y):
     return x == y or (math.isnan(x) and math.isnan(y))
 
 
+# thresholds for `above`, and offsets that move the lattice far from the origin, where an
+# ulp of a coordinate is larger than the slack the sweep allows on a box's side
+ABOVE = [0.0, 1e-12, 0.05, 0.5, 0.7, 1.0]
+OFFSETS = [0.0, 1e6, 2.0**30]
+
+
+def far(rows, offset):
+    """`grouped_boxes` rows with the lattice values scaled by 1/64 and moved by `offset`:
+    IoU ties stay exact. The corners at +-1e308 stay where they are."""
+    return np.where(np.abs(rows) < 1e300, rows / 64 + offset, rows)
+
+
+def check_above(got, matrix, a, b, same, above):
+    """The pairs `got` of `overlap_pairs(..., above=above)` against `matrix`, the IoU of
+    each row of `a` with each of `b`: each pair given is in one group (`same`), overlaps
+    with positive area and has the matrix's IoU bits, and every pair in one group with
+    IoU >= `above`, and > 0, is given."""
+    for (i, j), value in got.items():
+        assert same[i, j] and same_bits(value, matrix[i, j])
+        assert max(a[i, 0], b[j, 0]) < min(a[i, 2], b[j, 2])
+        assert max(a[i, 1], b[j, 1]) < min(a[i, 3], b[j, 3])
+    wanted = np.nonzero(same & (matrix >= above) & (matrix > 0))
+    assert set(zip(*(w.tolist() for w in wanted))) <= set(got)
+
+
 class TestOverlapPairs:
     """The sweep gives every same-group pair with positive IoU, each once, with the IoU
     `pairwise_iou` gives it; every pair it leaves out has IoU exactly 0."""
@@ -325,3 +350,44 @@ class TestOverlapPairs:
         assert collect(overlap_pairs(np.empty((0, 4)), np.empty(0, np.int64)), 1) == {}
         assert collect(overlap_pairs(boxes, np.zeros(3, np.int64), np.empty((0, 4)),
                                      np.empty(0, np.int64)), 1) == {}
+
+
+class TestOverlapPairsAbove:
+    """With `above=t`, the sweep gives every same-group pair with IoU >= t, with the IoU
+    `pairwise_iou` gives it, and only pairs that overlap with positive area."""
+
+    @given(a=grouped_boxes(), b=grouped_boxes(), offset=st.sampled_from(OFFSETS),
+           above=st.sampled_from(ABOVE))
+    @settings(max_examples=60, deadline=None)
+    def test_above_between_two_sets(self, a, b, offset, above):
+        (a, a_group), (b, b_group) = ((far(rows, offset), group) for rows, group in (a, b))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = collect(overlap_pairs(a, a_group, b, b_group, above=above), 8192)
+            matrix = pairwise_iou(a, b)
+        check_above(got, matrix, a, b, a_group[:, None] == b_group[None, :], above)
+
+    @given(a=grouped_boxes(max_size=24), offset=st.sampled_from(OFFSETS),
+           above=st.sampled_from(ABOVE))
+    @settings(max_examples=60, deadline=None)
+    def test_above_within_one_set(self, a, offset, above):
+        rows, group = a
+        a = far(rows, offset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = collect(overlap_pairs(a, group, above=above), 8192)
+            matrix = pairwise_iou(a, a)
+        got = {(min(pair), max(pair)): value for pair, value in got.items()}
+        check_above(got, matrix, a, a, np.triu(group[:, None] == group[None, :], 1), above)
+
+    @pytest.mark.parametrize("pair", [
+        # IoU exactly 1/2 where an ulp of x is larger than the slack t * 1e-9 * w
+        [[1e6, 0, 1e6 + 1 / 32, 1], [1e6 + 1 / 64, 0, 1e6 + 1 / 32, 1]],
+        [[2.0**30, 0, 2.0**30 + 1 / 32, 1], [2.0**30 + 1 / 64, 0, 2.0**30 + 1 / 32, 1]],
+        # IoU exactly 1/2 with widths of 2 and 1 subnormal ulps: t * w is not a normal float
+        [[0, 0, 1e-323, 1e300], [5e-324, 0, 1e-323, 1e300]],
+    ])
+    def test_pair_exactly_at_threshold(self, pair):
+        boxes = np.array(pair, dtype=np.float64)
+        assert pairwise_iou(boxes[:1], boxes[1:])[0, 0] == 0.5
+        assert collect(overlap_pairs(boxes, np.zeros(2, np.int64), above=0.5), 1) == {(0, 1): 0.5}
+        assert collect(overlap_pairs(boxes[:1], np.zeros(1, np.int64), boxes[1:],
+                                     np.zeros(1, np.int64), above=0.5), 1) == {(0, 0): 0.5}

@@ -139,6 +139,15 @@ class TestCocoEval:
         assert report.ap50 == 100.0
         assert report.ap75 == 0.0
 
+    @pytest.mark.parametrize("offset", [1e6, 2.0**30])
+    def test_iou_exactly_at_threshold_far_from_origin(self, offset):
+        # IoU exactly 0.5 where a coordinate's ulp is far larger than the box's: still a TP
+        # at the 0.5 key, which keeps IoU >= 0.5
+        gt = {"a": [GtAnnotation(Box(offset, 0, offset + 1 / 32, 1), 1)]}
+        det = {"a": [ScoredBox(Box(offset + 1 / 64, 0, offset + 1 / 32, 1), 1, 0.9)]}
+        assert iou(det["a"][0].box, gt["a"][0].box) == 0.5
+        assert coco_eval(det, gt).ap50 == 100.0
+
     def test_empty_everything(self):
         report = coco_eval({}, {})
         assert report.empty

@@ -300,29 +300,48 @@ def overlapping_pairs(boxes, classes):
     return count
 
 
+def detector_sized_scene():
+    """Image-space columns of one detector-sized image: 12 oracle replicas with independent
+    jitter, plus false positives, over the regions of a 1600 x 1200 scene."""
+    config = PipelineConfig()
+    scene = scenes.generate_scene(SceneSpec(image_size=(1600, 1200), n_clusters=8,
+                                            boxes_per_cluster=(25, 32), rng_seed=5))
+    gts = [GtAnnotation(b, c) for b, c in scene.annotations]
+    regions = pipeline.regions_for_image(gts, scene.image_size, config, seed=5)
+    crops = pipeline.refine_image(regions, gts, config)
+    per_region = [RegionDetections(c.region) for c in crops]
+    for r in range(12):
+        oracle = OracleSpec(rng_seed=500 + r, false_positive_rate=15.0)
+        for rd, crop in zip(per_region, crops):
+            rd.detections.extend(scenes.oracle_detect(crop, oracle).detections)
+    regions, boxes, classes, scores, index = fuse._flat(per_region)
+    return fuse._remap(regions, boxes, index), classes, scores
+
+
+def kernel_pairs(boxes, classes, scores, threshold):
+    """The pairs NMS at `threshold` hands the IoU kernel."""
+    with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+        nms_indices(boxes, classes, scores, threshold)
+    return sum(len(call.args[0]) for call in kernel.call_args_list)
+
+
 class TestNmsScaling:
     def test_kernel_scores_only_overlapping_pairs(self):
         """A count, not a timing: on a detector-sized image NMS hands the IoU kernel no more
         pairs than overlap, where an all-pairs scan would hand it several times as many."""
-        config = PipelineConfig()
-        scene = scenes.generate_scene(SceneSpec(image_size=(1600, 1200), n_clusters=8,
-                                                boxes_per_cluster=(25, 32), rng_seed=5))
-        gts = [GtAnnotation(b, c) for b, c in scene.annotations]
-        regions = pipeline.regions_for_image(gts, scene.image_size, config, seed=5)
-        crops = pipeline.refine_image(regions, gts, config)
-        per_region = [RegionDetections(c.region) for c in crops]
-        for r in range(12):  # oracle replicas with independent jitter, plus false positives
-            oracle = OracleSpec(rng_seed=500 + r, false_positive_rate=15.0)
-            for rd, crop in zip(per_region, crops):
-                rd.detections.extend(scenes.oracle_detect(crop, oracle).detections)
-        regions, boxes, classes, scores, index = fuse._flat(per_region)
-        boxes = fuse._remap(regions, boxes, index)
+        boxes, classes, scores = detector_sized_scene()
         assert len(boxes) > 3000
-        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
-            nms_indices(boxes, classes, scores, 0.5)
-        scored = sum(len(call.args[0]) for call in kernel.call_args_list)
+        scored = kernel_pairs(boxes, classes, scores, 0.0)
         overlapping = overlapping_pairs(boxes, classes)
         assert 0 < scored <= overlapping < len(boxes) ** 2 / 20
+
+    def test_threshold_prunes_kernel_pairs(self):
+        """A count, not a timing: at 0.5, NMS hands the kernel at most 60 % of the
+        overlapping pairs, since a pair whose overlap on either axis is at most half the
+        longer side on that axis cannot pass."""
+        boxes, classes, scores = detector_sized_scene()
+        assert 0 < kernel_pairs(boxes, classes, scores, 0.5) <= 0.6 * overlapping_pairs(boxes,
+                                                                                        classes)
 
 
 class TestRemap:
@@ -431,6 +450,37 @@ class TestIbs:
         )
         assert out == [d1]
         assert out[0] is d1  # the lower-indexed region's box, not its equal twin
+
+    @pytest.mark.parametrize("n_regions", [1, 2, 5, 9])
+    def test_one_sweep_per_merge(self, n_regions):
+        # one `overlap_pairs` call, not one per region, whatever the region count
+        rng = np.random.default_rng(n_regions)
+        per_region = []
+        for k in range(n_regions):
+            rect = Box(100 * k, 0, 100 * k + 300, 300)
+            dets = [ScoredBox(d.box.translate(rect.x1, 0), d.class_id, d.score)
+                    for d in random_scored_boxes(rng, 20, span=240)]
+            per_region.append(RegionDetections(region_at(rect, region_id=k), dets))
+        with mock.patch.object(fuse, "overlap_pairs", wraps=fuse.overlap_pairs) as sweep:
+            out = ibs(per_region, FuseConfig())
+        assert [id(d) for d in out] == [id(d) for d in reference_ibs(per_region, FuseConfig())]
+        assert sweep.call_count == 1
+
+    def test_class_ids_near_int64_limit(self):
+        # ids 2^62 apart: as `class * 4 + region` over 4 regions, int64 wraps them to one group
+        rng = np.random.default_rng(23)
+        classes = [2**63 - 1, 2**62 - 1, 2**63 - 2]
+        per_region = []
+        for k, (x, y) in enumerate([(0, 0), (150, 0), (0, 150), (150, 150)]):
+            rect = Box(x, y, x + 300, y + 300)
+            dets = [ScoredBox(d.box.translate(x, y), classes[d.class_id], d.score)
+                    for d in random_scored_boxes(rng, 60, span=240)]
+            per_region.append(RegionDetections(region_at(rect, region_id=k), dets))
+        for per_class in (True, False):
+            cfg = FuseConfig(per_class=per_class)
+            out = ibs(per_region, cfg)
+            assert [id(d) for d in out] == [id(d) for d in reference_ibs(per_region, cfg)]
+        assert ibs(per_region, FuseConfig()) != ibs(per_region, FuseConfig(per_class=False))
 
     def test_detection_outside_region_rejected(self):
         region = region_at(Box(0, 0, 100, 100))

@@ -155,6 +155,19 @@ class TestFitEm:
                 with pytest.raises(ValueError, match="overflow"):
                     fit_em(x, 2, EmConfig(rng_seed=seed))
 
+    @pytest.mark.parametrize("k, x", [
+        (1, [[0.0, 5.0], [1e160, 5.0], [3.0, 5.0]]),  # k = 1 draws no k-means++ distances
+        (2, [[1e308, 5.0]] * 3),  # the distances are 0, but the mean's sum overflows
+    ])
+    def test_initial_variance_overflow_rejected(self, k, x):
+        """The initial variances overflow: `fit_em` raises the error the k-means++ check
+        raises, rather than returning an all-NaN model, and numpy warns of nothing."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match="squared distances between features overflow float64"):
+                fit_em(np.array(x), k, EmConfig())
+
 
 def diagonal_density(x, mean, var):
     """Independent scalar-Gaussian product, evaluated one dimension at a time."""
