@@ -2,7 +2,8 @@
 
 Stage boundaries are JSON/CSV/VisDrone-text files, so any stage can be
 replaced by an external process that honors the same schemas. Exit codes:
-0 success, 1 usage error, 2 data error.
+0 success, 1 usage error, 2 data error: an unreadable, non-UTF-8 or malformed input or
+an unwritable output, named in the message.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import secrets
 import sys
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -25,11 +27,20 @@ from .evalkit import GtAnnotation, coco_eval, precision_recall_points, report_ta
 from .fuse import ingest_columns, merge_columns, scored_columns
 from .pipeline import refine_image, regions_for_image, run_image
 from .scenes import OracleSpec, SceneSpec, generate_scene
-from .visdrone import VisDroneFormatError
 
 
 class DataError(click.ClickException):
     """Invalid or inconsistent input data; maps to exit code 2."""
+
+
+@contextmanager
+def _data_errors(*where: object):
+    """Raise a `ValueError` inside (JSON syntax, Unicode and schema errors are all one) as a
+    `DataError` whose message starts with `where`: the input, then the image or JSON path."""
+    try:
+        yield
+    except ValueError as e:
+        raise DataError(": ".join([*map(str, where), str(e)])) from e
 
 
 def config_options(*names: str):
@@ -47,10 +58,8 @@ def config_options(*names: str):
 
 
 def _load_config(config_path: Optional[str], **overrides) -> PipelineConfig:
-    try:
+    with _data_errors():  # a config file's errors name it; a flag's name the field
         return PipelineConfig.load(config_path, overrides=overrides)
-    except (ValueError, json.JSONDecodeError) as e:
-        raise DataError(str(e)) from e
 
 
 def _load_annotations(path: str):
@@ -58,29 +67,24 @@ def _load_annotations(path: str):
     sizes (None) from a VisDrone directory."""
     if not Path(path).is_dir():
         return _load_doc(path, serialize.annotations_from_doc)
-    try:
+    with _data_errors():  # its errors name the file and line
         return visdrone.parse_annotations(path), None
-    except (ValueError, OSError) as e:
-        raise DataError(str(e)) from e
 
 
 def _load_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: {e}") from e
+    with _data_errors(path):
+        return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _load_doc(path: str, from_doc: Callable[[dict], Any]) -> Any:
     """Read a stage document and convert it with a `serialize.*_from_doc`
     function; a document that does not fit the schema is a data error."""
     doc = _load_json(path)
-    try:
-        return from_doc(doc)
-    except serialize.DocumentError as e:
-        raise DataError(f"{path}: {e}") from e
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
-        raise DataError(f"{path}: malformed document ({type(e).__name__}: {e})") from e
+    with _data_errors(path):
+        try:
+            return from_doc(doc)
+        except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as e:
+            raise ValueError(f"malformed document ({type(e).__name__}: {e})") from e
 
 
 def _resolve_seed(seed: Optional[int]) -> int:
@@ -145,13 +149,11 @@ def gen_regions_cmd(annotations_path, sizes_path, out_path, seed, config_path, *
             raise DataError(f"{sizes_path}: no image size for: {sorted(set(gts) - set(sizes))[:5]}")
     per_image = {}
     for image_id in sorted(gts):
-        try:
+        with _data_errors(sizes_from, image_id):
             regions = regions_for_image(
                 gts[image_id], sizes[image_id], config, image_id=image_id,
                 seed=_image_seed(seed, image_id),
             )
-        except ValueError as e:
-            raise DataError(f"{sizes_from}: {image_id}: {e}") from e
         per_image[image_id] = (sizes[image_id], regions)
     serialize.write_json_atomic(out_path, serialize.regions_doc(per_image))
     click.echo(f"wrote regions for {len(per_image)} images to {out_path}")
@@ -189,12 +191,10 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
     per_image = _load_doc(rd_path, serialize.region_detection_columns)
     merged = {}
     for image_id in sorted(per_image):
-        try:
+        with _data_errors(rd_path, f"images/{image_id}"):
             # external detectors may overrun the detector frame; clamp to it first
             merged[image_id] = merge_columns(*ingest_columns(per_image[image_id]),
                                              config.fuse_config(), apply_ibs=not no_ibs)
-        except ValueError as e:
-            raise DataError(f"{rd_path}: images/{image_id}: {e}") from e
     serialize.write_merged_json(out_path, merged)
     if out_visdrone:
         visdrone.write_detections(out_visdrone, merged)
@@ -218,25 +218,17 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
     """Score merged detections against ground truth."""
     config = _load_config(config_path, **overrides)
     gts, _ = _load_annotations(annotations_path)
-    try:
+    with _data_errors(class_names_path):
         names = visdrone.load_class_names(class_names_path) if class_names_path else None
-    except (ValueError, OSError) as e:
-        raise DataError(f"{class_names_path}: {e}") from e
-    p = Path(det_path)
-    try:
-        if p.is_dir():
-            dets = visdrone.parse_detections(p)
-        else:
-            dets = _load_doc(det_path, serialize.merged_detections_from_doc)
+    with _data_errors():  # a VisDrone error names its file and line
+        dets = (visdrone.parse_detections(det_path) if Path(det_path).is_dir()
+                else _load_doc(det_path, serialize.merged_detections_from_doc))
+    with _data_errors(det_path):
         report = coco_eval(dets, gts, max_dets=config.max_dets)
-    except (VisDroneFormatError, ValueError) as e:
-        raise DataError(str(e)) from e
     doc = report.to_json_dict()
     if voc_iou is not None:
-        try:
+        with _data_errors("--voc-iou"):
             doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
-        except ValueError as e:
-            raise DataError(f"--voc-iou: {e}") from e
         doc["voc_iou"] = voc_iou
     serialize.write_json_atomic(out_path, doc)
     table = report_table(report, class_names=names)
@@ -271,11 +263,11 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **override
 
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
     oracle = OracleSpec(n_classes=classes, rng_seed=seed)
-    runs = {
-        image_id: run_image(gts[image_id], sizes[image_id], oracle, config, image_id=image_id,
-                            seed=_image_seed(seed, image_id))
-        for image_id in sorted(gts)
-    }
+    runs = {}
+    for image_id in sorted(gts):
+        with _data_errors(out / "annotations.json", image_id):
+            runs[image_id] = run_image(gts[image_id], sizes[image_id], oracle, config,
+                                       image_id=image_id, seed=_image_seed(seed, image_id))
     regions = {image_id: (sizes[image_id], run.regions) for image_id, run in runs.items()}
     crops = {image_id: run.crops for image_id, run in runs.items()}
     rds = {image_id: run.region_detections for image_id, run in runs.items()}
@@ -303,8 +295,8 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **override
 def main(argv: Optional[list[str]] = None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
-    except DataError as e:
-        click.echo(f"error: {e.format_message()}", err=True)
+    except (DataError, OSError) as e:  # an OSError's message names its path
+        click.echo(f"error: {e}", err=True)
         return 2
     except click.UsageError as e:
         click.echo(f"usage error: {e.format_message()}", err=True)

@@ -70,18 +70,18 @@ class PipelineConfig:
         Unknown keys in the file are rejected. File values follow the stage-document
         number rule (`serialize.number` for a float field, `serialize.integer` for an int
         field, so `16.0` loads as 16), and they must be valid on their own, so that their
-        errors name the file.
+        errors, like those of decoding the file, start with `config file <path>:`.
         """
         config = cls()
         if path is not None:
             types = {f.name: type(f.default) for f in dataclasses.fields(cls)}
-            data = json.loads(Path(path).read_text())
-            if not isinstance(data, dict):
-                raise ValueError(f"config file {path} must hold a JSON object")
-            unknown = set(data) - set(types)
-            if unknown:
-                raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
             try:
+                data = json.loads(Path(path).read_text(encoding="utf-8"))
+                if not isinstance(data, dict):
+                    raise ValueError("must hold a JSON object")
+                unknown = set(data) - set(types)
+                if unknown:
+                    raise ValueError(f"unknown config keys: {sorted(unknown)}")
                 config = cls(**{key: (integer if types[key] is int else number)(value, key)
                                 for key, value in data.items()})
             except ValueError as e:

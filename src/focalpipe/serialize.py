@@ -59,7 +59,7 @@ def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "w", encoding="utf-8") as f:
             write(f)
         os.replace(tmp, path)
     except BaseException:

@@ -28,7 +28,7 @@ class VisDroneFormatError(ValueError):
 def load_class_names(path: str | Path) -> dict[int, str]:
     """The class-id -> name mapping in the JSON object at `path`. A key is a class id as a
     category is: decimal digits alone, of a value below 2^63."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(doc, dict) or not all(isinstance(v, str) for v in doc.values()):
         raise VisDroneFormatError("class names must be a JSON object of class id -> name")
     bad = [k for k in doc if not (k.isascii() and k.isdecimal()
@@ -68,10 +68,17 @@ def _record_box(values: tuple[float, ...]) -> Box:
 
 
 def _parse_records(path: str | Path, make: Callable[[tuple[float, ...]], Any]) -> list[Any]:
-    """One record per non-blank line; a record `make` rejects is named by `path:line`."""
+    """One record per non-blank line; a record `make` rejects, or an undecodable byte, is
+    named by `path:line`."""
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as e:  # its line as `splitlines` below would count it
+        lineno = len((data[:e.start].decode() + ".").splitlines())
+        raise VisDroneFormatError(f"{path}:{lineno}: {e}") from e
     records = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         values = _parse_line(line, path, lineno)

@@ -1,8 +1,12 @@
+import ast
 import contextlib
 import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -89,6 +93,62 @@ class TestExitCodes:
         # an integer a float holds is kept as the integer
         cfg.write_text(json.dumps({"margin": 10**300}))
         assert PipelineConfig.load(cfg).margin == 10**300
+
+    @pytest.mark.parametrize("command", ["merge", "synth", "eval"])
+    def test_unwritable_output_is_data_error(self, command, tmp_path, capsys):
+        file = tmp_path / "file"  # a regular file where a directory is needed
+        file.write_text("")
+        docs = {"rd.json": TestMerge().region_detection_doc(), "merged.json": MERGED_DOC,
+                "ann.json": ANNOTATIONS_DOC}
+        for name, doc in docs.items():
+            serialize.write_json_atomic(tmp_path / name, doc)
+        argv = {
+            "merge": ["merge", "--region-detections", str(tmp_path / "rd.json"),
+                      "--out", str(file / "m.json")],
+            "synth": ["synth", "--out", str(file), "--num-scenes", "1"],
+            "eval": ["eval", "--detections", str(tmp_path / "merged.json"), "--annotations",
+                     str(tmp_path / "ann.json"), "--out", str(tmp_path / "r.json"),
+                     "--table", str(file / "t.txt")],
+        }[command]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert str(file) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    def test_files_are_utf8_whatever_the_locale(self, tmp_path):
+        # a fresh interpreter in the C locale without UTF-8 mode, where text defaults to ASCII
+        ann, dets = tmp_path / "ann.json", tmp_path / "merged.json"
+        names, table = tmp_path / "names.json", tmp_path / "table.txt"
+        box = Box(0, 0, 10, 10)
+        for path, doc in [(ann, serialize.annotations_doc({"café": [GtAnnotation(box, 1)]},
+                                                          {"café": (100, 100)})),
+                          (dets, serialize.merged_detections_doc(
+                              {"café": [ScoredBox(box, 1, 0.9)]})),
+                          (names, {"1": "vélo"})]:
+            path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+        src = str(Path(focalpipe.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+               "PYTHONUTF8": "0"}
+        result = subprocess.run(
+            [sys.executable, "-m", "focalpipe.cli", "eval", "--detections", str(dets),
+             "--annotations", str(ann), "--class-names", str(names), "--out",
+             str(tmp_path / "report.json"), "--table", str(table)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert "vélo" in table.read_bytes().decode("utf-8")
+
+    def test_only_the_converter_and_main_raise_data_errors_from_handlers(self):
+        """Every other function lets a `ValueError` reach the converter, so that one code
+        path words every data error."""
+        tree = ast.parse(Path(focalpipe.cli.__file__).read_text())
+        offenders = [
+            f.name for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name not in ("_data_errors", "main")
+            for handler in ast.walk(f) if isinstance(handler, ast.ExceptHandler)
+            for r in ast.walk(handler) if isinstance(r, ast.Raise)
+            if any(isinstance(n, ast.Name) and n.id == "DataError" for n in ast.walk(r))
+        ]
+        assert offenders == []
 
     def test_config_flags_are_the_fields_each_command_reads(self):
         fields = [f.name for f in dataclasses.fields(PipelineConfig)]
@@ -270,9 +330,21 @@ class TestMergeClampsToDetectorFrame:
         assert rect.x1 <= merged.box.x1 and merged.box.x2 <= rect.x2
 
 
+# a case whose malformed file is that of another case, with a Latin-1 "é" in its first key
+NOT_UTF8 = {"annotations-not-utf8": "three-number-bbox",
+            "regions-not-utf8": "regions-given-region-detections",
+            "region-detections-not-utf8": "region-without-id",
+            "image-sizes-not-utf8": "image-size-not-a-pair", "merged-not-utf8": "merged-bbox-nan",
+            "config-not-utf8": "config-margin-nan"}
+
+
 def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     """Write the input files of one malformed-document case; returns the
     command line and the path of the malformed file."""
+    if case in NOT_UTF8:
+        argv, bad = malformed_case(NOT_UTF8[case], tmp_path)
+        bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xe9', 1))
+        return argv, bad
     rd_doc = TestMerge().region_detection_doc()
     ann_doc = serialize.annotations_doc(
         {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]}, {"img": (100, 100)})
@@ -354,12 +426,13 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
             "visdrone-annotation-category-inf": ("ann", "0,0,10,10,1,inf,0,0"),
             "visdrone-annotation-category-2-to-63": ("ann", f"0,0,10,10,1,{2**63},0,0"),
             "visdrone-detection-category-2-to-64": ("det", f"0,0,10,10,0.5,{2**64},-1,-1"),
+            "visdrone-annotation-not-utf8": ("ann", "0,0,10,10,1,1,0,0 # café"),
         }[case]
         files = {"det": "0,0,10,10,0.5,1,-1,-1\n", "ann": "0,0,10,10,1,1,0,0\n"}
         files[kind] += line + "\n"
         for name, text in files.items():
             (tmp_path / name).mkdir()
-            (tmp_path / name / "img.txt").write_text(text)
+            (tmp_path / name / "img.txt").write_bytes(text.encode("latin-1"))
         argv = ["eval", "--detections", str(tmp_path / "det"), "--annotations",
                 str(tmp_path / "ann"), "--out", out]
         return argv, tmp_path / kind / "img.txt:2"
@@ -400,17 +473,26 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     if case == "flag-margin-nan":
         argv = ["gen-regions", "--annotations", str(ann), "--out", out, "--margin", "nan"]
         return argv, Path("margin must be finite")
+    if case == "pipeline-detector-width-1e308":  # the first image's detector map overflows
+        argv = ["pipeline", "--out", str(tmp_path / "run"), "--seed", "1", "--num-scenes", "2",
+                "--detector-width", "1e308"]
+        return argv, tmp_path / "run" / "annotations.json"
     if case.startswith("config-"):
-        key, value = {"config-margin-a-string": ("margin", "x"),
-                      "config-nms-iou-null": ("nms_iou", None),
-                      "config-max-dets-fraction": ("max_dets", 1.5),
-                      "config-grid-points-fraction": ("grid_points", 2.5),
-                      "config-max-dets-a-boolean": ("max_dets", True),
-                      "config-margin-nan": ("margin", float("nan")),
-                      "config-margin-negative": ("margin", -1),
-                      "config-margin-int-overflows": ("margin", 10**400)}[case]
         cfg = tmp_path / "config.json"
-        serialize.write_json_atomic(cfg, {key: value})
+        if case == "config-a-directory":
+            cfg.mkdir()
+        elif case == "config-truncated":
+            cfg.write_text('{"margin": 1')
+        else:
+            key, value = {"config-margin-a-string": ("margin", "x"),
+                          "config-nms-iou-null": ("nms_iou", None),
+                          "config-max-dets-fraction": ("max_dets", 1.5),
+                          "config-grid-points-fraction": ("grid_points", 2.5),
+                          "config-max-dets-a-boolean": ("max_dets", True),
+                          "config-margin-nan": ("margin", float("nan")),
+                          "config-margin-negative": ("margin", -1),
+                          "config-margin-int-overflows": ("margin", 10**400)}[case]
+            serialize.write_json_atomic(cfg, {key: value})
         return ["gen-regions", "--annotations", str(ann), "--out", out, "--config", str(cfg)], cfg
     if case == "three-number-bbox" or case.startswith("annotation-"):
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
@@ -440,19 +522,28 @@ class TestMalformedDocuments:
         "annotation-size-has-an-infinity", "annotation-size-has-an-overflow",
         "image-size-infinite", "class-id-negative", "class-id-with-an-underscore",
         "class-id-with-a-space", "class-id-with-a-plus", "class-id-2-to-63",
-        "annotation-centers-overflow",
+        "annotation-centers-overflow", *NOT_UTF8, "config-truncated", "config-a-directory",
+        "visdrone-annotation-not-utf8", "pipeline-detector-width-1e308",
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert str(bad) in err
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out.json").exists()
         if "size" in case and "sizes" not in case and "pair" not in case:
             assert "width of 'img'" in err  # the image, not only the file
         if case == "annotation-centers-overflow":
             assert f"{bad}: img: " in err and "overflow" in err
+        if case.endswith("not-utf8"):
+            assert f"{bad}: 'utf-8' codec can't decode byte 0xe9" in err
+        if case.startswith("config-") and case != "config-a-directory":
+            assert f"config file {bad}: " in err
+        if case.startswith("pipeline-"):  # the synthesized corpus, and no stage output
+            assert f"{bad}: scene0000: " in err
+            assert sorted(p.name for p in bad.parent.iterdir()) == [
+                "annotations", "annotations.json", "metadata.json"]
 
     @pytest.mark.parametrize("case, json_path", [
         ("detection-bbox-nan", "images/img/[1]/detections/[0]/bbox"),
@@ -529,12 +620,26 @@ ANNOTATIONS_DOC = serialize.annotations_doc(
     {"img": (100, 120)})
 
 
+@st.composite
+def byte_edited_docs(draw, doc):
+    """`doc` encoded as JSON, with one to three bytes of any value overwritten or inserted."""
+    data = bytearray(json.dumps(doc).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        i, byte = draw(st.integers(0, len(data) - 1)), draw(st.integers(0, 255))
+        if draw(st.booleans()):
+            data[i] = byte
+        else:
+            data.insert(i, byte)
+    return bytes(data)
+
+
 def run_on_mutated(doc, argv, tmp) -> str:
-    """Run `argv` with `doc` written to `tmp/doc.json`, the path `{doc}` in `argv` stands for.
+    """Run `argv` with `doc` written to `tmp/doc.json`, the path `{doc}` in `argv` stands for;
+    a `bytes` doc is written as it is, any other as JSON.
     It exits 0 or 2; a data error names that file, and no failure is a traceback or leaves
     `tmp/out.json`. Returns the message of a data error, or "" on success."""
     path, out = Path(tmp) / "doc.json", Path(tmp) / "out.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = main([str(path) if a == "{doc}" else a for a in argv] + ["--out", str(out)])
@@ -555,21 +660,45 @@ class TestMergeFuzz:
             if err:
                 assert f"{Path(tmp) / 'doc.json'}: images" in err
 
+    @settings(max_examples=150, deadline=None)
+    @given(doc=byte_edited_docs(TestMerge().region_detection_doc()))
+    def test_byte_edits_exit_0_or_2_naming_the_file(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_on_mutated(doc, ["merge", "--region-detections", "{doc}"], tmp)
+
 
 class TestLoaderFuzz:
-    @settings(max_examples=150, deadline=None)
-    @given(doc=mutated_docs(MERGED_DOC))
-    def test_eval_detections(self, doc):
+    @staticmethod
+    def eval_detections(doc):
         with tempfile.TemporaryDirectory() as tmp:
             ann = Path(tmp) / "ann.json"
             serialize.write_json_atomic(ann, ANNOTATIONS_DOC)
             run_on_mutated(doc, ["eval", "--detections", "{doc}", "--annotations", str(ann)], tmp)
 
+    @staticmethod
+    def gen_regions_annotations(doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_on_mutated(doc, ["gen-regions", "--annotations", "{doc}"], tmp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=mutated_docs(MERGED_DOC))
+    def test_eval_detections(self, doc):
+        self.eval_detections(doc)
+
     @settings(max_examples=150, deadline=None)
     @given(doc=mutated_docs(ANNOTATIONS_DOC))
     def test_gen_regions_annotations(self, doc):
-        with tempfile.TemporaryDirectory() as tmp:
-            run_on_mutated(doc, ["gen-regions", "--annotations", "{doc}"], tmp)
+        self.gen_regions_annotations(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=byte_edited_docs(MERGED_DOC))
+    def test_eval_detections_byte_edits(self, doc):
+        self.eval_detections(doc)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=byte_edited_docs(ANNOTATIONS_DOC))
+    def test_gen_regions_annotations_byte_edits(self, doc):
+        self.gen_regions_annotations(doc)
 
 
 class TestHugeCoordinates:
