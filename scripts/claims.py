@@ -17,12 +17,14 @@ The acceptance tests import the specs and the functions from here.
 
 import argparse
 import csv
+import io
 import math
 import sys
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from focalpipe import serialize
 from focalpipe.config import PipelineConfig
 from focalpipe.focal import eip_regions
 from focalpipe.pipeline import evaluate_runs, refine_image, run_scene
@@ -77,10 +79,11 @@ def scene_cvs(scenes: int, seed: int = 0) -> Iterator[tuple[float, float, float]
 
 
 def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    serialize.write_text_atomic(path, buf.getvalue())
     print(f"wrote {path}")
 
 

@@ -78,13 +78,10 @@ def _load_json(path: str) -> dict:
 
 def _load_doc(path: str, from_doc: Callable[[dict], Any]) -> Any:
     """Read a stage document and convert it with a `serialize.*_from_doc`
-    function; a document that does not fit the schema is a data error."""
+    function, whose `DocumentError` names the JSON path where it does not fit."""
     doc = _load_json(path)
     with _data_errors(path):
-        try:
-            return from_doc(doc)
-        except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as e:
-            raise ValueError(f"malformed document ({type(e).__name__}: {e})") from e
+        return from_doc(doc)
 
 
 def _resolve_seed(seed: Optional[int]) -> int:
@@ -106,7 +103,7 @@ def cli() -> None:
 @click.option("--seed", type=click.IntRange(min=0), default=None,
               help="RNG seed; auto-chosen and recorded in metadata when omitted.")
 @click.option("--num-scenes", type=click.IntRange(min=0), default=10, show_default=True)
-def synth_cmd(out_dir, seed, num_scenes) -> None:
+def synth_cmd(out_dir, seed, num_scenes) -> tuple[dict, dict]:
     """Generate a `SceneSpec`-default scene corpus (VisDrone text plus JSON)."""
     seed = _resolve_seed(seed)
     out = Path(out_dir)
@@ -124,6 +121,7 @@ def synth_cmd(out_dir, seed, num_scenes) -> None:
         {"seed": seed, "num_scenes": num_scenes, "image_size": list(SceneSpec.image_size)},
     )
     click.echo(f"wrote {num_scenes} scenes to {out}")
+    return gts, sizes  # the corpus `pipeline` runs on
 
 
 @cli.command("gen-regions")
@@ -172,7 +170,7 @@ def refine_gt_cmd(annotations_path, regions_path, out_path, config_path, **overr
     per_image = {}
     for image_id in sorted(regions):
         if image_id not in gts:
-            raise DataError(f"regions reference unknown image {image_id!r}")
+            raise DataError(f"{regions_path}: images/{image_id}: not in {annotations_path}")
         per_image[image_id] = refine_image(regions[image_id], gts[image_id], config)
     serialize.write_json_atomic(out_path, serialize.crops_doc(per_image))
     click.echo(f"wrote crops for {len(per_image)} images to {out_path}")
@@ -258,8 +256,7 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **override
     seed = _resolve_seed(seed)
     out = Path(out_dir)
 
-    ctx.invoke(synth_cmd, out_dir=str(out), seed=seed, num_scenes=num_scenes)
-    gts, sizes = _load_doc(str(out / "annotations.json"), serialize.annotations_from_doc)
+    gts, sizes = ctx.invoke(synth_cmd, out_dir=str(out), seed=seed, num_scenes=num_scenes)
 
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
     oracle = OracleSpec(n_classes=classes, rng_seed=seed)

@@ -10,7 +10,7 @@ Every numeric field, here and in a config file, is read by one rule: a JSON numb
 integral number in [0, 2^63) (`integer`). Region and merged detections load as arrays,
 validated in one vectorized check per region or image, and merged detections are written
 from arrays; a document that does not fit raises `DocumentError` naming its JSON path, e.g.
-`images/m00/[2]/detections/[17]/score`.
+`images/m00/[2]/detections/[17]/score` or `images/s0/regions/[2]`.
 """
 
 from __future__ import annotations
@@ -46,9 +46,11 @@ class DocumentError(ValueError):
 
 @contextmanager
 def _at(path: str):
-    """Raise a conversion that fails inside as a `DocumentError` at `path`."""
+    """Raise a conversion that fails inside as a `DocumentError` at `path`, unless it is one."""
     try:
         yield
+    except DocumentError:
+        raise
     except (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
         raise DocumentError(f"{path}: {type(e).__name__}: {e}") from e
 
@@ -56,8 +58,11 @@ def _at(path: str):
 def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
     """Call `write` on a temp file beside `path`, then rename it over `path`."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    except OSError as e:  # its message names the directory, not the output asked for
+        raise OSError(f"{path}: {e}") from e
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as f:
             write(f)
@@ -143,72 +148,27 @@ def scored_box_from_dict(d: Mapping) -> ScoredBox:
     )
 
 
-def regions_doc(per_image: Mapping[str, tuple[tuple[float, float], Sequence[FocalRegion]]]) -> dict:
-    return {
-        "images": {
-            image_id: {
-                "image_size": list(size),
-                "regions": [region_to_dict(r) for r in regions],
-            }
-            for image_id, (size, regions) in per_image.items()
-        }
-    }
+def _doc(per_image: Mapping[str, Any], write: Callable[[Any], Any]) -> dict:
+    """The envelope of every stage document: `{"images": {image_id: write(per_image[id])}}`."""
+    return {"images": {image_id: write(value) for image_id, value in per_image.items()}}
 
 
-def regions_from_doc(doc: Mapping) -> dict[str, list[FocalRegion]]:
-    return {
-        image_id: [region_from_dict(r) for r in entry["regions"]]
-        for image_id, entry in doc["images"].items()
-    }
+def _images(doc: Any, read: Callable[[Any, str], Any]) -> dict:
+    """Each image's entry of a stage document, as `read(entry, its JSON path)` converts it."""
+    with _at("images"):
+        images = doc["images"].items()
+    return {image_id: _read_at(read, entry, f"images/{image_id}") for image_id, entry in images}
 
 
-def crops_doc(per_image: Mapping[str, Sequence[RefinedCrop]]) -> dict:
-    return {
-        "images": {
-            image_id: [
-                {
-                    "region": region_to_dict(c.region),
-                    "gt": [
-                        {"bbox": box_to_list(b), "class_id": cls, "kept_fraction": frac}
-                        for b, cls, frac in c.gt
-                    ],
-                    "dropped_zero_area": c.dropped_zero_area,
-                }
-                for c in crops
-            ]
-            for image_id, crops in per_image.items()
-        }
-    }
+def _each(items: Any, path: str, read: Callable[[Any, str], Any]) -> list:
+    """Each item of the JSON list at `path`, as `read(item, its JSON path)` converts it."""
+    return [_read_at(read, item, f"{path}/[{i}]") for i, item in enumerate(_list(items, path))]
 
 
-def crops_from_doc(doc: Mapping) -> dict[str, list[RefinedCrop]]:
-    out: dict[str, list[RefinedCrop]] = {}
-    for image_id, entries in doc["images"].items():
-        out[image_id] = [
-            RefinedCrop(
-                region=region_from_dict(e["region"]),
-                gt=[(box_from_list(g["bbox"]), integer(g["class_id"], "class_id"),
-                     float(number(g["kept_fraction"], "kept_fraction"))) for g in e["gt"]],
-                dropped_zero_area=integer(e.get("dropped_zero_area", 0), "dropped_zero_area"),
-            )
-            for e in entries
-        ]
-    return out
-
-
-def region_detections_doc(per_image: Mapping[str, Sequence[RegionDetections]]) -> dict:
-    return {
-        "images": {
-            image_id: [
-                {
-                    "region": region_to_dict(rd.region),
-                    "detections": [scored_box_to_dict(d) for d in rd.detections],
-                }
-                for rd in rds
-            ]
-            for image_id, rds in per_image.items()
-        }
-    }
+def _read_at(read: Callable[[Any, str], Any], value: Any, path: str) -> Any:
+    """`read(value, path)`, converted inside `_at(path)`."""
+    with _at(path):
+        return read(value, path)
 
 
 def _list(v: Any, path: str) -> list:
@@ -217,11 +177,61 @@ def _list(v: Any, path: str) -> list:
     return v
 
 
-def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Boxes (n, 4) float64, class ids int64 and scores float64 of a list of detections: one
-    region's, or one image's merged. Each field converts as one array, once its values pass
-    `number` and `integer` as a whole column; a list that does not is reported at the first
-    detection `scored_box_from_dict` rejects."""
+def regions_doc(per_image: Mapping[str, tuple[tuple[float, float], Sequence[FocalRegion]]]) -> dict:
+    return _doc(per_image, lambda size_regions: {
+        "image_size": list(size_regions[0]),
+        "regions": [region_to_dict(r) for r in size_regions[1]],
+    })
+
+
+def regions_from_doc(doc: Mapping) -> dict[str, list[FocalRegion]]:
+    return _images(doc, lambda entry, path: _each(entry["regions"], f"{path}/regions",
+                                                  lambda r, _: region_from_dict(r)))
+
+
+def crops_doc(per_image: Mapping[str, Sequence[RefinedCrop]]) -> dict:
+    return _doc(per_image, lambda crops: [
+        {
+            "region": region_to_dict(c.region),
+            "gt": [
+                {"bbox": box_to_list(b), "class_id": cls, "kept_fraction": frac}
+                for b, cls, frac in c.gt
+            ],
+            "dropped_zero_area": c.dropped_zero_area,
+        }
+        for c in crops
+    ])
+
+
+def crops_from_doc(doc: Mapping) -> dict[str, list[RefinedCrop]]:
+    def crop(e: Any, path: str) -> RefinedCrop:
+        return RefinedCrop(
+            region=region_from_dict(e["region"]),
+            gt=_each(e["gt"], f"{path}/gt", lambda g, _: (
+                box_from_list(g["bbox"]), integer(g["class_id"], "class_id"),
+                float(number(g["kept_fraction"], "kept_fraction")))),
+            dropped_zero_area=integer(e.get("dropped_zero_area", 0), "dropped_zero_area"),
+        )
+
+    return _images(doc, lambda entries, path: _each(entries, path, crop))
+
+
+def region_detections_doc(per_image: Mapping[str, Sequence[RegionDetections]]) -> dict:
+    return _doc(per_image, lambda rds: [
+        {
+            "region": region_to_dict(rd.region),
+            "detections": [scored_box_to_dict(d) for d in rd.detections],
+        }
+        for rd in rds
+    ])
+
+
+def _detection_columns(dets: Any, path: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boxes (n, 4) float64, class ids int64 and scores float64 of the JSON list of detections
+    at `path`: one region's, or one image's merged. Each field converts as one array, once its
+    values pass `number` and `integer` as a whole column; a list that does not is reported at
+    the first detection `scored_box_from_dict` rejects."""
+    dets = _list(dets, path)
     try:
         bboxes, ids, scores = ([d[k] for d in dets] for k in ("bbox", "class_id", "score"))
         if float in set(map(type, ids)):  # integral floats load as `integer` gives them
@@ -233,9 +243,7 @@ def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, n
         boxes = np.fromiter(chain.from_iterable(bboxes), np.float64, 4 * len(dets)).reshape(-1, 4)
         classes, scores = np.array(ids, dtype=np.int64), np.array(scores, dtype=np.float64)
     except (KeyError, TypeError, ValueError, OverflowError):
-        for j, d in enumerate(dets):  # only to name the first detection that breaks the rule
-            with _at(f"{path}/[{j}]"):
-                scored_box_from_dict(d)
+        _each(dets, path, lambda d, _: scored_box_from_dict(d))  # names the first bad one
         raise DocumentError(f"{path}: malformed detections") from None
     checks = [("bbox", ~np.isfinite(boxes).all(axis=1), "has a non-finite coordinate"),
               ("bbox", (boxes[:, 2] < boxes[:, 0]) | (boxes[:, 3] < boxes[:, 1]), "is inverted"),
@@ -252,18 +260,11 @@ def _detection_columns(dets: list, path: str) -> tuple[np.ndarray, np.ndarray, n
 def region_detection_columns(doc: Any) -> dict[str, list[tuple]]:
     """A region-detection document as arrays: per image, each region's `(region, boxes
     (n, 4), class ids, scores)`, holding the values `scored_box_from_dict` gives."""
-    with _at("images"):
-        images = doc["images"].items()
-    out: dict[str, list[tuple]] = {}
-    for image_id, entries in images:
-        out[image_id] = []
-        for i, e in enumerate(_list(entries, f"images/{image_id}")):
-            path = f"images/{image_id}/[{i}]"
-            with _at(path):
-                region, dets = region_from_dict(e["region"]), e["detections"]
-            dets = _list(dets, f"{path}/detections")
-            out[image_id].append((region, *_detection_columns(dets, f"{path}/detections")))
-    return out
+    def region(e: Any, path: str) -> tuple:
+        return (region_from_dict(e["region"]),
+                *_detection_columns(e["detections"], f"{path}/detections"))
+
+    return _images(doc, lambda entries, path: _each(entries, path, region))
 
 
 def region_detections_from_doc(doc: Mapping) -> dict[str, list[RegionDetections]]:
@@ -274,12 +275,7 @@ def region_detections_from_doc(doc: Mapping) -> dict[str, list[RegionDetections]
 
 
 def merged_detections_doc(per_image: Mapping[str, Sequence[ScoredBox]]) -> dict:
-    return {
-        "images": {
-            image_id: [scored_box_to_dict(d) for d in dets]
-            for image_id, dets in per_image.items()
-        }
-    }
+    return _doc(per_image, lambda dets: [scored_box_to_dict(d) for d in dets])
 
 
 def write_merged_json(path: str | Path, per_image: Mapping[str, tuple]) -> None:
@@ -303,35 +299,25 @@ def write_merged_json(path: str | Path, per_image: Mapping[str, tuple]) -> None:
 
 def merged_detections_from_doc(doc: Any) -> dict[str, list[ScoredBox]]:
     """A merged-detections document, each image's list loaded and checked as columns."""
-    with _at("images"):
-        images = doc["images"].items()
-    return {
-        image_id: scored_boxes(*_detection_columns(_list(dets, f"images/{image_id}"),
-                                                   f"images/{image_id}"))
-        for image_id, dets in images
-    }
+    return _images(doc, lambda dets, path: scored_boxes(*_detection_columns(dets, path)))
 
 
 def annotations_doc(
     per_image: Mapping[str, Sequence[GtAnnotation]],
     image_sizes: Mapping[str, tuple[float, float]],
 ) -> dict:
-    return {
-        "images": {
-            image_id: {
-                "image_size": list(image_sizes[image_id]),
-                "annotations": [
-                    {
-                        "bbox": box_to_list(g.box),
-                        "class_id": g.class_id,
-                        "ignore": g.ignore,
-                    }
-                    for g in anns
-                ],
+    sized = {image_id: (image_sizes[image_id], anns) for image_id, anns in per_image.items()}
+    return _doc(sized, lambda size_anns: {
+        "image_size": list(size_anns[0]),
+        "annotations": [
+            {
+                "bbox": box_to_list(g.box),
+                "class_id": g.class_id,
+                "ignore": g.ignore,
             }
-            for image_id, anns in per_image.items()
-        }
-    }
+            for g in size_anns[1]
+        ],
+    })
 
 
 def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
@@ -350,10 +336,11 @@ def image_sizes_from_doc(doc: Any) -> dict[str, tuple[float, float]]:
 def annotations_from_doc(
     doc: Mapping,
 ) -> tuple[dict[str, list[GtAnnotation]], dict[str, tuple[float, float]]]:
-    gts: dict[str, list[GtAnnotation]] = {}
-    for image_id, entry in doc["images"].items():
-        gts[image_id] = [GtAnnotation(box_from_list(a["bbox"]), integer(a["class_id"], "class_id"),
-                                      _bool(a.get("ignore", False), "ignore"))
-                         for a in entry["annotations"]]
-    sizes = image_sizes_from_doc({k: e["image_size"] for k, e in doc["images"].items()})
+    def annotation(a: Any, _: str) -> GtAnnotation:
+        return GtAnnotation(box_from_list(a["bbox"]), integer(a["class_id"], "class_id"),
+                            _bool(a.get("ignore", False), "ignore"))
+
+    gts = _images(doc, lambda entry, path: _each(entry["annotations"], f"{path}/annotations",
+                                                 annotation))
+    sizes = image_sizes_from_doc(_images(doc, lambda entry, _: entry["image_size"]))
     return gts, sizes

@@ -114,6 +114,9 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(file) in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
+        requested = {"merge": file / "m.json", "eval": file / "t.txt"}.get(command)
+        if requested:  # `synth` fails creating its VisDrone directory, before any file
+            assert err.startswith(f"error: {requested}: ")
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         # a fresh interpreter in the C locale without UTF-8 mode, where text defaults to ASCII
@@ -149,6 +152,17 @@ class TestExitCodes:
             if any(isinstance(n, ast.Name) and n.id == "DataError" for n in ast.walk(r))
         ]
         assert offenders == []
+
+    def test_no_handler_catches_schema_errors(self):
+        """`serialize._at` is the one translator of a stage document's schema errors into a
+        message naming the JSON path; a CLI handler that caught them would word them again."""
+        tree = ast.parse(Path(focalpipe.cli.__file__).read_text())
+        schema_errors = {"KeyError", "TypeError", "AttributeError", "IndexError", "OverflowError"}
+        caught = [n.id for handler in ast.walk(tree)
+                  if isinstance(handler, ast.ExceptHandler) and handler.type is not None
+                  for n in ast.walk(handler.type) if isinstance(n, ast.Name)
+                  if n.id in schema_errors]
+        assert caught == []
 
     def test_config_flags_are_the_fields_each_command_reads(self):
         fields = [f.name for f in dataclasses.fields(PipelineConfig)]
@@ -345,7 +359,13 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         argv, bad = malformed_case(NOT_UTF8[case], tmp_path)
         bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xe9', 1))
         return argv, bad
-    rd_doc = TestMerge().region_detection_doc()
+    if case.startswith("eval-"):  # the annotations of a `gen-regions` case, read by `eval`
+        _, ann = malformed_case(case.removeprefix("eval-"), tmp_path)
+        dets = tmp_path / "merged.json"
+        serialize.write_json_atomic(dets, MERGED_DOC)
+        return ["eval", "--detections", str(dets), "--annotations", str(ann),
+                "--out", str(tmp_path / "out.json")], ann
+    rd_doc, regions_doc = TestMerge().region_detection_doc(), copy.deepcopy(REGIONS_DOC)
     ann_doc = serialize.annotations_doc(
         {"img": [GtAnnotation(Box(0, 0, 10, 10), 1)]}, {"img": (100, 100)})
     if case == "region-without-id":
@@ -376,6 +396,18 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         rd_doc = {"images": []}
     elif case == "three-number-bbox":
         ann_doc["images"]["img"]["annotations"][0]["bbox"] = [0, 0, 10]
+    elif case == "annotation-without-class-id":
+        del ann_doc["images"]["img"]["annotations"][0]["class_id"]
+    elif case == "annotation-without-image-size":
+        del ann_doc["images"]["img"]["image_size"]
+    elif case == "regions-rect-missing":
+        del regions_doc["images"]["img"]["regions"][1]["rect"]
+    elif case == "regions-rect-three-numbers":
+        regions_doc["images"]["img"]["regions"][1]["rect"] = [0, 0, 60]
+    elif case == "regions-key-missing":
+        del regions_doc["images"]["img"]["regions"]
+    elif case == "regions-of-an-unknown-image":
+        regions_doc["images"]["other"] = regions_doc["images"].pop("img")
     elif case in ("detector-scale-nan", "detector-scale-overflows"):
         to_detector = rd_doc["images"]["img"][0]["region"]["to_detector"]
         to_detector["scale_x"] = float("nan") if case == "detector-scale-nan" else 1e308
@@ -401,9 +433,10 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
                      "negative": -1, "zero": 0, "nan": float("nan"), "infinity": float("inf"),
                      "overflow": 10**400}[case.rsplit("-", 1)[1]]
         ann_doc["images"]["img"]["image_size"] = [bad_width, 900]
-    rd, ann = tmp_path / "rd.json", tmp_path / "ann.json"
+    rd, ann, regions = tmp_path / "rd.json", tmp_path / "ann.json", tmp_path / "regions.json"
     serialize.write_json_atomic(rd, rd_doc)
     serialize.write_json_atomic(ann, ann_doc)
+    serialize.write_json_atomic(regions, regions_doc)
     out = str(tmp_path / "out.json")
     if case in ("image-size-not-a-pair", "image-sizes-is-a-list", "image-sizes-not-json",
                 "image-size-infinite"):
@@ -498,6 +531,9 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
         return ["gen-regions", "--annotations", str(ann), "--out", out], ann
     if case == "regions-given-region-detections":
         return ["refine-gt", "--annotations", str(ann), "--regions", str(rd), "--out", out], rd
+    if case.startswith("regions-"):
+        return ["refine-gt", "--annotations", str(ann), "--regions", str(regions),
+                "--out", out], regions
     return ["merge", "--region-detections", str(rd), "--out", out], rd
 
 
@@ -568,6 +604,16 @@ class TestMalformedDocuments:
                         "class-id-2-to-64", "score-a-string", "score-a-boolean"]],
         ("merged-detections-a-dict", "images/img: expected a list, got dict"),
         ("merged-detections-a-string", "images/img: expected a list, got str"),
+        ("regions-rect-missing", "images/img/regions/[1]: KeyError: 'rect'"),
+        ("regions-rect-three-numbers",
+         "images/img/regions/[1]: ValueError: a box must be a list of four numbers"),
+        ("regions-key-missing", "images/img: KeyError: 'regions'"),
+        ("regions-of-an-unknown-image", "images/other: not in "),
+        *[(f"{prefix}{case}", path) for prefix in ["", "eval-"] for case, path in [
+            ("annotation-without-class-id", "images/img/annotations/[0]: KeyError: 'class_id'"),
+            ("three-number-bbox",
+             "images/img/annotations/[0]: ValueError: a box must be a list of four numbers"),
+            ("annotation-without-image-size", "images/img: KeyError: 'image_size'")]],
     ])
     def test_region_detection_errors_name_the_json_path(self, case, json_path, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -618,6 +664,9 @@ MERGED_DOC = serialize.merged_detections_doc({"img": [ScoredBox(Box(0, 0, 10, 10
 ANNOTATIONS_DOC = serialize.annotations_doc(
     {"img": [GtAnnotation(Box(0, 0, 10, 10), 1), GtAnnotation(Box(40, 50, 60, 90), 2, True)]},
     {"img": (100, 120)})
+REGIONS_DOC = serialize.regions_doc({"img": ((100, 120), [
+    FocalRegion(rect, i, "img", make_detector_map(rect, 100, 60))
+    for i, rect in enumerate([Box(0, 0, 30, 20), Box(30, 40, 70, 100)])])})
 
 
 @st.composite
@@ -679,6 +728,17 @@ class TestLoaderFuzz:
     def gen_regions_annotations(doc):
         with tempfile.TemporaryDirectory() as tmp:
             run_on_mutated(doc, ["gen-regions", "--annotations", "{doc}"], tmp)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=mutated_docs(REGIONS_DOC))
+    def test_refine_gt_regions_name_a_json_path(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            ann = Path(tmp) / "ann.json"
+            serialize.write_json_atomic(ann, ANNOTATIONS_DOC)
+            err = run_on_mutated(doc, ["refine-gt", "--annotations", str(ann),
+                                       "--regions", "{doc}"], tmp)
+            if err:
+                assert f"{Path(tmp) / 'doc.json'}: images" in err
 
     @settings(max_examples=150, deadline=None)
     @given(doc=mutated_docs(MERGED_DOC))

@@ -1,6 +1,7 @@
 """The columnar stage-document paths against the object paths they replace: the
 region-detection loader plus the detector-frame clamp, the merged-detection loader, and
-the streaming merged-detection writer against `json.dump`."""
+the streaming merged-detection writer against `json.dump`; and the crops document's round
+trip and JSON paths."""
 
 import json
 from unittest import mock
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 from focalpipe import serialize
 from focalpipe.boxgeom import Box, ScoredBox, intersect
-from focalpipe.focal import FocalRegion, make_detector_map
+from focalpipe.focal import FocalRegion, RefinedCrop, make_detector_map
 from focalpipe.fuse import ingest_columns, scored_columns
 
 
@@ -191,3 +192,37 @@ class TestMergedJsonWriter:
     def test_equals_json_dump(self, tmp_path_factory, per_image, chunk):
         with mock.patch.object(serialize, "CHUNK", chunk):
             assert written(tmp_path_factory.mktemp("w"), per_image) == dumped(per_image)
+
+
+class TestCropsFromDoc:
+    rect = Box(10, 20, 50, 40)
+    crop = RefinedCrop(FocalRegion(rect, 3, "img", make_detector_map(rect, 100, 50)),
+                       [(Box(0.5, 1, 10, 20.25), 2, 1.0), (Box(0, 0, 40, 20), 0, 0.5)], 4)
+
+    def doc(self):
+        return json.loads(json.dumps(serialize.crops_doc({"img": [self.crop], "empty": []})))
+
+    def test_round_trip(self):
+        assert serialize.crops_from_doc(self.doc()) == {"img": [self.crop], "empty": []}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["images"]["img"][0]["gt"][1].pop("kept_fraction"),
+         "images/img/[0]/gt/[1]: KeyError: 'kept_fraction'"),
+        (lambda d: d["images"]["img"][0]["gt"][0].update(bbox=[0, 1, 2]),
+         "images/img/[0]/gt/[0]: ValueError: a box must be a list of four numbers, got [0, 1, 2]"),
+        (lambda d: d["images"]["img"][0].update(gt={}),
+         "images/img/[0]/gt: expected a list, got dict"),
+        (lambda d: d["images"]["img"][0]["region"].pop("rect"),
+         "images/img/[0]: KeyError: 'rect'"),
+        (lambda d: d["images"]["img"][0].update(dropped_zero_area=-1),
+         "images/img/[0]: ValueError: dropped_zero_area must be an integer in [0, 2^63), got -1"),
+        (lambda d: d["images"].update(empty={}), "images/empty: expected a list, got dict"),
+        (lambda d: d.update(images=[]), "images: AttributeError: "),
+    ], ids=["gt-key-missing", "gt-bbox-three-numbers", "gt-not-a-list", "region-rect-missing",
+            "dropped-zero-area-negative", "image-not-a-list", "images-a-list"])
+    def test_errors_name_the_json_path(self, edit, message):
+        doc = self.doc()
+        edit(doc)
+        with pytest.raises(serialize.DocumentError) as e:
+            serialize.crops_from_doc(doc)
+        assert str(e.value).startswith(message)
