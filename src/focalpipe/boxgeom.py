@@ -126,25 +126,24 @@ def iou(a: Box, b: Box) -> float:
     return ai / union
 
 
+def _overlap_iou(iw: np.ndarray, ih: np.ndarray, area_a, area_b) -> np.ndarray:
+    """`iou` bit for bit from overlaps iw = min(x2) - max(x1), ih = min(y2) - max(y1) and areas
+    (x2 - x1) * (y2 - y1): iw > 0 exactly when max(x1) < min(x2), for every float. Spends iw, ih."""
+    valid, inter = np.minimum(iw, ih) > 0.0, np.multiply(iw, ih, out=iw)
+    union = np.subtract(np.add(area_a, area_b, out=ih), inter, out=ih)
+    # `not union <= 0` as in `iou`, rather than `union > 0`: they differ on NaN
+    return np.divide(inter, union, out=np.zeros(inter.shape), where=valid & ~(union <= 0.0))
+
+
 def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """IoU of the (x1, y1, x2, y2) rows of `a` (..., 4) and `b` (..., 4) broadcast against
     each other, equal bit for bit to `iou` of each pair: same operations, same order."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = ([c[..., k] for k in range(4)] for c in (a, b))
-    # each result-shaped array is reused in place once spent, so at most three are alive
-    # at once; the arithmetic is that of `iou`, in its order
-    x1, x2 = np.maximum(ax1, bx1), np.minimum(ax2, bx2)
-    valid = x1 < x2
-    inter = np.subtract(x2, x1, out=x2)
-    y1, y2 = np.maximum(ay1, by1, out=x1), np.minimum(ay2, by2)
-    valid &= y1 < y2
-    inter *= np.subtract(y2, y1, out=y2)
-    union = np.add((ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1), out=y2)
-    union -= inter
-    # `not union <= 0` as in `iou`, rather than `union > 0`: they differ on NaN
-    valid &= ~(union <= 0.0)
-    y1.fill(0.0)
-    return np.divide(inter, union, out=y1, where=valid)
+    iw, ih = np.minimum(ax2, bx2), np.minimum(ay2, by2)
+    iw -= np.maximum(ax1, bx1)
+    ih -= np.maximum(ay1, by1)
+    return _overlap_iou(iw, ih, (ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1))
 
 
 def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -159,53 +158,54 @@ PAIR_BUDGET = 8192  # most candidates `overlap_pairs` tests at once: O(n + budge
 def overlap_pairs(a: np.ndarray, a_group: np.ndarray, b: Optional[np.ndarray] = None,
                   b_group: Optional[np.ndarray] = None, above: float = 0.0):
     """Pairs of a row of `a` (n, 4) and a row of `b` (m, 4) of the same group whose boxes
-    overlap with positive area, as chunks `(i, j, paired_iou)`, `i` indexing `a` and `j`
-    indexing `b`; without `b`, each unordered pair of distinct rows of `a` once: all with
-    IoU >= `above`, or all at `above=0`. A sweep over boxes sorted by (group, x1): a box's
-    candidates, PAIR_BUDGET at a time, are the later ones with x1 below x2 - t' * w widened
-    by 16 ulps of max |x|, t' = above * (1 - 1e-9), and that overlap in y. IoU <= overlap /
-    max(side) per axis, so both prefilters keep supersets, and the kernel gets a pair only if
-    its own correctly rounded overlaps, min(x2) - max(x1) and min(y2) - max(y1), exceed t' w
-    and t' h of a box: one left out has computed IoU <= t' (1 + ~10 * 2**-53) < `above`. A
-    box with t' * min(w, 1) * min(h, 1) < 2**-1000 bounds no pair."""
+    overlap with positive area, as chunks `(i, j, IoU)`, `i` indexing `a` and `j` indexing `b`;
+    without `b`, each unordered pair of distinct rows of `a` once: all with IoU >= `above`, or
+    all at `above=0`. A sweep over boxes sorted by (group, x1): a box's candidates, PAIR_BUDGET
+    at a time, are the later ones with x1 below x2 - t' * w widened by 16 ulps of max |x|, t' =
+    above * (1 - 1e-9), and that overlap in y. IoU <= overlap / max(side) per axis, so both
+    prefilters keep supersets, and a pair is scored, from them, only if its correctly rounded
+    overlaps min(x2) - max(x1) and min(y2) - max(y1) exceed t' w and t' h of a box: one left out
+    has computed IoU <= t' (1 + ~10 * 2**-53) < `above`. A box with t' * min(w, 1) * min(h, 1) <
+    2**-1000 bounds no pair."""
     offset = 0 if b is None else len(np.reshape(a, (-1, 4)))  # of `b`'s rows in `xy`
     xy = np.concatenate([np.reshape(c, (-1, 4)) for c in (a, b) if c is not None], dtype=float)
     groups = np.concatenate([g for g in (a_group, b_group) if g is not None])
     # only boxes of positive area can overlap with positive area
-    rows = np.flatnonzero((xy[:, 0] < xy[:, 2]) & (xy[:, 1] < xy[:, 3]))
+    rows = ((xy[:, 0] < xy[:, 2]) & (xy[:, 1] < xy[:, 3])).nonzero()[0]
     rows = rows[np.lexsort((xy[rows, 0], groups[rows]))]
-    group, planes = groups[rows], np.empty((6, len(rows)))  # x1, y1, x2, y2, need_x, need_y
+    group, planes = groups[rows], np.empty((7, len(rows)))  # x1, y1, x2, y2, need x, y, area
     planes[:4] = xy[rows].T
     x1, y1, x2, y2 = planes[:4]
     t, side = above * (1.0 - 1e-9), planes[2:4] - planes[:2]  # w, h
+    np.multiply(*side, out=planes[6])
     # the overlaps a partner needs on each axis, 0 where the box bounds no pair
-    planes[4:] = np.where(t * np.minimum(side, 1.0).prod(axis=0) >= 2.0**-1000, t * side, 0.0)
+    planes[4:6] = np.where(t * np.multiply(*np.minimum(side, 1.0)) >= 2.0**-1000, t * side, 0.0)
     reach = x2 - planes[4] + 16.0 * np.spacing(np.maximum(-x1, x2))
-    cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), len(rows)]
-    stop = np.concatenate([lo + np.searchsorted(x1[lo:hi], reach[lo:hi])
+    cuts = [0, *((group[1:] != group[:-1]).nonzero()[0] + 1).tolist(), len(rows)]
+    stop = np.concatenate([lo + x1[lo:hi].searchsorted(reach[lo:hi])
                            for lo, hi in zip(cuts[:-1], cuts[1:])])
     count = np.maximum(stop - np.arange(1, len(rows) + 1), 0)
-    end = np.cumsum(count)
+    end = count.cumsum()
     shift = stop - end  # a candidate's partner is its flat index plus its box's shift
     for lo in range(0, int(count.sum()), PAIR_BUDGET):
         hi = min(lo + PAIR_BUDGET, int(end[-1]))
-        first, last = np.searchsorted(end, [lo, hi - 1], "right").tolist()
+        first, last = end.searchsorted([lo, hi - 1], "right").tolist()
         k = slice(first, last + 1)
         run = np.minimum(end[k], hi) - np.maximum(end[k] - count[k], lo)  # in [lo, hi)
-        p = np.repeat(shift[k], run) + np.arange(lo, hi)
+        p = shift[k].repeat(run) + np.arange(lo, hi)
         # x1 of the partner p lies in the window of the box q, and both have positive area
-        hit = (np.repeat(y1[k], run) < y2[p]) & (y1[p] < np.repeat(y2[k], run))
+        hit = (y1[k].repeat(run) < y2[p]) & (y1[p] < y2[k].repeat(run))
         if b is not None:  # only a row of `a` with a row of `b`
-            hit &= np.repeat(rows[k] >= offset, run) != (rows[p] >= offset)
-        hit = np.flatnonzero(hit)
-        q, p = first + np.searchsorted(np.cumsum(run), hit, "right"), p[hit]
-        u, v = np.take(planes, q, axis=1), np.take(planes, p, axis=1)  # the pairs' planes
+            hit &= (rows[k] >= offset).repeat(run) != (rows[p] >= offset)
+        hit = hit.nonzero()[0]
+        q, p = first + run.cumsum().searchsorted(hit, "right"), p[hit]
+        u, v = planes.take(q, axis=1), planes.take(p, axis=1)  # the pairs' planes
         over = np.minimum(u[2:4], v[2:4]) - np.maximum(u[:2], v[:2])
-        hit = np.flatnonzero((over > np.maximum(u[4:], v[4:])).all(axis=0))
+        hit = np.logical_and(*(over > np.maximum(u[4:6], v[4:6]))).nonzero()[0]
         i, j = rows[q[hit]], rows[p[hit]]
         if b is not None:  # `a` first
             i, j = np.minimum(i, j), np.maximum(i, j)
-        yield i, j - offset, paired_iou(np.take(u[:4], hit, 1).T, np.take(v[:4], hit, 1).T)
+        yield i, j - offset, _overlap_iou(*over.take(hit, axis=1), u[6, hit], v[6, hit])
 
 
 def apply_map(b: Box, m: AffineMap2D) -> Box:

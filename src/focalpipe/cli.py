@@ -35,11 +35,11 @@ class DataError(click.ClickException):
 
 @contextmanager
 def _data_errors(*where: object):
-    """Raise a `ValueError` inside (JSON syntax, Unicode and schema errors are all one) as a
-    `DataError` whose message starts with `where`: the input, then the image or JSON path."""
+    """Raise a `ValueError` (JSON syntax, Unicode and schema errors) or `RecursionError` (JSON
+    nested too deep) inside as a `DataError` starting with `where`: the input, then the path."""
     try:
         yield
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise DataError(": ".join([*map(str, where), str(e)])) from e
 
 

@@ -84,7 +84,7 @@ class PipelineConfig:
                     raise ValueError(f"unknown config keys: {sorted(unknown)}")
                 config = cls(**{key: (integer if types[key] is int else number)(value, key)
                                 for key, value in data.items()})
-            except ValueError as e:
+            except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
                 raise ValueError(f"config file {path}: {e}") from e
         return dataclasses.replace(
             config, **{k: v for k, v in (overrides or {}).items() if v is not None})

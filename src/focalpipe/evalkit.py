@@ -193,11 +193,11 @@ def _ap_interpolated_101(m: _ClassMatch) -> list[Optional[float]]:
     # monotone envelope from the right, and 0 for a recall never reached
     padded = np.concatenate([precision, np.zeros((len(precision), 1))], axis=1)
     env = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1]
-    # exact i/100 values; linspace drifts one ulp at some indices, which
-    # matters when recall lands exactly on a threshold
-    rec_thrs = np.arange(101) / 100.0
-    idx = np.array([np.searchsorted(r, rec_thrs, side="left") for r in recall])
-    sampled = np.take_along_axis(env, idx, axis=1)
+    # exact i/100 values (linspace drifts one ulp at some, which matters when recall lands
+    # exactly on one); with b thresholds at or below it, a recall is below i exactly if b <= i
+    b = np.searchsorted(np.arange(101) / 100.0, recall, side="right")
+    idx = np.bincount((b + 102 * np.arange(len(b))[:, None]).ravel(), minlength=102 * len(b))
+    sampled = np.take_along_axis(env, idx.reshape(-1, 102).cumsum(axis=1)[:, :101], axis=1)
     return [float(ap) if p else None for ap, p in zip(sampled.mean(axis=1), m.n_positive)]
 
 

@@ -198,25 +198,25 @@ def _logsumexp(a: np.ndarray, exp: Callable[..., np.ndarray]) -> np.ndarray:
         return shift + np.log(_sum_k(exp(t, out=t)))
 
 
-def _kmeanspp_indices(x: np.ndarray, k: int, rng: np.random.Generator) -> list[int]:
-    """k-means++ style seeding: first row uniform, rest by squared distance, each drawn as
-    `Generator.choice(n, p=d2 / total)` draws it, without its checks on p."""
-    n = len(x)
-    chosen = [int(rng.integers(n))]
-    d2 = np.full(n, np.inf)  # squared distance to the nearest chosen row, kept as a running min
+@np.errstate(all="ignore")  # overflow is checked; a restart with total <= 0 uses no cdf
+def _kmeanspp_indices(x: np.ndarray, k: int, rngs: list[np.random.Generator]) -> np.ndarray:
+    """k-means++ style seeding of one restart per generator, in lockstep: (restarts, k) rows,
+    the first uniform, the rest by squared distance, each drawn as `Generator.choice(n, p=d2 /
+    total)` draws it from its restart's generator, without its checks on p. Sums and cumsums
+    run along the contiguous n axis, so each restart has the bits it has on its own."""
+    n, d2 = len(x), np.full((len(rngs), len(x)), np.inf)  # distance to the nearest chosen row
+    chosen = [[rng.integers(n) for rng in rngs]]  # per step, the row of each restart
     for _ in range(1, k):
-        newest = x[chosen[-1]]
-        with np.errstate(over="ignore"):
-            np.minimum(d2, sum((x[:, j] - newest[j]) ** 2 for j in range(x.shape[1])), out=d2)
-            total = d2.sum()
-        if not np.isfinite(total):
+        newest = x[chosen[-1], :, None]
+        np.minimum(d2, sum((x[:, j] - newest[:, j]) ** 2 for j in range(x.shape[1])), out=d2)
+        total = d2.sum(axis=1)
+        cdf = (d2 / total[:, None]).cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        if not np.isfinite(total).all():
             raise ValueError("squared distances between features overflow float64")
-        if total <= 0:
-            chosen.append(int(rng.integers(n)))
-            continue
-        cdf = (d2 / total).cumsum()
-        chosen.append(int((cdf / cdf[-1]).searchsorted(rng.random(), "right")))
-    return chosen
+        chosen.append([rng.integers(n) if t <= 0 else c.searchsorted(rng.random(), "right")
+                       for rng, t, c in zip(rngs, total.tolist(), cdf)])
+    return np.array(chosen).T
 
 
 def _variances(x: np.ndarray, resp: np.ndarray, means: np.ndarray) -> np.ndarray:
@@ -254,8 +254,8 @@ def fit_em(
 
     # the restarts run in lockstep, as (a, k, n) arrays over the `a` still running
     n, r = len(x), cfg.restarts
-    rngs = map(np.random.default_rng, np.random.SeedSequence(cfg.rng_seed).spawn(r))
-    means = np.stack([x[_kmeanspp_indices(x, k, rng)] for rng in rngs])
+    rngs = list(map(np.random.default_rng, np.random.SeedSequence(cfg.rng_seed).spawn(r)))
+    means = x[_kmeanspp_indices(x, k, rngs)]
     weights = np.full((r, k), 1.0 / k)
     with np.errstate(over="ignore", invalid="ignore"):
         variances = np.tile(np.maximum(np.var(x, axis=0), cfg.covariance_floor), (r, k, 1))

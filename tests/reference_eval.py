@@ -10,6 +10,8 @@ detections outside the area bucket that match nothing) carry no penalty.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def ref_iou(a, b):
     ix1 = max(a[0], b[0])
@@ -106,6 +108,18 @@ def ap_101(points):
                 best = p
         total += best
     return total / 101.0
+
+
+def ap_101_per_key(precision, recall, n_positive):
+    """101-point AP of each key from its precision and recall rows (keys, D) and positives
+    (keys,), one `searchsorted` per key: the sampling `evalkit._ap_interpolated_101` did
+    before it counted all keys at once, kept to hold its bits."""
+    padded = np.concatenate([precision, np.zeros((len(precision), 1))], axis=1)
+    env = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1]
+    rec_thrs = np.arange(101) / 100.0
+    idx = np.array([np.searchsorted(r, rec_thrs, side="left") for r in recall])
+    sampled = np.take_along_axis(env, idx, axis=1)
+    return [float(ap) if p else None for ap, p in zip(sampled.mean(axis=1), n_positive)]
 
 
 def ap_all_points(points):

@@ -308,6 +308,18 @@ def check_above(got, matrix, a, b, same, above):
     assert set(zip(*(w.tolist() for w in wanted))) <= set(got)
 
 
+class TestOverlapIou:
+    def test_nan_union_divides_as_iou(self):
+        """The width overflows, so the union is inf + inf - inf = NaN: not <= 0, so `iou`
+        divides, and so do `pairwise_iou` and the sweep, which share one IoU core."""
+        huge = Box(-1e308, 0, 1e308, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            matrix = pairwise_iou(corners([huge]), corners([huge]))
+            (i, j, v), = overlap_pairs(corners([huge, huge]), np.zeros(2, np.int64))
+        assert math.isnan(iou(huge, huge)) and math.isnan(matrix[0, 0])
+        assert (i.tolist(), j.tolist()) == ([0], [1]) and math.isnan(v[0])
+
+
 class TestOverlapPairs:
     """The sweep gives every same-group pair with positive IoU, each once, with the IoU
     `pairwise_iou` gives it; every pair it leaves out has IoU exactly 0."""
@@ -318,8 +330,8 @@ class TestOverlapPairs:
         (a, a_group), (b, b_group) = a, b
         with np.errstate(over="ignore", invalid="ignore"):
             matrix = pairwise_iou(a, b)
-            with mock.patch.object(boxgeom, "PAIR_BUDGET", budget), \
-                    mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+            with mock.patch.object(boxgeom, "PAIR_BUDGET", budget), mock.patch.object(
+                    boxgeom, "_overlap_iou", wraps=boxgeom._overlap_iou) as kernel:
                 got = collect(overlap_pairs(a, a_group, b, b_group), budget)
         assert all(len(call.args[0]) <= budget for call in kernel.call_args_list)
         for (i, j), value in got.items():

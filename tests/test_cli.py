@@ -350,6 +350,13 @@ NOT_UTF8 = {"annotations-not-utf8": "three-number-bbox",
             "region-detections-not-utf8": "region-without-id",
             "image-sizes-not-utf8": "image-size-not-a-pair", "merged-not-utf8": "merged-bbox-nan",
             "config-not-utf8": "config-margin-nan"}
+# each loader on JSON nested far deeper than the recursion limit: arrays, or objects for
+# `--config`, which must hold one
+NESTED_DEEP = {"region-detections-nested-deep": "region-without-id",
+               "regions-nested-deep": "regions-rect-missing",
+               "merged-nested-deep": "merged-bbox-nan",
+               "annotations-nested-deep": "three-number-bbox",
+               "config-nested-deep": "config-margin-nan"}
 
 
 def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
@@ -358,6 +365,11 @@ def malformed_case(case: str, tmp_path: Path) -> tuple[list[str], Path]:
     if case in NOT_UTF8:
         argv, bad = malformed_case(NOT_UTF8[case], tmp_path)
         bad.write_bytes(bad.read_bytes().replace(b'"', b'"\xe9', 1))
+        return argv, bad
+    if case in NESTED_DEEP:
+        argv, bad = malformed_case(NESTED_DEEP[case], tmp_path)
+        bad.write_text('{"a": ' * 100_000 + "1" + "}" * 100_000 if case.startswith("config-")
+                       else "[" * 200_000 + "]" * 200_000)
         return argv, bad
     if case.startswith("eval-"):  # the annotations of a `gen-regions` case, read by `eval`
         _, ann = malformed_case(case.removeprefix("eval-"), tmp_path)
@@ -559,7 +571,7 @@ class TestMalformedDocuments:
         "image-size-infinite", "class-id-negative", "class-id-with-an-underscore",
         "class-id-with-a-space", "class-id-with-a-plus", "class-id-2-to-63",
         "annotation-centers-overflow", *NOT_UTF8, "config-truncated", "config-a-directory",
-        "visdrone-annotation-not-utf8", "pipeline-detector-width-1e308",
+        "visdrone-annotation-not-utf8", "pipeline-detector-width-1e308", *NESTED_DEEP,
     ])
     def test_exits_2_naming_the_file(self, case, tmp_path, capsys):
         argv, bad = malformed_case(case, tmp_path)
@@ -576,6 +588,9 @@ class TestMalformedDocuments:
             assert f"{bad}: 'utf-8' codec can't decode byte 0xe9" in err
         if case.startswith("config-") and case != "config-a-directory":
             assert f"config file {bad}: " in err
+        if case in NESTED_DEEP:  # the message starts with the file, not a traceback
+            config = "config file " if case.startswith("config-") else ""
+            assert err.startswith(f"error: {config}{bad}: maximum recursion depth exceeded")
         if case.startswith("pipeline-"):  # the synthesized corpus, and no stage output
             assert f"{bad}: scene0000: " in err
             assert sorted(p.name for p in bad.parent.iterdir()) == [

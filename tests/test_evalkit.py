@@ -19,7 +19,7 @@ from focalpipe.evalkit import (
 from focalpipe.pipeline import run_scene
 from focalpipe.scenes import OracleSpec, SceneSpec
 
-from reference_eval import reference_coco, reference_voc
+from reference_eval import ap_101_per_key, reference_coco, reference_voc
 from test_scenes import DENSE_SPEC
 
 
@@ -401,6 +401,59 @@ class TestArrayCoreEqualsScalarReference:
             assert got == all_evaluators(dets, gts, 500, 0.5)
 
 
+def ap_bits(m):
+    """`_ap_interpolated_101` of `m` and the per-key `searchsorted` form, as hex strings."""
+    _, _, precision, recall = evalkit._curves(m)
+    return [[None if v is None else v.hex() for v in aps]
+            for aps in (evalkit._ap_interpolated_101(m), ap_101_per_key(precision, recall,
+                                                                        m.n_positive))]
+
+
+class TestApSampling:
+    """The 101 recall samples of all keys from one count equal one `searchsorted` per key,
+    bit for bit."""
+
+    TP, FP, UN = evalkit.TP, evalkit.FP, evalkit.UNCOUNTED
+
+    @pytest.mark.parametrize("outcome, n_positive", [
+        # recalls 29/100 and 3/10 land exactly on a sample, and the last row reaches 1.0
+        ([[TP] * 29 + [FP] * 3 + [TP] * 71, [TP] * 3 + [FP] * 2 + [TP] * 7 + [FP] * 91,
+          [TP] * 50 + [UN] * 3 + [TP] * 50], [100, 10, 100]),
+        # repeated recalls, and a class that never reaches recall 1
+        ([[TP, FP, FP, UN, TP, FP, TP, TP], [FP, FP, TP, TP, UN, UN, FP, FP]], [9, 7]),
+        ([[], [], []], [4, 0, 1]),  # no detections; a key with zero positives
+        ([[TP, FP, TP], [UN, UN, UN], [FP, FP, FP]], [2, 0, 0]),  # zero positives
+    ])
+    def test_cases_equal_per_key_searchsorted(self, outcome, n_positive):
+        outcome = np.array(outcome, dtype=np.int8).reshape(len(n_positive), -1)
+        scores = np.linspace(1.0, 0.1, outcome.shape[1])
+        got, want = ap_bits(evalkit._ClassMatch(scores, outcome, np.array(n_positive)))
+        assert got == want
+        assert [v is None for v in got] == [p == 0 for p in n_positive]
+
+    @given(data=st.data(), keys=st.integers(1, 40), n=st.integers(0, 60))
+    @settings(max_examples=200, deadline=None)
+    def test_random_outcomes_equal_per_key_searchsorted(self, data, keys, n):
+        outcome = np.array(data.draw(st.lists(st.sampled_from([self.TP, self.FP, self.UN]),
+                                              min_size=keys * n, max_size=keys * n)),
+                           dtype=np.int8).reshape(keys, n)
+        extra = data.draw(st.lists(st.integers(0, 3), min_size=keys, max_size=keys))
+        n_positive = (outcome == self.TP).sum(axis=1) + extra
+        scores = np.array(data.draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=n,
+                                             max_size=n)), dtype=np.float64)
+        got, want = ap_bits(evalkit._ClassMatch(scores, outcome, n_positive))
+        assert got == want
+
+    def test_scene_matches_equal_per_key_searchsorted(self):
+        run = run_scene(SceneSpec(**DENSE_SPEC, rng_seed=5), OracleSpec(n_classes=10, rng_seed=5))
+        keys = [(t, a) for t in evalkit.COCO_IOU_THRESHOLDS for a in evalkit.AREA_RANGES]
+        matches = evalkit._match({"x": run.merged}, {"x": run.annotations}, keys, 500)
+        assert len(matches) > 1
+        for m in matches.values():
+            got, want = ap_bits(m)
+            assert got == want
+
+
 class TestPairBudget:
     def test_reports_do_not_depend_on_the_budget(self):
         run = run_scene(SceneSpec(**DENSE_SPEC, rng_seed=3), OracleSpec(n_classes=10, rng_seed=3))
@@ -408,7 +461,7 @@ class TestPairBudget:
         max_dets = len(run.merged)  # no cap, so every detection is scored
         want = all_evaluators(dets, gts, max_dets, 0.7)
         with mock.patch.object(boxgeom, "PAIR_BUDGET", 50), \
-                mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+                mock.patch.object(boxgeom, "_overlap_iou", wraps=boxgeom._overlap_iou) as kernel:
             assert all_evaluators(dets, gts, max_dets, 0.7) == want
         assert kernel.call_count > 10
         assert max(len(call.args[0]) for call in kernel.call_args_list) <= 50

@@ -1,4 +1,5 @@
 import sys
+import traceback
 from dataclasses import replace
 from unittest import mock
 
@@ -271,7 +272,7 @@ class TestNms:
         # 2,000 copies of one box: about 2M overlapping pairs, a budget's worth per kernel
         # call, and the first copy suppresses all the others
         boxes = [ScoredBox(Box(0, 0, 4, 4), 0, 0.5) for _ in range(2000)]
-        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+        with mock.patch.object(boxgeom, "_overlap_iou", wraps=boxgeom._overlap_iou) as kernel:
             kept = nms_indices(*columns(boxes), 0.5)
         assert [id(boxes[i]) for i in kept] == [id(b) for b in reference_nms(boxes, 0.5)]
         assert kept == [0]
@@ -282,7 +283,7 @@ class TestNms:
         # each box overlaps the next at IoU 7/13 > 0.5 and the one after at 1/4, scores fall
         # along the chain, so every other box survives; one kernel call, not one per box
         boxes = [ScoredBox(Box(3 * k, 0, 3 * k + 10, 10), 0, 1 - k / 2000) for k in range(2000)]
-        with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+        with mock.patch.object(boxgeom, "_overlap_iou", wraps=boxgeom._overlap_iou) as kernel:
             kept = nms_indices(*columns(boxes), 0.5)
         assert [id(boxes[i]) for i in kept] == [id(b) for b in reference_nms(boxes, 0.5)]
         assert kept == list(range(0, 2000, 2))
@@ -320,7 +321,7 @@ def detector_sized_scene():
 
 def kernel_pairs(boxes, classes, scores, threshold):
     """The pairs NMS at `threshold` hands the IoU kernel."""
-    with mock.patch.object(boxgeom, "paired_iou", wraps=boxgeom.paired_iou) as kernel:
+    with mock.patch.object(boxgeom, "_overlap_iou", wraps=boxgeom._overlap_iou) as kernel:
         nms_indices(boxes, classes, scores, threshold)
     return sum(len(call.args[0]) for call in kernel.call_args_list)
 
@@ -547,7 +548,10 @@ class TestIbs:
 
 class TestOneIouKernel:
     def test_run_path_never_calls_scalar_iou(self, monkeypatch):
-        """Merge and evaluation score box pairs with the array kernel `paired_iou` only."""
+        """Merge and evaluation score box pairs with one array IoU core,
+        `boxgeom._overlap_iou`: NMS, IBS and evaluation reach it through the sweep, which
+        scores IoU from the overlaps it tested and never calls `paired_iou`; region rects go
+        through `paired_iou`, which calls the same core. The scalar `iou` is never called."""
 
         def scalar_iou(a, b):
             raise AssertionError("scalar iou called in the run path")
@@ -557,11 +561,30 @@ class TestOneIouKernel:
             if name.startswith("focalpipe") and getattr(module, "iou", None) is original:
                 monkeypatch.setattr(module, "iou", scalar_iou)
         assert fuse.iou is scalar_iou and evalkit.iou is scalar_iou
+        callers = {"_overlap_iou": [], "paired_iou": []}  # the functions on the stack, per call
+
+        def recording(name):
+            kernel = getattr(boxgeom, name)
+
+            def record(*args):
+                callers[name].append({frame.name for frame in traceback.extract_stack()})
+                return kernel(*args)
+            return record
+
+        for name in callers:
+            monkeypatch.setattr(boxgeom, name, recording(name))
         spec = SceneSpec(n_clusters=3, boxes_per_cluster=(8, 8), rng_seed=4)
         run = pipeline.run_scene(spec, OracleSpec(rng_seed=4))
         assert run.merged and run.merged_no_ibs
         pipeline.evaluate_runs([run], use_ibs=True)
         pipeline.evaluate_runs([run], use_ibs=False)
+        evalkit.voc_ap_at({"x": run.merged}, {"x": run.annotations})
+        sweeps = [stack for stack in callers["_overlap_iou"] if "overlap_pairs" in stack]
+        for caller in ("nms_indices", "_ibs_keep", "coco_eval", "voc_ap_at"):
+            assert any(caller in stack for stack in sweeps), caller
+        assert callers["paired_iou"]  # the region rects of IBS
+        assert all("overlap_pairs" not in stack for stack in callers["paired_iou"])
+        assert len(callers["_overlap_iou"]) == len(sweeps) + len(callers["paired_iou"])
 
 
 class TestMergePipeline:

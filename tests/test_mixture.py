@@ -399,8 +399,70 @@ class TestEmEqualsReference:
              "all-identical": np.full((10, 2), 3.0)}[case]
         for seed in range(20):
             got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            assert _kmeanspp_indices(x, 5, got_rng) == ref_kmeanspp_indices(x, 5, want_rng)
+            got = _kmeanspp_indices(x, 5, [got_rng])
+            assert got.tolist() == [ref_kmeanspp_indices(x, 5, want_rng)]
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestKmeansppLockstep:
+    """`_kmeanspp_indices` seeds every restart in one pass, each as on its own."""
+
+    @pytest.mark.parametrize("case", ["distinct", "distinct-1000", "three-points-k5",
+                                      "underflowing-points-k5", "all-identical"])
+    @pytest.mark.parametrize("restarts", [1, 2, 3, 4])
+    def test_kmeanspp_lockstep_equals_one_restart_at_a_time(self, case, restarts):
+        """Seeding all restarts in lockstep gives each restart the indices and generator
+        state of `ref_kmeanspp_indices` run on its generator alone."""
+        rng = np.random.default_rng(6)
+        # 0, 1e-162 and 2e-162 apart: only the end points' squared distance is not 0, so a
+        # restart that picks the middle point first meets `total <= 0` a step before the rest
+        near = np.array([[0.0, 5.0], [1e-162, 5.0], [2e-162, 5.0]])
+        x, k = {"distinct": (rng.normal(0, 50, (40, 2)), 5),
+                "distinct-1000": (rng.normal(0, 50, (1000, 3)), 9),  # pairwise row sums
+                "three-points-k5": (np.repeat(rng.normal(0, 50, (3, 2)), 4, axis=0), 5),
+                "underflowing-points-k5": (np.repeat(near, 4, axis=0), 5),
+                "all-identical": (np.full((10, 2), 3.0), 5)}[case]
+        first_zero_total = []  # per call, the first step each restart drew with total <= 0
+        for seed in range(12):
+            seeds = np.random.SeedSequence(seed).spawn(restarts)
+            got_rngs, want_rngs = ([np.random.default_rng(s) for s in seeds] for _ in "ab")
+            got = _kmeanspp_indices(x, k, got_rngs)
+            want = [ref_kmeanspp_indices(x, k, r) for r in want_rngs]
+            assert got.shape == (restarts, k) and got.tolist() == want
+            for got_rng, want_rng in zip(got_rngs, want_rngs):
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            first_zero_total.append([next((s for s in range(1, k) if not np.any(np.min(
+                ((x[:, None] - x[row[:s]]) ** 2).sum(axis=2), axis=1))), k) for row in want])
+        steps = {s for call in first_zero_total for s in call}
+        if case != "distinct" and case != "distinct-1000":
+            assert min(steps) < k
+        if case == "underflowing-points-k5":
+            assert steps == {1, 2}
+            assert restarts == 1 or any(len(set(call)) > 1 for call in first_zero_total)
+
+    def test_top_uniform_draw_picks_a_row(self):
+        """Squared distances 0, 1, 0, 4, 0, 1, 1 over their total of 7 cumsum to 1 - 2**-52,
+        so the cdf is normalized, as `Generator.choice` does, before the largest uniform draw
+        `Generator.random` can return, 1 - 2**-53, is looked up: it picks the last row."""
+
+        class TopDraw:
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return 1.0 - 2.0**-53
+
+        x = np.array([[1.0, 0.0], [0, 0], [1, 0], [3, 0], [1, 0], [0, 0], [2, 0]])
+        assert _kmeanspp_indices(x, 2, [TopDraw(), TopDraw()]).tolist() == [[0, 6], [0, 6]]
+
+    @pytest.mark.parametrize("restarts", [1, 3])
+    def test_kmeanspp_overflow_rejected(self, restarts):
+        x = np.array([[0.0, 0.0], [1e160, 0.0], [2.0, 1.0]])
+        rngs = [np.random.default_rng(s) for s in range(restarts)]
+        with pytest.raises(ValueError, match="overflow float64"):
+            _kmeanspp_indices(x, 2, rngs)
+        with pytest.raises(ValueError), np.errstate(over="ignore", invalid="ignore"):
+            ref_kmeanspp_indices(x, 2, np.random.default_rng(0))
 
 
 class TestSumK:
