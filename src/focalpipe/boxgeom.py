@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Box:
     """Axis-aligned rectangle with corners (x1, y1) top-left, (x2, y2) bottom-right."""
 
@@ -50,7 +50,7 @@ class Box:
         return (self.x1, self.y1, self.x2, self.y2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScoredBox:
     """A detection: box plus class id in [0, 2^63) and confidence score in [0, 1]."""
 
@@ -65,7 +65,7 @@ class ScoredBox:
             raise ValueError(f"score outside [0, 1]: {self.score}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffineMap2D:
     """Axis-aligned affine transform: x' = scale_x * x + offset_x (same for y).
 

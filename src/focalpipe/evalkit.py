@@ -43,7 +43,7 @@ AREA_RANGES = {
 TP, FP, UNCOUNTED = 1, 0, -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GtAnnotation:
     box: Box
     class_id: int
@@ -151,8 +151,8 @@ def _candidates(d_xy, d_group, g_xy, g_group, min_iou: float) -> tuple:
     """Every (detection, ground truth, IoU) at or above `min_iou` > 0 within one (image,
     class) group, sorted by detection, then descending IoU, then ground truth."""
     parts = [(np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0))]
-    parts += [(d[v >= min_iou], g[v >= min_iou], v[v >= min_iou])
-              for d, g, v in overlap_pairs(d_xy, d_group, g_xy, g_group, above=min_iou)]
+    for d, g, v in overlap_pairs(d_xy, d_group, g_xy, g_group, above=min_iou):
+        parts.append((d[keep := v >= min_iou], g[keep], v[keep]))
     tri_d, tri_g, tri_v = (np.concatenate(p) for p in zip(*parts))
     order = np.lexsort((tri_g, -tri_v, tri_d))
     return tri_d[order], tri_g[order], tri_v[order]
@@ -177,14 +177,13 @@ def _resolve_contested(outcome, contested, tri_d, tri_g, tri_v, thr, g_ignore, d
 
 
 def _curves(m: _ClassMatch) -> tuple[np.ndarray, ...]:
-    """Scores in descending order (a stable sort of the pooled order), whether each
-    detection counts, and the precision and recall after each, one row per key. One
-    that does not count repeats the point before it (or 0, 0): no AP sample moves."""
+    """The descending score order (a stable sort of the pooled order), the outcomes in it,
+    and the precision and recall after each detection, one row per key. One that does not
+    count repeats the point before it (or 0, 0): no AP sample moves."""
     order = np.argsort(-m.scores, kind="stable")
     outcome = m.outcome[:, order]
     tp, fp = (np.cumsum(outcome == o, axis=1) for o in (TP, FP))
-    recall = tp / np.maximum(m.n_positive, 1)[:, None]
-    return m.scores[order], outcome != UNCOUNTED, tp / np.maximum(tp + fp, 1), recall
+    return order, outcome, tp / np.maximum(tp + fp, 1), tp / np.maximum(m.n_positive, 1)[:, None]
 
 
 def _ap_interpolated_101(m: _ClassMatch) -> list[Optional[float]]:
@@ -282,8 +281,9 @@ def precision_recall_points(
     out = []
     for c, m in _match(dets, gts, [(iou_threshold, "all")], max_dets).items():
         if m.n_positive[0]:
-            scores, counted, precision, recall = _curves(m)
-            points = (a[counted[0]] for a in (scores, precision[0], recall[0]))
+            order, outcome, precision, recall = _curves(m)
+            counted = outcome[0] != UNCOUNTED
+            points = (a[counted] for a in (m.scores[order], precision[0], recall[0]))
             out.extend((c, float(s), float(p), float(r)) for s, p, r in zip(*points))
     return out
 

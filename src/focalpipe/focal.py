@@ -17,7 +17,7 @@ import numpy as np
 from .boxgeom import AffineMap2D, Box, apply_map, area
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FocalRegion:
     """A rectangle within an image plus its image -> detector-resolution map."""
 

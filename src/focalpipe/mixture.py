@@ -172,9 +172,9 @@ def _sum_k(a: np.ndarray) -> np.ndarray:
     """Sum over axis -2 of (..., k, n), bit for bit `np.sum(axis=-1)` of the (..., n, k) copy:
     numpy's pairwise order written out, with halves above k = 128. numpy adds that sum onto
     +0.0, which only turns -0.0 into +0.0; doing so in each half as well changes no sum.
-    Below k = 8, and at n = 1 where the k axis is contiguous, numpy's reduce has that order."""
+    Below k = 8 numpy's reduce has that order."""
     k = a.shape[-2]
-    if k < 8 or a.shape[-1] == 1:
+    if k < 8:
         return a.sum(axis=-2)
     if k > 128:
         half = k // 2 - k // 2 % 8

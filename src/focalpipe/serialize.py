@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence, TextIO
 
@@ -38,6 +38,7 @@ _DETECTION = ('\n      {\n        "bbox": [\n          %r,\n          %r,\n     
               '          %r\n        ],\n        "class_id": %r,\n        "score": %r\n      }')
 CHUNK = 512
 NUMBER = {int, float}  # the types of a JSON number; `bool` is not one
+_created: list[Path] | None = None  # while `cli.main` runs, each directory and file made
 
 
 class DocumentError(ValueError):
@@ -55,22 +56,35 @@ def _at(path: str):
         raise DocumentError(f"{path}: {type(e).__name__}: {e}") from e
 
 
-def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
-    """Call `write` on a temp file beside `path`, then rename it over `path`."""
+def _make_dir(path: str | Path, output: str | Path | None = None) -> None:
+    """Create the directory `path` and its missing parents, adding them to `_created`; an
+    `OSError` names `output`, the path asked for that needs it, or else `path`."""
     path = Path(path)
+    new = list(takewhile(lambda p: not p.exists(), (path, *path.parents)))[::-1]
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        path.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # its message names the directory, not the output asked for
-        raise OSError(f"{path}: {e}") from e
+        raise OSError(f"{output or path}: {e}") from e
+    if _created is not None:
+        _created.extend(new)
+
+
+def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Call `write` on a temp file beside `path`, made with the mode `open(path, "w")` would
+    give it (0o666 less the umask), then rename it over `path`; an `OSError` names `path`."""
+    path = Path(path)
+    _make_dir(path.parent, path)
+    tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as f:
+        with open(tmp, "x", encoding="utf-8") as f:
             write(f)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    except OSError as e:
+        raise OSError(f"{path}: {e}") from e
+    finally:
+        tmp.unlink(missing_ok=True)
+    if _created is not None:
+        _created.append(path)
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:

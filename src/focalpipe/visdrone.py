@@ -16,7 +16,7 @@ import numpy as np
 
 from .boxgeom import Box, ScoredBox
 from .evalkit import GtAnnotation
-from .serialize import write_text_atomic
+from .serialize import _make_dir, write_text_atomic
 
 IGNORED_REGION_CATEGORY = 0
 
@@ -134,7 +134,7 @@ def _write_per_image(
 ) -> None:
     """One `<image_id>.txt` per image, each written atomically."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
     for image_id in sorted(per_image):
         write_text_atomic(out_dir / f"{image_id}.txt", text(per_image[image_id]))
 

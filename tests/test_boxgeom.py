@@ -10,6 +10,7 @@ from focalpipe import boxgeom
 from focalpipe.boxgeom import (
     AffineMap2D,
     Box,
+    ScoredBox,
     apply_map,
     area,
     intersect,
@@ -17,6 +18,8 @@ from focalpipe.boxgeom import (
     overlap_pairs,
     pairwise_iou,
 )
+from focalpipe.evalkit import GtAnnotation
+from focalpipe.scenes import SceneSpec
 
 
 def pixel_count(b: Box) -> int:
@@ -106,6 +109,20 @@ class TestBoxValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Box(0, 0, math.nan, 10)
+
+
+class TestRecordLayout:
+    def test_per_box_records_have_no_instance_dict(self):
+        """A box record is one of hundreds per image: its fields live in slots."""
+        box = Box(0.0, 1.0, 2.0, 3.0)
+        for record in (box, ScoredBox(box, 1, 0.5), GtAnnotation(box, 1)):
+            assert not hasattr(record, "__dict__"), type(record).__name__
+
+    def test_scene_spec_defaults_read_at_class_level(self):
+        """`cli synth` reads `SceneSpec.image_size` and the benchmark `SceneSpec.classes`,
+        which a slotted dataclass would no longer hold as class attributes."""
+        spec = SceneSpec()
+        assert (SceneSpec.image_size, SceneSpec.classes) == (spec.image_size, spec.classes)
 
 
 @given(int_boxes, int_boxes)

@@ -117,6 +117,7 @@ class TestExitCodes:
         requested = {"merge": file / "m.json", "eval": file / "t.txt"}.get(command)
         if requested:  # `synth` fails creating its VisDrone directory, before any file
             assert err.startswith(f"error: {requested}: ")
+        assert not (tmp_path / "r.json").exists()  # the report `eval` would write first
 
     def test_files_are_utf8_whatever_the_locale(self, tmp_path):
         # a fresh interpreter in the C locale without UTF-8 mode, where text defaults to ASCII
@@ -208,6 +209,57 @@ class TestExitCodes:
         assert run(command, "--out", str(out), flag, value) == 1
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestAllOrNothing:
+    """A command whose late output cannot be written exits 2 naming that output, and leaves
+    the tree as it found it: no output, temp file or directory of the failed run."""
+
+    @pytest.mark.parametrize("command", ["eval", "merge", "gen-regions", "refine-gt", "synth",
+                                         "pipeline"])
+    def test_unwritable_late_output_leaves_no_output(self, command, tmp_path, capsys):
+        inputs, out = tmp_path / "in", tmp_path / "out"
+        for name, doc in {"rd.json": TestMerge().region_detection_doc(), "ann.json":
+                          ANNOTATIONS_DOC, "merged.json": MERGED_DOC,
+                          "regions.json": REGIONS_DOC}.items():
+            serialize.write_json_atomic(inputs / name, doc)
+        (inputs / "file").write_text("")  # a regular file where a directory is needed
+        argv, blocked = {
+            "eval": (["eval", "--detections", inputs / "merged.json", "--annotations",
+                      inputs / "ann.json", "--out", out / "r.json", "--table", out / "t.txt",
+                      "--pr-csv", out / "pr.csv"], out / "pr.csv"),
+            "merge": (["merge", "--region-detections", inputs / "rd.json", "--out",
+                       out / "m.json", "--out-visdrone", inputs / "file" / "vd"],
+                      inputs / "file" / "vd"),
+            "gen-regions": (["gen-regions", "--annotations", inputs / "ann.json", "--out",
+                             out / "regions.json"], out / "regions.json"),
+            "refine-gt": (["refine-gt", "--annotations", inputs / "ann.json", "--regions",
+                           inputs / "regions.json", "--out", out / "crops.json"],
+                          out / "crops.json"),
+            "synth": (["synth", "--out", out, "--num-scenes", "2"], out / "metadata.json"),
+            "pipeline": (["pipeline", "--out", out, "--seed", "1", "--num-scenes", "2"],
+                         out / "table.txt"),
+        }[command]
+        if blocked.parent == out:  # a directory where the last output goes
+            blocked.mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*map(str, argv)) == 2
+        err = capsys.readouterr().err
+        assert str(blocked) in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_get_the_mode_open_gives(self, umask, mode, tmp_path, capsys):
+        old = os.umask(umask)
+        try:
+            assert run("pipeline", "--out", str(tmp_path / "run"), "--seed", "1",
+                       "--num-scenes", "1") == 0
+        finally:
+            os.umask(old)
+        files = [p for p in (tmp_path / "run").rglob("*") if p.is_file()]
+        assert len(files) == 10
+        assert {p.stat().st_mode & 0o777 for p in files} == {mode}
 
 
 class TestStageChaining:
@@ -591,10 +643,9 @@ class TestMalformedDocuments:
         if case in NESTED_DEEP:  # the message starts with the file, not a traceback
             config = "config file " if case.startswith("config-") else ""
             assert err.startswith(f"error: {config}{bad}: maximum recursion depth exceeded")
-        if case.startswith("pipeline-"):  # the synthesized corpus, and no stage output
+        if case.startswith("pipeline-"):  # the synthesized corpus named, and then removed
             assert f"{bad}: scene0000: " in err
-            assert sorted(p.name for p in bad.parent.iterdir()) == [
-                "annotations", "annotations.json", "metadata.json"]
+            assert not bad.parent.exists()
 
     @pytest.mark.parametrize("case, json_path", [
         ("detection-bbox-nan", "images/img/[1]/detections/[0]/bbox"),

@@ -489,6 +489,15 @@ class TestSumK:
                 got = _sum_k(np.ascontiguousarray(nk.transpose(0, 2, 1)))
             assert got.tobytes() == want.tobytes(), (seed, k, n)
 
+    @pytest.mark.parametrize("k", [8, 9, 16, 17, 127, 128, 129, 300])
+    def test_one_column(self, k):
+        """At n = 1 the k axis of the (..., 1, k) copy is contiguous too: the pairwise loop,
+        not a plain reduce over k, gives numpy's order there."""
+        rng = np.random.default_rng(k)
+        nk = rng.normal(0, 1, (3, 1, k)) * 10.0 ** rng.integers(-20, 20, (3, 1, k))
+        want = nk.sum(axis=-1)
+        assert _sum_k(np.ascontiguousarray(nk.transpose(0, 2, 1))).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("k", [129, 200])
     def test_fit_above_128_components_bit_equal(self, k):
         """Above 128 components numpy's pairwise sum over k splits into halves: `fit_em`
