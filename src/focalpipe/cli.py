@@ -3,7 +3,7 @@
 Stage boundaries are JSON/CSV/VisDrone-text files, so any stage can be
 replaced by an external process that honors the same schemas. Exit codes:
 0 success, 1 usage error, 2 data error: an unreadable, non-UTF-8 or malformed input or
-an unwritable output, named in the message. A run that fails leaves none of its outputs.
+an unwritable output, named in the message. A run that fails removes the outputs it made.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import secrets
 import sys
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Callable, Optional
 
@@ -107,8 +107,7 @@ def synth_cmd(out_dir, seed, num_scenes) -> tuple[dict, dict]:
     """Generate a `SceneSpec`-default scene corpus (VisDrone text plus JSON)."""
     seed = _resolve_seed(seed)
     out = Path(out_dir)
-    gts = {}
-    sizes = {}
+    gts, sizes = {}, {}
     for i in range(num_scenes):
         scene = generate_scene(SceneSpec(rng_seed=seed + i))
         image_id = f"scene{i:04d}"
@@ -193,8 +192,6 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
             # external detectors may overrun the detector frame; clamp to it first
             merged[image_id] = merge_columns(*ingest_columns(per_image[image_id]),
                                              config.fuse_config(), apply_ibs=not no_ibs)
-    if out_visdrone:  # every output's directory exists before the first write
-        serialize._make_dir(out_visdrone)
     serialize.write_merged_json(out_path, merged)
     if out_visdrone:
         visdrone.write_detections(out_visdrone, merged)
@@ -230,18 +227,16 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
         with _data_errors("--voc-iou"):
             doc["voc_ap"] = voc_ap_at(dets, gts, iou_threshold=voc_iou, max_dets=config.max_dets)
         doc["voc_iou"] = voc_iou
-    table, buf = report_table(report, class_names=names), io.StringIO()
+    serialize.write_json_atomic(out_path, doc)
+    table = report_table(report, class_names=names)
+    if table_path:
+        serialize.write_text_atomic(table_path, table)
     if pr_csv_path:
+        buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["class_id", "score", "precision", "recall"])
         for row in precision_recall_points(dets, gts, max_dets=config.max_dets):
             writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
-    for path in filter(None, (table_path, pr_csv_path)):  # before the first write
-        serialize._make_dir(Path(path).parent, path)
-    serialize.write_json_atomic(out_path, doc)
-    if table_path:
-        serialize.write_text_atomic(table_path, table)
-    if pr_csv_path:
         serialize.write_text_atomic(pr_csv_path, buf.getvalue())
     click.echo(table, nl=False)
 
@@ -259,7 +254,7 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **override
     config = _load_config(config_path, **overrides)
     seed = _resolve_seed(seed)
     out = Path(out_dir)
-    serialize._make_dir(out / "results")  # every output's directory, before the first write
+
     gts, sizes = ctx.invoke(synth_cmd, out_dir=str(out), seed=seed, num_scenes=num_scenes)
 
     classes = max((g.class_id for anns in gts.values() for g in anns), default=0) + 1
@@ -294,10 +289,9 @@ def pipeline_cmd(ctx, out_dir, seed, num_scenes, no_ibs, config_path, **override
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    serialize._created = created = []  # the directories and files this run makes
     try:
-        cli.main(args=argv, standalone_mode=False)
-        created.clear()  # a run that succeeds keeps them
+        with serialize._all_or_nothing():  # a run that fails removes what it made
+            cli.main(args=argv, standalone_mode=False)
     except (DataError, OSError) as e:  # an OSError's message names its path
         click.echo(f"error: {e}", err=True)
         return 2
@@ -309,11 +303,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 1
     except click.exceptions.Abort:
         return 1
-    finally:  # one that fails removes them, the last made first
-        serialize._created = None
-        for path in reversed(created):
-            with suppress(OSError):
-                path.rmdir() if path.is_dir() else path.unlink()
     return 0
 
 

@@ -19,7 +19,7 @@ import json
 import os
 import secrets
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from itertools import chain, takewhile
 from pathlib import Path
@@ -38,7 +38,7 @@ _DETECTION = ('\n      {\n        "bbox": [\n          %r,\n          %r,\n     
               '          %r\n        ],\n        "class_id": %r,\n        "score": %r\n      }')
 CHUNK = 512
 NUMBER = {int, float}  # the types of a JSON number; `bool` is not one
-_created: list[Path] | None = None  # while `cli.main` runs, each directory and file made
+_created: list[Path] | None = None  # inside `_all_or_nothing`, each directory and file made
 
 
 class DocumentError(ValueError):
@@ -56,35 +56,46 @@ def _at(path: str):
         raise DocumentError(f"{path}: {type(e).__name__}: {e}") from e
 
 
-def _make_dir(path: str | Path, output: str | Path | None = None) -> None:
-    """Create the directory `path` and its missing parents, adding them to `_created`; an
-    `OSError` names `output`, the path asked for that needs it, or else `path`."""
-    path = Path(path)
-    new = list(takewhile(lambda p: not p.exists(), (path, *path.parents)))[::-1]
+@contextmanager
+def _all_or_nothing():
+    """Record what the writers make inside; if the body raises, remove it, the last first."""
+    global _created
+    _created = created = []
     try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # its message names the directory, not the output asked for
-        raise OSError(f"{output or path}: {e}") from e
-    if _created is not None:
-        _created.extend(new)
+        yield
+    except BaseException:
+        for path in reversed(created):  # a directory goes only if it is empty
+            with suppress(OSError):
+                path.rmdir() if path.is_dir() else path.unlink()
+        raise
+    finally:
+        _created = None
+
+
+def _make_dir(path: Path) -> None:
+    """Create the directory `path` and its missing parents, recording them first."""
+    if _created is not None:  # first, as a `mkdir` that fails can have made some
+        _created.extend([*takewhile(lambda p: not os.path.lexists(p), (path, *path.parents))][::-1])
+    path.mkdir(parents=True, exist_ok=True)
 
 
 def _write_atomic(path: str | Path, write: Callable[[TextIO], object]) -> None:
-    """Call `write` on a temp file beside `path`, made with the mode `open(path, "w")` would
-    give it (0o666 less the umask), then rename it over `path`; an `OSError` names `path`."""
+    """Call `write` on a new temp file beside `path`, then rename it over `path`."""
     path = Path(path)
-    _make_dir(path.parent, path)
     tmp = path.with_name(f"{path.name}{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "x", encoding="utf-8") as f:
-            write(f)
-        os.replace(tmp, path)
+    try:  # an `OSError` names `path`, not the directory or temp file it failed on
+        _make_dir(path.parent)
+        f = open(tmp, "x", encoding="utf-8")  # 0o666 less the umask; on a clash, not ours
+        try:
+            with f:
+                write(f)
+            if _created is not None and not os.path.lexists(path):
+                _created.append(path)  # a rerun keeps the outputs that were there
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as e:
         raise OSError(f"{path}: {e}") from e
-    finally:
-        tmp.unlink(missing_ok=True)
-    if _created is not None:
-        _created.append(path)
 
 
 def write_json_atomic(path: str | Path, obj: Any) -> None:

@@ -249,6 +249,47 @@ class TestAllOrNothing:
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["merge", "pipeline"])
+    def test_failed_rerun_keeps_the_outputs_that_were_there(self, command, tmp_path, capsys):
+        rd, out = tmp_path / "rd.json", tmp_path / "out"
+        serialize.write_json_atomic(rd, TestMerge().region_detection_doc())
+        argv, last = {
+            "merge": (["merge", "--region-detections", rd, "--out", out / "m.json",
+                       "--out-visdrone", out / "vd"], out / "vd"),
+            "pipeline": (["pipeline", "--out", out, "--seed", "1", "--num-scenes", "2"],
+                         out / "table.txt"),
+        }[command]
+        assert run(*map(str, argv)) == 0
+        if last.is_dir():  # the rerun's last output is blocked: a file for a directory
+            for p in last.iterdir():
+                p.unlink()
+            last.rmdir()
+            last.write_text("")
+        else:  # or a directory for a file
+            last.unlink()
+            last.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        assert run(*map(str, argv)) == 2
+        assert str(last) in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_dangling_link_in_the_way_stays(self, tmp_path, capsys):
+        rd, link = tmp_path / "rd.json", tmp_path / "link"
+        serialize.write_json_atomic(rd, TestMerge().region_detection_doc())
+        link.symlink_to(tmp_path / "nowhere")
+        assert run("merge", "--region-detections", str(rd), "--out", str(link / "m.json")) == 2
+        assert str(link / "m.json") in capsys.readouterr().err
+        assert link.is_symlink()
+
+    def test_temp_name_clash_leaves_the_other_file(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(serialize.secrets, "token_hex", lambda n: "aa")
+        clash = tmp_path / "r.jsonaa.tmp"
+        clash.write_text("not ours")
+        with pytest.raises(OSError, match="r.json: "):
+            serialize.write_json_atomic(tmp_path / "r.json", [1])
+        assert [p.name for p in tmp_path.iterdir()] == ["r.jsonaa.tmp"]
+        assert clash.read_text() == "not ours"
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_outputs_get_the_mode_open_gives(self, umask, mode, tmp_path, capsys):
         old = os.umask(umask)
