@@ -8,9 +8,11 @@ serialization when an output format demands integers.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import chain
+from math import isfinite
+from operator import attrgetter
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -24,11 +26,13 @@ class Box:
     x2: float
     y2: float
 
-    def __post_init__(self) -> None:
-        for v in (self.x1, self.y1, self.x2, self.y2):
-            if not math.isfinite(v):
+    # by hand: a generated frozen __init__ calls object.__setattr__ per field, then __post_init__
+    def __init__(self, x1: float, y1: float, x2: float, y2: float) -> None:
+        for v in (x1, y1, x2, y2):
+            if not isfinite(v):
                 raise ValueError(f"non-finite box coordinate: {v!r}")
-        if self.x2 < self.x1 or self.y2 < self.y1:
+        _set_x1(self, x1), _set_y1(self, y1), _set_x2(self, x2), _set_y2(self, y2)
+        if x2 < x1 or y2 < y1:
             raise ValueError(f"inverted box: {self}")
 
     @property
@@ -58,11 +62,22 @@ class ScoredBox:
     class_id: int
     score: float
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.class_id < 2**63:
-            raise ValueError(f"class id outside [0, 2^63): {self.class_id}")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score outside [0, 1]: {self.score}")
+    def __init__(self, box: Box, class_id: int, score: float) -> None:  # as `Box.__init__`
+        if not 0 <= class_id < 2**63:
+            raise ValueError(f"class id outside [0, 2^63): {class_id}")
+        if not 0.0 <= score <= 1.0:
+            raise ValueError(f"score outside [0, 1]: {score}")
+        _set_box(self, box), _set_class_id(self, class_id), _set_score(self, score)
+
+
+_set_x1, _set_y1, _set_x2, _set_y2 = (getattr(Box, f).__set__ for f in Box.__slots__)
+_set_box, _set_class_id, _set_score = (getattr(ScoredBox, f).__set__ for f in ScoredBox.__slots__)
+
+
+def box_array(boxes: Iterable[Box]) -> np.ndarray:
+    """The (x1, y1, x2, y2) rows of `boxes` as an (n, 4) float64 array, read in one flat pass."""
+    rows = list(map(attrgetter("x1", "y1", "x2", "y2"), boxes))
+    return np.fromiter(chain.from_iterable(rows), np.float64, 4 * len(rows)).reshape(-1, 4)
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,7 +95,7 @@ class AffineMap2D:
 
     def __post_init__(self) -> None:
         fields = (self.scale_x, self.scale_y, self.offset_x, self.offset_y)
-        if not all(map(math.isfinite, fields)) or self.scale_x <= 0 or self.scale_y <= 0:
+        if not all(map(isfinite, fields)) or self.scale_x <= 0 or self.scale_y <= 0:
             raise ValueError(f"affine map needs finite fields and positive scales: {self}")
 
     def apply_point(self, x: float, y: float) -> tuple[float, float]:

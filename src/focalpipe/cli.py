@@ -21,9 +21,9 @@ from typing import Any, Callable, Optional
 
 import click
 
-from . import serialize, visdrone
+from . import evalkit, serialize, visdrone
 from .config import PipelineConfig
-from .evalkit import GtAnnotation, coco_eval, precision_recall_points, report_table, voc_ap_at
+from .evalkit import GtAnnotation, coco_eval, report_table, voc_ap_at
 from .fuse import ingest_columns, merge_columns, scored_columns
 from .pipeline import refine_image, regions_for_image, run_image
 from .scenes import OracleSpec, SceneSpec, generate_scene
@@ -194,7 +194,8 @@ def merge_cmd(rd_path, out_path, out_visdrone, no_ibs, config_path, **overrides)
                                              config.fuse_config(), apply_ibs=not no_ibs)
     serialize.write_merged_json(out_path, merged)
     if out_visdrone:
-        visdrone.write_detections(out_visdrone, merged)
+        with _data_errors(rd_path):
+            visdrone.write_detections(out_visdrone, merged)
     total = sum(len(scores) for *_, scores in merged.values())
     click.echo(f"wrote {total} merged detections to {out_path}")
 
@@ -220,8 +221,9 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
     with _data_errors():  # a VisDrone error names its file and line
         dets = (visdrone.parse_detections(det_path) if Path(det_path).is_dir()
                 else _load_doc(det_path, serialize.merged_detections_from_doc))
-    with _data_errors(det_path):
-        report = coco_eval(dets, gts, max_dets=config.max_dets)
+    with _data_errors(det_path):  # one match gives the report and the PR points
+        matches = evalkit._match(dets, gts, evalkit.COCO_KEYS, config.max_dets)
+    report = evalkit._report(matches)
     doc = report.to_json_dict()
     if voc_iou is not None:
         with _data_errors("--voc-iou"):
@@ -235,7 +237,7 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["class_id", "score", "precision", "recall"])
-        for row in precision_recall_points(dets, gts, max_dets=config.max_dets):
+        for row in evalkit._points(matches):  # at (0.5, "all"), the first key
             writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
         serialize.write_text_atomic(pr_csv_path, buf.getvalue())
     click.echo(table, nl=False)

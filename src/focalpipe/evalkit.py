@@ -23,13 +23,15 @@ one pass over its (keys, detections) outcomes.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `evalkit.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, iou, overlap_pairs  # noqa: F401
+from .boxgeom import Box, ScoredBox, box_array, iou, overlap_pairs  # noqa: F401
 
 COCO_IOU_THRESHOLDS = [0.5 + 0.05 * i for i in range(10)]
 SMALL_MAX = 32.0 * 32.0
@@ -40,6 +42,7 @@ AREA_RANGES = {
     "medium": (SMALL_MAX, MEDIUM_MAX),
     "large": (MEDIUM_MAX, float("inf")),
 }
+COCO_KEYS = [(t, a) for t in COCO_IOU_THRESHOLDS for a in AREA_RANGES]  # (0.5, "all") first
 TP, FP, UNCOUNTED = 1, 0, -1
 
 
@@ -103,28 +106,35 @@ def _match(
     for t, _ in keys:
         if not 0.0 < t <= 1.0:
             raise ValueError(f"IoU threshold must be in (0, 1], got {t}")
-    classes = sorted({class_key(g.class_id) for anns in gts.values() for g in anns})
-    class_index = {c: i for i, c in enumerate(classes)}
-    for image_id, image_dets in dets.items():
-        unknown = [d.class_id for d in image_dets if class_key(d.class_id) not in class_index]
-        if unknown:
-            raise ValueError(f"unknown class id {unknown[0]} in detections for image {image_id!r}")
-    # one row per box: corners, score or ignore flag, (image, class) group
-    d_rows, g_rows, image_ids = [], [], sorted(set(gts) | set(dets))
-    for i, image_id in enumerate(image_ids):
-        group = i * len(classes)
-        # a stable sort on score alone keeps ties in input order
-        for d in sorted(dets.get(image_id, []), key=lambda d: -d.score)[:max_dets]:
-            d_rows.append((*d.box.as_tuple(), d.score, group + class_index[class_key(d.class_id)]))
-        for g in gts.get(image_id, []):
-            g_rows.append((*g.box.as_tuple(), g.ignore, group + class_index[class_key(g.class_id)]))
-    d_arr, g_arr = (np.array(r, dtype=np.float64).reshape(-1, 6) for r in (d_rows, g_rows))
-    d_group, g_group = d_arr[:, 5].astype(np.intp), g_arr[:, 5].astype(np.intp)
-    tri_d, tri_g, tri_v = _candidates(d_arr[:, :4], d_group, g_arr[:, :4], g_group, thr.min())
+    g_ids = set(map(attrgetter("class_id"), chain.from_iterable(gts.values())))
+    classes = sorted({class_key(c) for c in g_ids})
+    position = {c: i for i, c in enumerate(classes)}
+    d_ids = map(attrgetter("class_id"), chain.from_iterable(dets.values()))
+    class_index = {c: position.get(class_key(c)) for c in g_ids.union(d_ids)}  # once per id
+    if None in class_index.values():  # the first detection of an unknown class
+        image_id, c = next((image_id, d.class_id) for image_id, image_dets in dets.items()
+                           for d in image_dets if class_index[d.class_id] is None)
+        raise ValueError(f"unknown class id {c} in detections for image {image_id!r}")
+
+    def columns(per_image: list, value: str) -> tuple:
+        """Corners, `value` and (image, class) group of the records of all images in order."""
+        records = list(chain.from_iterable(per_image))
+        ids = map(class_index.__getitem__, map(attrgetter("class_id"), records))
+        group = np.repeat(np.arange(len(per_image)) * len(classes), list(map(len, per_image)))
+        return (box_array(map(attrgetter("box"), records)),
+                np.fromiter(map(attrgetter(value), records), np.float64, len(records)),
+                group + np.fromiter(ids, np.intp, len(records)))
+
+    image_ids = sorted(set(gts) | set(dets))
+    # a stable sort on score alone keeps ties in input order, under `reverse` too
+    d_xy, d_score, d_group = columns([sorted(dets.get(i, ()), key=attrgetter("score"),
+                                             reverse=True)[:max_dets] for i in image_ids], "score")
+    g_xy, g_flag, g_group = columns([gts.get(i, ()) for i in image_ids], "ignore")
+    tri_d, tri_g, tri_v = _candidates(d_xy, d_group, g_xy, g_group, thr.min())
     lo, hi = np.array([AREA_RANGES[a] for _, a in keys]).T[:, :, None]
-    d_area, g_area = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) for a in (d_arr, g_arr))
+    d_area, g_area = ((a[:, 2] - a[:, 0]) * (a[:, 3] - a[:, 1]) for a in (d_xy, g_xy))
     d_in = (lo <= d_area) & (d_area < hi)
-    g_ignore = (g_arr[:, 4] > 0) | ~((lo <= g_area) & (g_area < hi))
+    g_ignore = (g_flag > 0) | ~((lo <= g_area) & (g_area < hi))
     rows = np.arange(len(keys))[:, None]
     cand = tri_v >= thr[:, None]
 
@@ -135,15 +145,15 @@ def _match(
 
     # Uncontested: no other detection shares any of its candidates at this key, so
     # they are all unmatched when its turn comes and it is decided on its own
-    shared = count(tri_g, len(g_arr), cand)[rows, tri_g] > 1
-    contested = count(tri_d, len(d_arr), cand & shared) > 0
-    unignored = count(tri_d, len(d_arr), cand & ~g_ignore[rows, tri_g]) > 0
-    matched = count(tri_d, len(d_arr), cand) > 0  # absorbed unless `unignored`
+    shared = count(tri_g, len(g_xy), cand)[rows, tri_g] > 1
+    contested = count(tri_d, len(d_xy), cand & shared) > 0
+    unignored = count(tri_d, len(d_xy), cand & ~g_ignore[rows, tri_g]) > 0
+    matched = count(tri_d, len(d_xy), cand) > 0  # absorbed unless `unignored`
     outcome = np.where(unignored, TP, np.where(matched | ~d_in, UNCOUNTED, FP)).astype(np.int8)
     _resolve_contested(outcome, contested, tri_d, tri_g, tri_v, thr, g_ignore, d_in)
 
     d_class, g_class = d_group % len(classes), g_group % len(classes)
-    return {c: _ClassMatch(d_arr[d_class == i, 4], outcome[:, d_class == i],
+    return {c: _ClassMatch(d_score[d_class == i], outcome[:, d_class == i],
                            (~g_ignore[:, g_class == i]).sum(axis=1)) for i, c in enumerate(classes)}
 
 
@@ -200,10 +210,10 @@ def _ap_interpolated_101(m: _ClassMatch) -> list[Optional[float]]:
     return [float(ap) if p else None for ap, p in zip(sampled.mean(axis=1), m.n_positive)]
 
 
-def _ap_all_points(m: _ClassMatch) -> Optional[float]:
-    """VOC-style all-point interpolated AP (area under the envelope) at a single key."""
+def _ap_all_points(m: _ClassMatch) -> float:
+    """VOC all-point interpolated AP (area under the envelope) at one key, NaN if no positive."""
     if m.n_positive[0] == 0:
-        return None
+        return np.nan
     _, _, precision, recall = _curves(m)
     mrec = np.concatenate([[0.0], recall[0], [1.0]])
     mpre = np.concatenate([[0.0], precision[0], [0.0]])
@@ -212,11 +222,10 @@ def _ap_all_points(m: _ClassMatch) -> Optional[float]:
     return float(np.sum((mrec[changes + 1] - mrec[changes]) * mpre[changes + 1]))
 
 
-def _mean_over_classes(values: Sequence[Optional[float]]) -> float:
-    present = [v for v in values if v is not None]
-    if not present:
-        return 0.0
-    return 100.0 * float(np.mean(present))
+def _mean_over_classes(values: Sequence[float]) -> float:
+    """100 times the mean of the per-class values that are not NaN, or 0 if none is."""
+    present = [v for v in values if v == v]
+    return 100.0 * float(np.mean(present)) if present else 0.0
 
 
 def coco_eval(dets: DetectionSet, gts: GroundTruthSet, max_dets: int = 500) -> EvalReport:
@@ -226,34 +235,22 @@ def coco_eval(dets: DetectionSet, gts: GroundTruthSet, max_dets: int = 500) -> E
     any other class id is an error. When both sides are empty the report is
     all zeros with the empty flag set.
     """
-    keys = [(t, a) for t in COCO_IOU_THRESHOLDS for a in AREA_RANGES]
-    matches = _match(dets, gts, keys, max_dets)
+    return _report(_match(dets, gts, COCO_KEYS, max_dets))
+
+
+def _report(matches: Mapping[int, _ClassMatch]) -> EvalReport:
+    """The `coco_eval` report of a `_match` at `COCO_KEYS`."""
     if not matches:
         return EvalReport(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, empty=True)
-    aps = {c: dict(zip(keys, _ap_interpolated_101(m))) for c, m in matches.items()}
-
-    def mean_ap(thresholds: Sequence[float], area_name: str) -> float:
-        per_class = []
-        for class_aps in aps.values():
-            vals = [class_aps[(t, area_name)] for t in thresholds]
-            vals = [v for v in vals if v is not None]
-            per_class.append(float(np.mean(vals)) if vals else None)
-        return _mean_over_classes(per_class)
-
-    per_class_ap50 = {
-        c: 100.0 * class_aps[(0.5, "all")] for c, class_aps in aps.items()
-        if class_aps[(0.5, "all")] is not None
-    }
-
-    return EvalReport(
-        ap=mean_ap(COCO_IOU_THRESHOLDS, "all"),
-        ap50=mean_ap([0.5], "all"),
-        ap75=mean_ap([0.75], "all"),
-        ap_small=mean_ap(COCO_IOU_THRESHOLDS, "small"),
-        ap_medium=mean_ap(COCO_IOU_THRESHOLDS, "medium"),
-        ap_large=mean_ap(COCO_IOU_THRESHOLDS, "large"),
-        per_class_ap50=per_class_ap50,
-    )
+    # (area, class, threshold), NaN where a class has no positive: that depends on the area
+    # alone. The mean of a C-contiguous row adds as `np.mean` of its list of thresholds does.
+    shape = (len(matches), len(COCO_IOU_THRESHOLDS), len(AREA_RANGES))
+    aps = np.array([[np.nan if ap is None else ap for ap in _ap_interpolated_101(m)]
+                    for m in matches.values()]).reshape(shape).transpose(2, 0, 1).copy()
+    ap50, ap75 = (aps[0, :, COCO_IOU_THRESHOLDS.index(t)] for t in (0.5, 0.75))
+    ap, ap_small, ap_medium, ap_large = (_mean_over_classes(a.mean(axis=1)) for a in aps)
+    return EvalReport(ap, _mean_over_classes(ap50), _mean_over_classes(ap75), ap_small, ap_medium,
+                      ap_large, {c: 100.0 * v for c, v in zip(matches, ap50.tolist()) if v == v})
 
 
 def voc_ap_at(
@@ -278,8 +275,13 @@ def precision_recall_points(
     max_dets: int = 500,
 ) -> list[tuple[int, float, float, float]]:
     """Pooled (class_id, score, precision, recall) points for CSV export."""
+    return _points(_match(dets, gts, [(iou_threshold, "all")], max_dets))
+
+
+def _points(matches: Mapping[int, _ClassMatch]) -> list[tuple[int, float, float, float]]:
+    """`precision_recall_points` at the first key of a `_match`, the only one it reads."""
     out = []
-    for c, m in _match(dets, gts, [(iou_threshold, "all")], max_dets).items():
+    for c, m in matches.items():
         if m.n_positive[0]:
             order, outcome, precision, recall = _curves(m)
             counted = outcome[0] != UNCOUNTED

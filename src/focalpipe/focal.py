@@ -128,9 +128,9 @@ def refine_gt(
         fraction = (x2 - x1) * (y2 - y1) / original
         rows = np.flatnonzero(~zero_area & (x1 < x2) & (y1 < y2) & ~(fraction < keep_threshold))
         corners = np.stack([x1[rows] + -r.x1, y1[rows] + -r.y1,
-                            x2[rows] + -r.x1, y2[rows] + -r.y1], axis=1)
-    gt = [(Box(*c), class_ids[i], f)
-          for c, i, f in zip(corners.tolist(), rows.tolist(), fraction[rows].tolist())]
+                            x2[rows] + -r.x1, y2[rows] + -r.y1])
+    gt = [(Box(a, b, c, d), class_ids[i], f) for a, b, c, d, i, f
+          in zip(*corners.tolist(), rows.tolist(), fraction[rows].tolist())]
     return RefinedCrop(region, gt, dropped_zero_area=int(np.count_nonzero(zero_area)))
 
 

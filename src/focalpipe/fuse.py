@@ -22,7 +22,7 @@ import numpy as np
 
 # `iou` is not called here, but the benchmark's tracer (perfbench/tracing.py,
 # IOU_SITES) rebinds `fuse.iou` to count scalar calls and fails without it
-from .boxgeom import Box, ScoredBox, iou, overlap_pairs, pairwise_iou  # noqa: F401
+from .boxgeom import Box, ScoredBox, box_array, iou, overlap_pairs, pairwise_iou  # noqa: F401
 from .focal import FocalRegion
 
 
@@ -51,7 +51,7 @@ class FuseConfig:
 def _columns(groups: Sequence[Sequence[ScoredBox]]):
     """Boxes (n, 4), class ids, scores and group index of the detections of all groups."""
     dets = [d for g in groups for d in g]
-    boxes = np.array([d.box.as_tuple() for d in dets], dtype=np.float64).reshape(-1, 4)
+    boxes = box_array([d.box for d in dets])
     classes = np.array([d.class_id for d in dets], dtype=np.int64)
     scores = np.array([d.score for d in dets], dtype=np.float64)
     return boxes, classes, scores, np.repeat(np.arange(len(groups)), [len(g) for g in groups])
@@ -64,8 +64,8 @@ def scored_columns(dets: Sequence[ScoredBox]):
 
 def scored_boxes(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray) -> list[ScoredBox]:
     """Columns back to detections, in row order."""
-    return [ScoredBox(Box(*xy), c, s)
-            for xy, c, s in zip(boxes.tolist(), classes.tolist(), scores.tolist())]
+    return [ScoredBox(Box(x1, y1, x2, y2), c, s) for x1, y1, x2, y2, c, s
+            in zip(*boxes.T.tolist(), classes.tolist(), scores.tolist())]
 
 
 def _flat(per_region: Sequence[RegionDetections]):

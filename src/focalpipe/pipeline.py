@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .boxgeom import Box, ScoredBox
+from .boxgeom import Box, ScoredBox, box_array
 from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
@@ -21,7 +21,9 @@ from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 def cluster_boxes(boxes: Sequence[Box], config: PipelineConfig, seed: int = 0) -> list[int]:
     """Cluster labels of the mixture fit on box centers, with density power P =
     `config.grid_points`: the fit on each center's offsets to P grid points."""
-    centers = np.array([b.center for b in boxes], dtype=float)
+    xy = box_array(boxes)
+    with np.errstate(over="ignore"):  # `Box.center` overflows to inf silently, failing the fit
+        centers = 0.5 * (xy[:, :2] + xy[:, 2:])
     k = num_focal_regions(len(boxes))
     model = fit_em(centers, k, EmConfig(rng_seed=seed), density_power=config.grid_points)
     return assign_clusters(model, centers)
@@ -49,7 +51,7 @@ def refine_image(
     config: PipelineConfig,
 ) -> list[RefinedCrop]:
     kept = [a for a in annotations if not a.ignore]
-    boxes = np.array([a.box.as_tuple() for a in kept], dtype=np.float64).reshape(-1, 4)
+    boxes = box_array([a.box for a in kept])
     class_ids = [a.class_id for a in kept]
     return [refine_gt(r, boxes, class_ids, keep_threshold=config.keep_threshold)
             for r in regions]

@@ -8,9 +8,9 @@ boxes. Everything is reproducible bit-for-bit from the configured seeds.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -131,7 +131,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
     for box, class_id, fraction in crop.gt:
         x1, x2 = m.scale_x * (box.x1 + ox) + m.offset_x, m.scale_x * (box.x2 + ox) + m.offset_x
         y1, y2 = m.scale_y * (box.y1 + oy) + m.offset_y, m.scale_y * (box.y2 + oy) + m.offset_y
-        if not all(map(math.isfinite, (x1, y1, x2, y2))):
+        if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
             raise ValueError(f"non-finite detector-frame box: {(x1, y1, x2, y2)}")
         if rng.random() < spec.miss_rate:
             continue
@@ -139,7 +139,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
             jitter = rng.normal(0.0, spec.localization_noise, size=4)
             x2, y2 = x2 + jitter[2], y2 + jitter[3]
             x1, y1 = min(x1 + jitter[0], x2 - 1e-6), min(y1 + jitter[1], y2 - 1e-6)
-            if not all(map(math.isfinite, (x1, y1, x2, y2))):
+            if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
                 raise ValueError(f"non-finite jittered box: {(x1, y1, x2, y2)}")
         out_class = class_id
         if fraction < 1.0 and spec.n_classes > 1 and rng.random() < spec.class_flip_rate_truncated:
@@ -150,7 +150,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
             score = spec.score_mean_tp
         x1, y1, x2, y2 = max(x1, 0.0), max(y1, 0.0), min(x2, det_w), min(y2, det_h)
         if x1 < x2 and y1 < y2:
-            detections.append(ScoredBox(box=Box(x1, y1, x2, y2), class_id=out_class, score=score))
+            detections.append(ScoredBox(Box(x1, y1, x2, y2), out_class, score))
 
     for _ in range(int(rng.poisson(spec.false_positive_rate))):
         fw = rng.uniform(0.02, 0.15) * det_w
@@ -159,12 +159,7 @@ def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
         fy = rng.uniform(0.0, det_h - fh)
         score = _clip(rng.normal(0.3, 0.1), 0.0, 1.0)
         detections.append(
-            ScoredBox(
-                box=Box(fx, fy, fx + fw, fy + fh),
-                class_id=int(rng.integers(spec.n_classes)),
-                score=score,
-            )
-        )
+            ScoredBox(Box(fx, fy, fx + fw, fy + fh), int(rng.integers(spec.n_classes)), score))
     return RegionDetections(region=crop.region, detections=detections)
 
 

@@ -132,8 +132,12 @@ def _detection_lines(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray)
 def _write_per_image(
     out_dir: str | Path, per_image: Mapping[str, Any], text: Callable[[Any], str]
 ) -> None:
-    """One `<image_id>.txt` per image, each written atomically."""
+    """One `<image_id>.txt` per image, each written atomically. An id must name a file in
+    `out_dir`, as `eval` reads it back by the file's stem: not empty, no `/` or NUL."""
     out_dir = Path(out_dir)
+    bad = [i for i in sorted(per_image) if not i or "/" in i or "\0" in i]
+    if bad:
+        raise ValueError(f"image {bad[0]!r} names no file in {out_dir}")
     _make_dir(out_dir)
     for image_id in sorted(per_image):
         write_text_atomic(out_dir / f"{image_id}.txt", text(per_image[image_id]))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,8 @@ from focalpipe.boxgeom import (
 )
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.scenes import SceneSpec
+
+import reference_records
 
 
 def pixel_count(b: Box) -> int:
@@ -109,6 +113,67 @@ class TestBoxValidation:
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Box(0, 0, math.nan, 10)
+
+
+def outcome(make, *args) -> tuple:
+    """The fields of `make(*args)` as (name, type name, repr), or its exception's type and
+    message."""
+    try:
+        record = make(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return tuple((f, type(v).__name__, repr(v)) for f, v in
+                 ((f, getattr(record, f)) for f in record.__dataclass_fields__))
+
+
+NEXT_ABOVE_ONE = math.nextafter(1.0, 2.0)
+COORDINATES = st.one_of(
+    st.floats(-1e6, 1e6), st.floats(), st.integers(-2**60, 2**60),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**1024, -2**1024, 10**400,
+                     True, False, "1.0", 1.5]),
+)
+CLASS_IDS = st.one_of(st.integers(0, 20), st.sampled_from([-1, 0, 2**63 - 1, 2**63, True,
+                                                          1.5, "1"]))
+SCORES = st.one_of(st.floats(0.0, 1.0), st.floats(),
+                   st.sampled_from([-0.0, 1.0, math.nan, NEXT_ABOVE_ONE, 0, 1, 2, True, "0.5"]))
+
+
+class TestConstructorsEqualGeneratedForm:
+    """The hand-written `Box` and `ScoredBox` constructors against the generated dataclass
+    `__init__` and `__post_init__` of `reference_records`: the same fields, or the same
+    exception and message, in the same order of checks."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(COORDINATES, min_size=4, max_size=4))
+    def test_box(self, corners):
+        assert outcome(Box, *corners) == outcome(reference_records.Box, *corners)
+
+    @settings(max_examples=500, deadline=None)
+    @given(CLASS_IDS, SCORES)
+    def test_scored_box(self, class_id, score):
+        made = outcome(ScoredBox, Box(0.0, 0.0, 1.0, 1.0), class_id, score)
+        reference = reference_records.Box(0.0, 0.0, 1.0, 1.0)
+        assert made == outcome(reference_records.ScoredBox, reference, class_id, score)
+
+    def test_record_behaviour_unchanged(self):
+        box, reference = Box(1.0, 2.0, 3.0, 4.0), reference_records.Box(1.0, 2.0, 3.0, 4.0)
+        det = ScoredBox(box, 2, 0.5)
+        assert repr(box) == repr(reference)
+        assert repr(det) == repr(reference_records.ScoredBox(reference, 2, 0.5))
+        assert box == Box(1.0, 2.0, 3.0, 4.0) and hash(box) == hash(Box(1.0, 2.0, 3.0, 4.0))
+        assert box != Box(1.0, 2.0, 3.0, 5.0) and det != ScoredBox(box, 2, 0.25)
+        assert hash(det) == hash(ScoredBox(Box(1.0, 2.0, 3.0, 4.0), 2, 0.5))
+        assert dataclasses.replace(box, x2=5.0) == Box(1.0, 2.0, 5.0, 4.0)
+        assert dataclasses.replace(det, score=1.0) == ScoredBox(box, 2, 1.0)
+        for change in ({"x2": 0.0}, {"y1": math.nan}, {"x1": "0"}):
+            def replace(record):
+                return dataclasses.replace(record, **change)
+            assert outcome(replace, box)[0] in (ValueError, TypeError)
+            assert outcome(replace, box) == outcome(replace, reference)
+        for record in (box, det):
+            assert pickle.loads(pickle.dumps(record)) == record
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, dataclasses.fields(record)[0].name, 0.0)
 
 
 class TestRecordLayout:

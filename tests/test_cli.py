@@ -10,21 +10,24 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import focalpipe.cli
-from focalpipe import serialize, visdrone
+from focalpipe import evalkit, serialize, visdrone
 from focalpipe.boxgeom import Box, ScoredBox
 from focalpipe.cli import _image_seed, cli, main
 from focalpipe.config import PipelineConfig
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import FocalRegion, make_detector_map
 from focalpipe.fuse import RegionDetections
-from focalpipe.pipeline import run_image
-from focalpipe.scenes import OracleSpec
+from focalpipe.pipeline import run_image, run_scene
+from focalpipe.scenes import OracleSpec, SceneSpec
+
+from reference_records import records_built
 
 
 def run(*argv) -> int:
@@ -404,20 +407,30 @@ class TestMerge:
                    "--out-visdrone", str(tmp_path / "results")) == 0
         assert (tmp_path / "results" / "img.txt").exists()
 
-    def test_builds_no_box_or_scored_box_per_detection(self, tmp_path, monkeypatch, capsys):
+    def test_builds_no_box_or_scored_box_per_detection(self, tmp_path, capsys):
         rd = tmp_path / "rd.json"
         serialize.write_json_atomic(rd, self.region_detection_doc())
-
-        def forbidden(det):
-            raise AssertionError("merge built a ScoredBox")
-
-        built = []
-        monkeypatch.setattr(ScoredBox, "__post_init__", forbidden)
-        monkeypatch.setattr(Box, "__post_init__", lambda box: built.append(box))
-        assert run("merge", "--region-detections", str(rd), "--out", str(tmp_path / "m.json"),
-                   "--out-visdrone", str(tmp_path / "results")) == 0
+        with records_built() as built:
+            assert run("merge", "--region-detections", str(rd), "--out", str(tmp_path / "m.json"),
+                       "--out-visdrone", str(tmp_path / "results")) == 0
+        assert built[ScoredBox] == []
         # the two region rects, and no box per detection
-        assert [b.as_tuple() for b in built] == [(0, 0, 300, 200), (250, 0, 550, 200)]
+        assert [b.as_tuple() for b in built[Box]] == [(0, 0, 300, 200), (250, 0, 550, 200)]
+
+    @pytest.mark.parametrize("image_id", ["", "../escaped", "sub/dir/img", "<absolute>", "a\0b"])
+    def test_image_id_naming_no_visdrone_file_is_rejected(self, tmp_path, capsys, image_id):
+        """`eval` reads a result file's image id back from its stem in the directory."""
+        image_id = str(tmp_path / "abs") if image_id == "<absolute>" else image_id
+        doc = self.region_detection_doc()
+        doc["images"] = {image_id: doc["images"]["img"]}
+        rd = tmp_path / "in" / "rd.json"
+        serialize.write_json_atomic(rd, doc)
+        before, out = snapshot(tmp_path), tmp_path / "out"
+        assert run("merge", "--region-detections", str(rd), "--out", str(out / "m.json"),
+                   "--out-visdrone", str(out / "vd" / "results")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{rd}: image {image_id!r}" in err
+        assert snapshot(tmp_path) == before and not out.exists()
 
 
 class TestMergeClampsToDetectorFrame:
@@ -938,6 +951,28 @@ class TestEval:
         assert (tmp_path / "table.txt").read_text().strip()
         header = (tmp_path / "pr.csv").read_text().splitlines()[0]
         assert header == "class_id,score,precision,recall"
+
+    @pytest.mark.parametrize("voc, matches", [((), 1), (("--voc-iou", "0.7"), 2)])
+    def test_pr_csv_comes_from_the_coco_match(self, tmp_path, capsys, monkeypatch, voc, matches):
+        """The (0.5, "all") key of the COCO match holds the outcomes of the PR points; VOC
+        matches classes merged, once more."""
+        run_ = run_scene(SceneSpec(rng_seed=2), OracleSpec(rng_seed=2), image_id="img")
+        ann, det_path = tmp_path / "annotations.json", tmp_path / "merged.json"
+        write_annotations_doc(ann, {"img": run_.annotations}, {"img": (1600, 1200)})
+        serialize.write_json_atomic(det_path, serialize.merged_detections_doc({"img": run_.merged}))
+        gts, _ = serialize.annotations_from_doc(json.loads(ann.read_text()))
+        dets = serialize.merged_detections_from_doc(json.loads(det_path.read_text()))
+        rows = ["class_id,score,precision,recall"] + [
+            f"{c},{s:.6f},{p:.6f},{r:.6f}" for c, s, p, r in
+            evalkit.precision_recall_points(dets, gts, max_dets=7)]
+        match = mock.Mock(wraps=evalkit._match)
+        monkeypatch.setattr(evalkit, "_match", match)
+        assert run("eval", "--detections", str(det_path), "--annotations", str(ann), "--out",
+                   str(tmp_path / "r.json"), "--pr-csv", str(tmp_path / "pr.csv"),
+                   "--max-dets", "7", *voc) == 0
+        assert match.call_count == matches
+        assert (tmp_path / "pr.csv").read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+        assert len(rows) > 3
 
     def test_voc_iou_respects_max_dets(self, tmp_path, capsys):
         gts = {"img": [GtAnnotation(Box(10, 10, 50, 50), 1)]}

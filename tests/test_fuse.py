@@ -26,6 +26,8 @@ from focalpipe.fuse import (
 )
 from focalpipe.scenes import OracleSpec, SceneSpec
 
+from reference_records import records_built
+
 
 def region_at(rect, region_id=0, detector_size=None, image=(2000, 2000)):
     """The region of `rect` alone; without a detector size, its map is the identity."""
@@ -638,6 +640,19 @@ class TestMergePipeline:
         assert merge_both(per_region, cfg) == (with_ibs, without_ibs)
         assert merge_pipeline(per_region, cfg) == with_ibs
         assert merge_pipeline(per_region, cfg, apply_ibs=False) == without_ibs
+
+
+class TestRecordsBuilt:
+    def test_merge_builds_one_record_per_result_and_evaluation_none(self):
+        run = pipeline.run_scene(SceneSpec(rng_seed=6), OracleSpec(rng_seed=6))
+        with records_built() as built:
+            merged, plain = merge_both(run.region_detections)
+        assert built[ScoredBox] == merged + plain
+        assert built[Box] == [d.box for d in merged + plain]
+        with records_built() as built:
+            evalkit.coco_eval({"x": merged}, {"x": run.annotations})
+            evalkit.voc_ap_at({"x": merged}, {"x": run.annotations})
+        assert built == {Box: [], ScoredBox: []}
 
 
 class TestOneMergePass:
