@@ -16,8 +16,6 @@ The acceptance tests import the specs and the functions from here.
 """
 
 import argparse
-import csv
-import io
 import math
 import sys
 from typing import Iterator, Optional, Sequence
@@ -78,15 +76,6 @@ def scene_cvs(scenes: int, seed: int = 0) -> Iterator[tuple[float, float, float]
         yield gmm.cv_raw, gmm.cv_cropped, eip.cv_cropped
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    serialize.write_text_atomic(path, buf.getvalue())
-    print(f"wrote {path}")
-
-
 def ibs(args: argparse.Namespace) -> None:
     rows = []
     for corpus, (ap_ibs, ap_plain) in enumerate(
@@ -104,7 +93,8 @@ def ibs(args: argparse.Namespace) -> None:
     print(f"mean gain {gains.mean():+07.3f}  wins {wins}  losses {losses}  "
           f"ties {len(rows) - wins - losses}  sign test p {p:.3e}")
     if args.csv:
-        write_csv(args.csv, ["corpus", "ap50_ibs", "ap50_plain", "gain"], rows)
+        serialize.write_csv_atomic(args.csv, ["corpus", "ap50_ibs", "ap50_plain", "gain"], rows)
+        print(f"wrote {args.csv}")
 
 
 def scale(args: argparse.Namespace) -> None:
@@ -121,7 +111,8 @@ def scale(args: argparse.Namespace) -> None:
     print("normalized" if cropped < raw else "NOT normalized")
     print(f"gmm below eip in {sum(r[2] < r[3] for r in rows)}/{len(rows)} scenes")
     if args.csv:
-        write_csv(args.csv, ["seed", "cv_raw", "cv_cropped", "cv_eip"], rows)
+        serialize.write_csv_atomic(args.csv, ["seed", "cv_raw", "cv_cropped", "cv_eip"], rows)
+        print(f"wrote {args.csv}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -43,10 +43,6 @@ class Box:
     def height(self) -> float:
         return self.y2 - self.y1
 
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
-
     def translate(self, dx: float, dy: float) -> "Box":
         return Box(self.x1 + dx, self.y1 + dy, self.x2 + dx, self.y2 + dy)
 
@@ -150,21 +146,16 @@ def _overlap_iou(iw: np.ndarray, ih: np.ndarray, area_a, area_b) -> np.ndarray:
     return np.divide(inter, union, out=np.zeros(inter.shape), where=valid & ~(union <= 0.0))
 
 
-def paired_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of the (x1, y1, x2, y2) rows of `a` (..., 4) and `b` (..., 4) broadcast against
-    each other, equal bit for bit to `iou` of each pair: same operations, same order."""
-    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """IoU of each (x1, y1, x2, y2) row of `a` (n, 4) against each row of `b` (m, 4), as an
+    (n, m) array, equal bit for bit to `iou` of each pair: same operations, same order."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1, 1, 4)
+    b = np.asarray(b, dtype=np.float64).reshape(1, -1, 4)
     (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = ([c[..., k] for k in range(4)] for c in (a, b))
     iw, ih = np.minimum(ax2, bx2), np.minimum(ay2, by2)
     iw -= np.maximum(ax1, bx1)
     ih -= np.maximum(ay1, by1)
     return _overlap_iou(iw, ih, (ax2 - ax1) * (ay2 - ay1), (bx2 - bx1) * (by2 - by1))
-
-
-def pairwise_iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """IoU of each (x1, y1, x2, y2) row of `a` (n, 4) against each row of `b` (m, 4), as an
-    (n, m) array: `paired_iou` in its matrix shape."""
-    return paired_iou(np.reshape(a, (-1, 1, 4)), np.reshape(b, (1, -1, 4)))
 
 
 PAIR_BUDGET = 8192  # most candidates `overlap_pairs` tests at once: O(n + budget) memory

@@ -8,9 +8,7 @@ an unwritable output, named in the message. A run that fails removes the outputs
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import json
 import secrets
 import sys
@@ -234,12 +232,9 @@ def eval_cmd(det_path, annotations_path, out_path, table_path, pr_csv_path,
     if table_path:
         serialize.write_text_atomic(table_path, table)
     if pr_csv_path:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["class_id", "score", "precision", "recall"])
-        for row in evalkit._points(matches):  # at (0.5, "all"), the first key
-            writer.writerow([row[0], f"{row[1]:.6f}", f"{row[2]:.6f}", f"{row[3]:.6f}"])
-        serialize.write_text_atomic(pr_csv_path, buf.getvalue())
+        serialize.write_csv_atomic(  # at (0.5, "all"), the first key
+            pr_csv_path, ["class_id", "score", "precision", "recall"],
+            [(c, f"{s:.6f}", f"{p:.6f}", f"{r:.6f}") for c, s, p, r in evalkit._points(matches)])
     click.echo(table, nl=False)
 
 

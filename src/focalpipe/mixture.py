@@ -1,16 +1,12 @@
 """Gaussian-mixture clustering of box centers by EM.
 
-A box's clustering feature is its center's offsets from a grid of P image
-points (`featurize`). A diagonal Gaussian log density on it is exactly P times
-a 2-D one on the center, so the pipeline fits the centers with every component
-log density multiplied by P (`density_power=P`, P = `PipelineConfig.grid_points`):
-only the point count acts, not the grid's layout. `featurize` stays as the
-reference the equivalence tests compare against. The component count grows as
-log2 of the box count. A fit's restarts run in lockstep on (restarts, k, n)
-arrays, so that every numpy pass runs along the n boxes; the sum over k keeps
-numpy's pairwise order for a contiguous axis, written out (`_sum_k`, held to
-`np.sum` by `TestSumK`), and `exp` skips numpy's slow path for subnormal and zero
-results (`_exp`), both bit for bit. `posterior` and `assign_clusters` share one
+The pipeline fits the (n, 2) box centers with every component log density
+multiplied by `density_power`. The component count grows as log2 of the box
+count. A fit's restarts run in lockstep on (restarts, k, n) arrays, so that
+every numpy pass runs along the n boxes; the sum over k keeps numpy's pairwise
+order for a contiguous axis, written out (`_sum_k`, held to `np.sum` by
+`TestSumK`), and `exp` skips numpy's slow path for subnormal and zero results
+(`_exp`), both bit for bit. `posterior` and `assign_clusters` share one
 batched path, with a nearest-mean fallback for a row whose density underflows.
 """
 
@@ -22,38 +18,11 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .boxgeom import Box
+from .boxgeom import Box, box_array
 
 LOG_2PI = math.log(2.0 * math.pi)
 _EXP_FAST = -700.0  # numpy's vector exp runs fast from about -707.7 up
 _EXP_ZERO = -746.0  # np.exp(a) is +0.0 for every a below this
-
-
-@dataclass(frozen=True)
-class FeatureGrid:
-    """Evenly sampled grid of reference points over an image.
-
-    Point (r, c) sits at (((c + 0.5) / cols) * image_width,
-    ((r + 0.5) / rows) * image_height).
-    """
-
-    rows: int
-    cols: int
-    image_width: float
-    image_height: float
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("grid must have at least one row and column")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image dimensions must be positive")
-
-    def points(self) -> np.ndarray:
-        """Grid points in row-major order, shape (rows*cols, 2)."""
-        cs = (np.arange(self.cols) + 0.5) / self.cols * self.image_width
-        rs = (np.arange(self.rows) + 0.5) / self.rows * self.image_height
-        gx, gy = np.meshgrid(cs, rs)
-        return np.stack([gx.ravel(), gy.ravel()], axis=1)
 
 
 @dataclass(frozen=True)
@@ -117,18 +86,20 @@ def num_focal_regions(n_gt: int) -> int:
     return min(int(n_gt).bit_length() - 1 + 2, n_gt)
 
 
-def featurize(boxes: Sequence[Box], grid: FeatureGrid) -> np.ndarray:
-    """Distance vectors from grid points to box centers, shape (n, 2*rows*cols).
+def _centers(boxes: Sequence[Box]) -> np.ndarray:
+    """The (n, 2) box centers (0.5 * (x1 + x2), 0.5 * (y1 + y2))."""
+    xy = box_array(boxes)
+    with np.errstate(over="ignore"):  # a center past float64 is inf, which fails the fit
+        return 0.5 * (xy[:, :2] + xy[:, 2:])
 
-    Entry pair k of a row is (center_x - grid_x_k, center_y - grid_y_k) for
-    grid point k in row-major order. Box extent is intentionally not part of
-    the feature.
-    """
+
+def featurize(boxes: Sequence[Box], points: np.ndarray) -> np.ndarray:
+    """Offsets of each box center from each image point of `points` (P, 2), shape (n, 2P):
+    entry pair k of a row is (center_x - x_k, center_y - y_k). Box extent is intentionally
+    not part of the feature."""
     if not boxes:
         raise ValueError("featurize requires at least one box")
-    centers = np.array([b.center for b in boxes], dtype=float)  # (n, 2)
-    deltas = centers[:, None, :] - grid.points()[None, :, :]  # (n, P, 2)
-    return deltas.reshape(len(boxes), -1)
+    return (_centers(boxes)[:, None, :] - points[None, :, :]).reshape(len(boxes), -1)
 
 
 def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,

@@ -7,23 +7,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .boxgeom import Box, ScoredBox, box_array
 from .config import PipelineConfig
 from .evalkit import EvalReport, GtAnnotation, coco_eval
 from .focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
 from .fuse import RegionDetections, merge_both
-from .mixture import EmConfig, assign_clusters, fit_em, num_focal_regions
+from .mixture import EmConfig, _centers, assign_clusters, fit_em, num_focal_regions
 from .scenes import OracleSpec, SceneSpec, generate_scene, oracle_detect
 
 
 def cluster_boxes(boxes: Sequence[Box], config: PipelineConfig, seed: int = 0) -> list[int]:
     """Cluster labels of the mixture fit on box centers, with density power P =
     `config.grid_points`: the fit on each center's offsets to P grid points."""
-    xy = box_array(boxes)
-    with np.errstate(over="ignore"):  # `Box.center` overflows to inf silently, failing the fit
-        centers = 0.5 * (xy[:, :2] + xy[:, 2:])
+    centers = _centers(boxes)
     k = num_focal_regions(len(boxes))
     model = fit_em(centers, k, EmConfig(rng_seed=seed), density_power=config.grid_points)
     return assign_clusters(model, centers)

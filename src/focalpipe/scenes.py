@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from math import isfinite
+from math import inf, isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,6 +51,12 @@ class OracleSpec:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        for name in ("localization_noise", "score_std", "false_positive_rate"):
+            v = getattr(self, name)
+            if not 0.0 <= v < inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        if not self.n_classes >= 1:
+            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from arrays; a document that does not fit raises `DocumentError` naming its JSON
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import secrets
@@ -23,7 +24,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import asdict
 from itertools import chain, takewhile
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -108,6 +109,10 @@ def write_json_atomic(path: str | Path, obj: Any) -> None:
 
 def write_text_atomic(path: str | Path, text: str) -> None:
     _write_atomic(path, lambda f: f.write(text))
+
+
+def write_csv_atomic(path: str | Path, header: Sequence, rows: Iterable[Sequence]) -> None:
+    _write_atomic(path, lambda f: csv.writer(f).writerows([header, *rows]))
 
 
 def number(v: Any, name: str) -> int | float:

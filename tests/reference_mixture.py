@@ -7,7 +7,8 @@ each step. The package's per-dimension forms must match it bit for bit.
 The restarts run one after another, and every `exp` is a plain `np.exp`.
 `ref_posterior` scores one feature vector on its own, with a scalar
 log-sum-exp and its own nearest-mean fallback; `posterior`'s batched path
-must match it bit for bit.
+must match it bit for bit. `grid_points` and `box_centers` build the grid-offset
+feature's inputs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,22 @@ import math
 
 import numpy as np
 
+from focalpipe.boxgeom import box_array
 from focalpipe.mixture import LOG_2PI, EmConfig, MixtureModel, Posterior
+
+
+def grid_points(rows, cols, width, height):
+    """An evenly sampled grid of image points, shape (rows*cols, 2), in row-major order:
+    point (r, c) sits at (((c + 0.5) / cols) * width, ((r + 0.5) / rows) * height)."""
+    gx, gy = np.meshgrid((np.arange(cols) + 0.5) / cols * width,
+                         (np.arange(rows) + 0.5) / rows * height)
+    return np.stack([gx.ravel(), gy.ravel()], axis=1)
+
+
+def box_centers(boxes):
+    """The (n, 2) centers (0.5 * (x1 + x2), 0.5 * (y1 + y2)), from the corners."""
+    xy = box_array(boxes)
+    return 0.5 * (xy[:, :2] + xy[:, 2:])
 
 
 def ref_log_joint(x, weights, means, variances, power):

@@ -552,18 +552,13 @@ class TestOneIouKernel:
     def test_run_path_never_calls_scalar_iou(self, monkeypatch):
         """Merge and evaluation score box pairs with one array IoU core,
         `boxgeom._overlap_iou`: NMS, IBS and evaluation reach it through the sweep, which
-        scores IoU from the overlaps it tested and never calls `paired_iou`; region rects go
-        through `paired_iou`, which calls the same core. The scalar `iou` is never called."""
+        scores IoU from the overlaps it tested and never calls `pairwise_iou`; region rects go
+        through `pairwise_iou`, which calls the same core. The scalar `iou` is never called."""
 
         def scalar_iou(a, b):
             raise AssertionError("scalar iou called in the run path")
 
-        original = boxgeom.iou
-        for name, module in list(sys.modules.items()):
-            if name.startswith("focalpipe") and getattr(module, "iou", None) is original:
-                monkeypatch.setattr(module, "iou", scalar_iou)
-        assert fuse.iou is scalar_iou and evalkit.iou is scalar_iou
-        callers = {"_overlap_iou": [], "paired_iou": []}  # the functions on the stack, per call
+        callers = {"_overlap_iou": [], "pairwise_iou": []}  # the functions on the stack, per call
 
         def recording(name):
             kernel = getattr(boxgeom, name)
@@ -573,8 +568,16 @@ class TestOneIouKernel:
                 return kernel(*args)
             return record
 
-        for name in callers:
-            monkeypatch.setattr(boxgeom, name, recording(name))
+        # every binding of the scalar `iou` and of `pairwise_iou` in the package
+        originals = {"iou": boxgeom.iou, "pairwise_iou": boxgeom.pairwise_iou}
+        replacements = {"iou": scalar_iou, "pairwise_iou": recording("pairwise_iou")}
+        for name, module in list(sys.modules.items()):
+            for attr, original in originals.items():
+                if name.startswith("focalpipe") and getattr(module, attr, None) is original:
+                    monkeypatch.setattr(module, attr, replacements[attr])
+        assert fuse.iou is scalar_iou and evalkit.iou is scalar_iou
+        assert fuse.pairwise_iou is replacements["pairwise_iou"]
+        monkeypatch.setattr(boxgeom, "_overlap_iou", recording("_overlap_iou"))
         spec = SceneSpec(n_clusters=3, boxes_per_cluster=(8, 8), rng_seed=4)
         run = pipeline.run_scene(spec, OracleSpec(rng_seed=4))
         assert run.merged and run.merged_no_ibs
@@ -584,9 +587,11 @@ class TestOneIouKernel:
         sweeps = [stack for stack in callers["_overlap_iou"] if "overlap_pairs" in stack]
         for caller in ("nms_indices", "_ibs_keep", "coco_eval", "voc_ap_at"):
             assert any(caller in stack for stack in sweeps), caller
-        assert callers["paired_iou"]  # the region rects of IBS
-        assert all("overlap_pairs" not in stack for stack in callers["paired_iou"])
-        assert len(callers["_overlap_iou"]) == len(sweeps) + len(callers["paired_iou"])
+        assert callers["pairwise_iou"]  # the region rects of IBS
+        assert all("overlap_pairs" not in stack for stack in callers["pairwise_iou"])
+        from_pairwise = [stack for stack in callers["_overlap_iou"] if "pairwise_iou" in stack]
+        assert len(from_pairwise) == len(callers["pairwise_iou"])
+        assert len(callers["_overlap_iou"]) == len(sweeps) + len(from_pairwise)
 
 
 class TestMergePipeline:

@@ -12,7 +12,6 @@ from focalpipe.mixture import (
     _EXP_FAST,
     _EXP_ZERO,
     EmConfig,
-    FeatureGrid,
     MixtureModel,
     _exp,
     _kmeanspp_indices,
@@ -26,6 +25,8 @@ from focalpipe.mixture import (
 from focalpipe.scenes import SceneSpec, generate_scene
 
 from reference_mixture import (
+    box_centers,
+    grid_points,
     ref_assign_clusters,
     ref_fit_em,
     ref_kmeanspp_indices,
@@ -57,19 +58,18 @@ class TestNumFocalRegions:
 
 class TestFeaturize:
     def test_box_on_single_grid_point(self):
-        grid = FeatureGrid(rows=1, cols=1, image_width=100, image_height=100)
         # the lone grid point is the image center (50, 50)
-        vec = featurize([Box(40, 40, 60, 60)], grid)[0]
+        vec = featurize([Box(40, 40, 60, 60)], grid_points(1, 1, 100, 100))[0]
         assert np.allclose(vec, 0.0)
 
     def test_identical_boxes_identical_vectors(self):
-        grid = FeatureGrid(rows=4, cols=4, image_width=200, image_height=100)
+        grid = grid_points(4, 4, 200, 100)
         b = Box(10, 10, 30, 30)
         f = featurize([b, b], grid)
         assert np.array_equal(f[0], f[1])
 
     def test_translation_equivariance(self):
-        grid = FeatureGrid(rows=3, cols=5, image_width=400, image_height=300)
+        grid = grid_points(3, 5, 400, 300)
         boxes = [Box(10, 10, 40, 30), Box(100, 120, 180, 200)]
         base = featurize(boxes, grid)
         shifted = featurize([b.translate(1.0, 0.0) for b in boxes], grid)
@@ -78,8 +78,7 @@ class TestFeaturize:
         assert np.allclose(delta[:, 1::2], 0.0)
 
     def test_dimension(self):
-        grid = FeatureGrid(rows=4, cols=4, image_width=100, image_height=100)
-        assert featurize([Box(0, 0, 1, 1)], grid).shape == (1, 32)
+        assert featurize([Box(0, 0, 1, 1)], grid_points(4, 4, 100, 100)).shape == (1, 32)
 
 
 def two_cluster_data(rng, n_per=50, sep=50.0, dim=2):
@@ -362,7 +361,7 @@ class TestEmEqualsReference:
     def test_fit_and_labels_bit_equal(self, spec, n_scenes):
         for seed in range(n_scenes):
             scene = generate_scene(SceneSpec(rng_seed=seed, **spec))
-            centers = np.array([b.center for b, _ in scene.annotations])
+            centers = box_centers([b for b, _ in scene.annotations])
             k, em = num_focal_regions(len(centers)), EmConfig(rng_seed=seed)
             got = fit_em(centers, k, em, density_power=16)
             want = ref_fit_em(centers, k, em, density_power=16)

@@ -8,7 +8,6 @@ from focalpipe.boxgeom import AffineMap2D, Box
 from focalpipe.config import PipelineConfig
 from focalpipe.mixture import (
     EmConfig,
-    FeatureGrid,
     assign_clusters,
     featurize,
     fit_em,
@@ -27,6 +26,7 @@ from focalpipe.scenes import (
 )
 
 from reference_focal import columns
+from reference_mixture import box_centers, grid_points
 from reference_scenes import ref_oracle_detect
 from test_claims import claims
 
@@ -83,8 +83,7 @@ class TestGenerateScene:
         for seed in range(20):
             scene = generate_scene(separated_spec(seed))
             boxes = [b for b, _ in scene.annotations]
-            grid = FeatureGrid(4, 4, *scene.image_size)
-            features = featurize(boxes, grid)
+            features = featurize(boxes, grid_points(4, 4, *scene.image_size))
             k = len(set(scene.labels))
             model = fit_em(features, k, EmConfig(rng_seed=seed, covariance_floor=1.0))
             got = assign_clusters(model, features)
@@ -101,8 +100,12 @@ DENSE_SPEC = dict(image_size=(2000, 1500), n_clusters=20, boxes_per_cluster=(25,
 
 
 class TestCenterFitEqualsGridFeatureFit:
-    """`cluster_boxes` fits box centers with density power `grid_points` = rows x cols;
-    the reference fits the 2*rows*cols grid-offset feature `featurize` with power 1."""
+    """A box's clustering feature is its center's offsets from a grid of P image points
+    (`featurize`). A diagonal Gaussian log density on it is exactly P times a 2-D one on the
+    center, so `cluster_boxes` fits the centers with every component log density multiplied
+    by P (`density_power=P`, P = `PipelineConfig.grid_points` = rows x cols): only the point
+    count acts, not the grid's layout. The reference fits the 2P-dimensional feature with
+    power 1."""
 
     @pytest.mark.parametrize("spec,rows,cols,n_scenes", [
         (claims.IBS_SCENE, 4, 4, 40),
@@ -116,9 +119,9 @@ class TestCenterFitEqualsGridFeatureFit:
             boxes = [b for b, _ in scene.annotations]
             k = num_focal_regions(len(boxes))
             em = EmConfig(rng_seed=seed)
-            features = featurize(boxes, FeatureGrid(rows, cols, *scene.image_size))
+            features = featurize(boxes, grid_points(rows, cols, *scene.image_size))
             reference = fit_em(features, k, em)
-            centers = np.array([b.center for b in boxes])
+            centers = box_centers(boxes)
             model = fit_em(centers, k, em, density_power=rows * cols)
             assert cluster_boxes(boxes, config, seed=seed) == assign_clusters(
                 reference, features), f"seed {seed}"
@@ -130,6 +133,25 @@ def crops_for(scene, config=PipelineConfig()):
     annotations = [GtAnnotation(b, c) for b, c in scene.annotations]
     regions = regions_for_image(annotations, scene.image_size, config, seed=0)
     return refine_image(regions, annotations, config)
+
+
+class TestOracleSpec:
+    @pytest.mark.parametrize("name,value", [
+        ("localization_noise", -2.0), ("localization_noise", math.nan),
+        ("localization_noise", math.inf), ("score_std", -0.05), ("score_std", math.nan),
+        ("false_positive_rate", -1.0), ("false_positive_rate", math.inf),
+        ("n_classes", 0), ("n_classes", -1),
+        ("score_mean_tp", 1.5), ("miss_rate", math.nan), ("class_flip_rate_truncated", -0.1),
+    ])
+    def test_rejects_out_of_range(self, name, value):
+        """Each field outside its range is an error naming it, not a run that ignores it
+        (a negative or NaN noise ran as no noise) or fails later inside numpy."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            OracleSpec(**{name: value})
+
+    def test_accepts_bounds(self):
+        OracleSpec(localization_noise=0.0, score_std=0.0, false_positive_rate=0.0, n_classes=1,
+                   score_mean_tp=1.0, miss_rate=0.0, class_flip_rate_truncated=1.0)
 
 
 class TestOracleDetect:
@@ -227,7 +249,7 @@ class TestOracleEqualsReference:
         (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec()),
         (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec(miss_rate=1.0)),
         (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 5.0, 5.0), 1.0,
-         OracleSpec(localization_noise=math.inf)),
+         OracleSpec(localization_noise=1e308)),  # finite, but the jitter overflows
         (Box(0.0, 0.0, 1e10, 1.0), Box(0.0, 0.0, 1.0, 1.0), 1e300, OracleSpec()),
     ], ids=["map-overflow", "map-overflow-missed", "jitter-inf", "frame-overflow"])
     def test_same_errors(self, rect, gt, scale, spec):
