@@ -106,19 +106,24 @@ def _log_joint(x: np.ndarray, weights: np.ndarray, means: np.ndarray,
                variances: np.ndarray, power: float) -> np.ndarray:
     """log weight + power * diagonal-Gaussian log density; x (n, d), weights (..., k),
     means and variances (..., k, d) -> (..., k, n). The terms `diff * diff / var`, one plane
-    per dimension, are added to 0.0 left to right, in place: for d < 8 the sum numpy's
-    reduce over a length-d axis gives, so one row with d < 8 takes that reduce, in fewer
-    numpy calls, and no in-place ones, which cost more than they save on one row."""
+    per dimension, are added left to right, in place, onto the first plane (`0.0 + t` is `t`
+    for every t >= +0.0 or NaN): for d < 8 the sum numpy's reduce over a length-d axis gives,
+    so one row with d < 8 takes that reduce, in fewer numpy calls, and no in-place ones,
+    which cost more than they save on one row. A zero-dimension model sums to 0.0."""
     log_norm = (np.log(variances).sum(axis=-1) + variances.shape[-1] * LOG_2PI)[..., None]
     with np.errstate(divide="ignore"):
         log_w = np.log(weights)[..., None]
     if len(x) == 1 and x.shape[1] < 8:
         maha = ((x - means) ** 2 / variances).sum(axis=-1)[..., None]
         return log_w + power * (-0.5 * (maha + log_norm))
-    maha, term = np.zeros(means.shape[:-1] + (len(x),)), None
+    maha, term = None if x.shape[1] else np.zeros(means.shape[:-1] + (len(x),)), None
     for j in range(x.shape[1]):
         term = np.square(np.subtract(x[:, j], means[..., j, None], out=term), out=term)
-        maha += np.divide(term, variances[..., j, None], out=term)
+        np.divide(term, variances[..., j, None], out=term)
+        if maha is None:
+            maha, term = term, None
+        else:
+            maha += term
     maha += log_norm
     np.multiply(power, np.multiply(-0.5, maha, out=maha), out=maha)
     return np.add(log_w, maha, out=maha)
@@ -130,7 +135,7 @@ def _exp(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     keeps its payload), +0.0 where it was clamped, then `np.exp` of the compacted band from
     `_EXP_ZERO` up to `_EXP_FAST`. `out` may be `a`: the band is read before the overwrite."""
     low = a < _EXP_FAST
-    band = np.flatnonzero(low & (a >= _EXP_ZERO))
+    band = (low & (a >= _EXP_ZERO)).ravel().nonzero()[0]
     edge = np.exp(a.flat[band])
     out = np.maximum(a, _EXP_FAST, out=out)
     np.exp(out, out=out)
@@ -195,8 +200,10 @@ def _variances(x: np.ndarray, resp: np.ndarray, means: np.ndarray) -> np.ndarray
     sums the (n, 1) operand in another order; the 4-D form keeps `"nk,nkd->kd"`'s."""
     if means.shape[1] == 1:
         return np.einsum("ank,ankd->akd", resp, (x[:, None, :] - means[:, None]) ** 2)
-    return np.stack([np.einsum("ank,ank->ak", resp, (x[:, j, None] - means[:, None, :, j]) ** 2)
-                     for j in range(x.shape[1])], axis=-1)
+    out = np.empty(means.shape)
+    for j in range(x.shape[1]):
+        out[..., j] = np.einsum("ank,ank->ak", resp, (x[:, j, None] - means[:, None, :, j]) ** 2)
+    return out
 
 
 def fit_em(
@@ -212,8 +219,8 @@ def fit_em(
     likelihood. Deterministic for a fixed cfg.rng_seed.
     """
     x = np.asarray(features, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("features must be a 2-D array of equal-length vectors")
+    if x.ndim != 2 or not x.shape[1]:
+        raise ValueError("features must be a 2-D array of equal-length, non-empty vectors")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite feature values")
     if k < 1:

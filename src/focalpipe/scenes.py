@@ -34,6 +34,21 @@ class SceneSpec:
     # normalize
     size_multiplier_range: tuple[float, float] = (0.5, 2.5)
 
+    def __post_init__(self) -> None:
+        (w, h), (b_lo, b_hi) = self.image_size, self.boxes_per_cluster
+        (s_lo, s_hi), (m_lo, m_hi) = self.box_size_range, self.size_multiplier_range
+        whole = isinstance(b_lo, (int, np.integer)) and isinstance(b_hi, (int, np.integer))
+        for name, ok, rule in (
+                ("n_clusters", self.n_clusters >= 1, ">= 1"),
+                ("classes", self.classes >= 1, ">= 1"),
+                ("boxes_per_cluster", whole and 0 <= b_lo <= b_hi, "integers, 0 <= low <= high"),
+                ("cluster_spread", 0.0 <= self.cluster_spread < inf, "finite and >= 0"),
+                ("box_size_range", 0.0 <= s_lo <= s_hi < inf, "finite, 0 <= low <= high"),
+                ("size_multiplier_range", 0.0 <= m_lo <= m_hi < inf, "finite, 0 <= low <= high"),
+                ("image_size", w > 0 and h > 0, "positive")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class OracleSpec:
@@ -128,32 +143,40 @@ def _crop_rng(spec: OracleSpec, crop: RefinedCrop) -> np.random.Generator:
 def oracle_detect(crop: RefinedCrop, spec: OracleSpec) -> RegionDetections:
     """Emit noise-perturbed crop ground truth as detector-frame detections. Each box is
     mapped, jittered and clipped with the operations of `Box.translate`, `apply_map` and
-    `intersect` in their order, on plain floats; only the detection's own `Box` is built."""
+    `intersect` in their order, on plain floats; only the detection's own `Box` is built.
+    A kept box's four jitter normals and its score normal come from one `standard_normal`
+    call unless a class-flip draw falls between them, scaled as `Generator.normal` scales
+    them (`loc + scale * z`), so the draws and their values are those of separate calls."""
     rng = _crop_rng(spec, crop)
     frame, m = Box(0.0, 0.0, *crop.region.detector_size), crop.region.to_detector
     det_w, det_h, ox, oy = frame.x2, frame.y2, crop.region.rect.x1, crop.region.rect.y1
+    sx, sy, tx, ty = m.scale_x, m.scale_y, m.offset_x, m.offset_y
+    noise, mean, std, n_classes = (spec.localization_noise, spec.score_mean_tp, spec.score_std,
+                                   spec.n_classes)
+    n_jitter, n_score = 4 * (noise > 0), int(std > 0)
+    random, normal = rng.random, rng.standard_normal
 
     detections: list[ScoredBox] = []
     for box, class_id, fraction in crop.gt:
-        x1, x2 = m.scale_x * (box.x1 + ox) + m.offset_x, m.scale_x * (box.x2 + ox) + m.offset_x
-        y1, y2 = m.scale_y * (box.y1 + oy) + m.offset_y, m.scale_y * (box.y2 + oy) + m.offset_y
+        x1, x2 = sx * (box.x1 + ox) + tx, sx * (box.x2 + ox) + tx
+        y1, y2 = sy * (box.y1 + oy) + ty, sy * (box.y2 + oy) + ty
         if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
             raise ValueError(f"non-finite detector-frame box: {(x1, y1, x2, y2)}")
-        if rng.random() < spec.miss_rate:
+        if random() < spec.miss_rate:
             continue
-        if spec.localization_noise > 0:
-            jitter = rng.normal(0.0, spec.localization_noise, size=4)
-            x2, y2 = x2 + jitter[2], y2 + jitter[3]
-            x1, y1 = min(x1 + jitter[0], x2 - 1e-6), min(y1 + jitter[1], y2 - 1e-6)
+        flips = fraction < 1.0 and n_classes > 1  # a NaN fraction takes no flip draw
+        n = n_jitter if flips else n_jitter + n_score
+        z = normal(n).tolist() if n else []
+        if n_jitter:
+            x2, y2 = x2 + (0.0 + noise * z[2]), y2 + (0.0 + noise * z[3])
+            x1 = min(x1 + (0.0 + noise * z[0]), x2 - 1e-6)
+            y1 = min(y1 + (0.0 + noise * z[1]), y2 - 1e-6)
             if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
                 raise ValueError(f"non-finite jittered box: {(x1, y1, x2, y2)}")
         out_class = class_id
-        if fraction < 1.0 and spec.n_classes > 1 and rng.random() < spec.class_flip_rate_truncated:
-            out_class = int((class_id + 1 + rng.integers(spec.n_classes - 1)) % spec.n_classes)
-        if spec.score_std > 0:
-            score = _clip(rng.normal(spec.score_mean_tp, spec.score_std), 0.0, 1.0)
-        else:
-            score = spec.score_mean_tp
+        if flips and random() < spec.class_flip_rate_truncated:
+            out_class = int((class_id + 1 + rng.integers(n_classes - 1)) % n_classes)
+        score = _clip(mean + std * (normal() if flips else z[-1]), 0.0, 1.0) if n_score else mean
         x1, y1, x2, y2 = max(x1, 0.0), max(y1, 0.0), min(x2, det_w), min(y2, det_h)
         if x1 < x2 and y1 < y2:
             detections.append(ScoredBox(Box(x1, y1, x2, y2), out_class, score))

@@ -4,7 +4,8 @@ This is the oracle detector as first written: every crop box goes through
 `crop_gt_to_detector` (a translated and a mapped `Box`), the jittered box is
 another `Box`, and the clip to the detector frame is `intersect`. The
 package's float form must give the same detections, value and type, from the
-same random draws.
+same random draws. It draws the jitter and the score with separate
+`Generator.normal` calls, where the package makes one `standard_normal` call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def ref_oracle_detect(crop, spec):
         if rng.uniform() < spec.miss_rate:
             continue
         if spec.localization_noise > 0:
-            jitter = rng.normal(0.0, spec.localization_noise, size=4)
+            jitter = rng.normal(0.0, spec.localization_noise, size=4).tolist()
             x1 = min(box.x1 + jitter[0], box.x2 + jitter[2] - 1e-6)
             y1 = min(box.y1 + jitter[1], box.y2 + jitter[3] - 1e-6)
             box = Box(x1, y1, box.x2 + jitter[2], box.y2 + jitter[3])

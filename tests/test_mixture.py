@@ -139,6 +139,12 @@ class TestFitEm:
         with pytest.raises(ValueError):
             fit_em(x, 1, EmConfig())
 
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 0)])
+    def test_zero_columns_rejected(self, shape):
+        """A feature vector with no entries is the caller's error, named before any work."""
+        with pytest.raises(ValueError, match="non-empty vectors"):
+            fit_em(np.zeros(shape), 2, EmConfig())
+
     @pytest.mark.parametrize("power", [0.0, -2.0, math.inf, math.nan])
     def test_bad_density_power_rejected(self, power):
         with pytest.raises(ValueError, match="density_power"):
@@ -342,6 +348,17 @@ class TestAssignClusters:
         assert assign_clusters(model, []) == []
         with pytest.raises(ValueError):
             assign_clusters(model, [[1.0], [2.0]])
+
+    @pytest.mark.parametrize("weights,label", [([1.0], 0), ([0.25, 0.75], 1), ([0.5, 0.5], 0)])
+    def test_zero_dimension_model(self, weights, label):
+        """With no dimensions every density is 1: the posterior is the weights and every row
+        goes to the heaviest component, on one row and on many."""
+        k = len(weights)
+        model = MixtureModel(weights=np.array(weights), means=np.zeros((k, 0)),
+                             variances=np.zeros((k, 0)))
+        got = posterior(model, [])
+        assert got.probs.tolist() == pytest.approx(weights) and not got.nearest_mean_fallback
+        assert assign_clusters(model, np.zeros((3, 0))) == [label] * 3
 
 
 def assert_same_fit(got, want, case=None):

@@ -1,5 +1,8 @@
+import importlib.util
 import math
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from focalpipe.mixture import (
 from focalpipe.pipeline import cluster_boxes, refine_image, regions_for_image, run_scene
 from focalpipe.evalkit import GtAnnotation
 from focalpipe.focal import FocalRegion, RefinedCrop, refine_gt, regions_from_clusters
+from focalpipe import scenes
 from focalpipe.scenes import (
     OracleSpec,
     _clip,
@@ -135,6 +139,40 @@ def crops_for(scene, config=PipelineConfig()):
     return refine_image(regions, annotations, config)
 
 
+class TestSceneSpec:
+    @pytest.mark.parametrize("name,value", [
+        ("n_clusters", 0), ("n_clusters", -1), ("classes", 0),
+        ("boxes_per_cluster", (5, 2)), ("boxes_per_cluster", (-1, 2)),
+        ("boxes_per_cluster", (2.0, 5)),
+        ("cluster_spread", -5.0), ("cluster_spread", math.nan), ("cluster_spread", math.inf),
+        ("box_size_range", (40.0, 10.0)), ("box_size_range", (-1.0, 10.0)),
+        ("box_size_range", (10.0, math.nan)), ("size_multiplier_range", (-1.0, 1.0)),
+        ("size_multiplier_range", (1.0, math.inf)),
+        ("image_size", (0, 100)), ("image_size", (100, -5)),
+    ])
+    def test_rejects_out_of_range(self, name, value):
+        """Each field outside its range is an error naming it, not a failure deep inside
+        numpy or `Box` (`n_clusters=0` was a ZeroDivisionError)."""
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            SceneSpec(**{name: value})
+
+    def test_accepts_bounds(self):
+        spec = SceneSpec(n_clusters=1, classes=1, boxes_per_cluster=(0, 0), cluster_spread=0.0,
+                         box_size_range=(0.0, 0.0), size_multiplier_range=(0.0, 0.0),
+                         image_size=(1, 1))
+        assert generate_scene(spec).annotations == []
+
+    def test_every_project_spec_constructs(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(module_spec)
+        monkeypatch.setitem(sys.modules, module_spec.name, workloads)  # for its dataclasses
+        module_spec.loader.exec_module(workloads)
+        for spec in (claims.IBS_SCENE, claims.SCALE_SCENE, DENSE_SPEC, workloads.ABLATION_SCENE,
+                     workloads.DENSE_SCENE, workloads.MERGE_SCENE):
+            generate_scene(SceneSpec(**spec))
+
+
 class TestOracleSpec:
     @pytest.mark.parametrize("name,value", [
         ("localization_noise", -2.0), ("localization_noise", math.nan),
@@ -219,6 +257,8 @@ class TestOracleEqualsReference:
         "no-score-noise": dict(score_std=0.0),
         "one-class": dict(n_classes=1),
         "many-fp": dict(false_positive_rate=6.0, miss_rate=0.3),
+        "all-flip": dict(class_flip_rate_truncated=1.0),
+        "no-draws": dict(localization_noise=0.0, score_std=0.0),
     }
 
     @pytest.mark.parametrize("oracle", list(ORACLES))
@@ -245,6 +285,20 @@ class TestOracleEqualsReference:
         assert detection_bits(got) == detection_bits(want)
         assert math.copysign(1.0, got.detections[0].box.x1) == -1.0
 
+    def test_nan_fraction_takes_no_flip_draw(self):
+        """A kept fraction of inf / inf is NaN, which `fraction < 1.0` counts as untruncated:
+        no flip draw, so even at flip rate 1 the class stays and the draws stay in line."""
+        rect = Box(0.0, 0.0, 1e200, 1e200)
+        region = FocalRegion(rect=rect, region_id=0, image_id="img",
+                             to_detector=AffineMap2D(1e-178, 1e-178, 0.0, 0.0))
+        crop = refine_gt(region, np.array([[0.0, 0.0, 1e180, 1e180]]), [1])
+        assert len(crop.gt) == 1 and math.isnan(crop.gt[0][2])
+        for seed in range(8):
+            spec = OracleSpec(rng_seed=seed, miss_rate=0.0, class_flip_rate_truncated=1.0)
+            got, want = oracle_detect(crop, spec), ref_oracle_detect(crop, spec)
+            assert detection_bits(got) == detection_bits(want)
+            assert got.detections[0].class_id == 1
+
     @pytest.mark.parametrize("rect,gt,scale,spec", [
         (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec()),
         (Box(10.0, 10.0, 20.0, 20.0), Box(0.0, 0.0, 1e10, 5.0), 1e300, OracleSpec(miss_rate=1.0)),
@@ -260,6 +314,39 @@ class TestOracleEqualsReference:
         for detect in (ref_oracle_detect, oracle_detect):
             with pytest.raises(ValueError):
                 detect(crop, spec)
+
+
+class CountingRng:
+    """A `Generator` whose method calls are recorded by name in `calls`."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls.append(name)
+            return method(*args, **kwargs)
+        return counted
+
+
+class TestOracleDraws:
+    def test_two_calls_per_kept_untruncated_detection(self, monkeypatch):
+        """The miss draw and one normal draw for the jitter and the score; a truncated box
+        takes four (miss, jitter, flip, score), and each crop one Poisson draw."""
+        calls = []
+        original = scenes._crop_rng
+        monkeypatch.setattr(scenes, "_crop_rng",
+                            lambda spec, crop: CountingRng(original(spec, crop), calls))
+        spec = OracleSpec(miss_rate=0.0, class_flip_rate_truncated=0.0, false_positive_rate=0.0)
+        crops = crops_for(generate_scene(SceneSpec(**claims.IBS_SCENE, rng_seed=3)))
+        truncated = sum(fraction < 1.0 for crop in crops for _, _, fraction in crop.gt)
+        untruncated = sum(len(crop.gt) for crop in crops) - truncated
+        assert truncated and untruncated
+        for crop in crops:
+            oracle_detect(crop, spec)
+        assert len(calls) == 2 * untruncated + 4 * truncated + len(crops)
 
 
 class TestScaleStats:
