@@ -3,7 +3,7 @@
 
 `ibs`: AP50 of the merge stage with and without Incomplete Box Suppression over corpora
 with overlapping focal regions; one merge pass per scene gives the complete merge (NMS
-then IBS) and plain NMS. Reports the per-corpus AP50 gain, the win/loss record and a
+then IBS) and plain NMS. Sums up the per-corpus AP50 gains in a win/loss record and a
 one-sided sign test.
 
 `scale`: does crop-and-resize through GMM focal regions normalize object scale? Each
@@ -12,20 +12,22 @@ viewing angle scale aerial imagery. Compares the coefficient of variation of box
 raw, in the detector frames of the GMM focal crops, and in those of even-partition
 (EIP) tiles at the same detector size, the baseline of ClusDet and DMNet.
 
-The acceptance tests import the specs and the functions from here.
+Each subcommand prints its claim's summary as the markdown table that README quotes;
+`--csv` writes the per-corpus or per-scene rows. The acceptance tests import the specs,
+the runs and the summaries from here.
 """
 
 import argparse
 import math
 import sys
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from focalpipe import serialize
 from focalpipe.config import PipelineConfig
 from focalpipe.focal import eip_regions
-from focalpipe.pipeline import evaluate_runs, refine_image, run_scene
+from focalpipe.pipeline import ImageRun, evaluate_runs, refine_image, run_scene
 from focalpipe.scenes import OracleSpec, SceneSpec, scale_stats
 
 # about 48 boxes per image in three clusters close enough that focal regions overlap
@@ -39,20 +41,42 @@ SCALE_SCENE = dict(image_size=(3000, 2000), n_clusters=8, boxes_per_cluster=(9, 
                    size_multiplier_range=(0.5, 3.0))
 
 
+def scene_runs(spec: dict, seeds: Iterable[int],
+               image_ids: Iterable[str]) -> Iterator[ImageRun]:
+    """`run_scene` of `spec` at each seed in turn; the seed also seeds the oracle and EM."""
+    for seed, image_id in zip(seeds, image_ids):
+        yield run_scene(SceneSpec(**spec, rng_seed=seed), OracleSpec(rng_seed=seed),
+                        PipelineConfig(), image_id=image_id)
+
+
+def corpus_runs(corpora: int, scenes_per_corpus: int = 3,
+                seed: int = 0) -> Iterator[list[ImageRun]]:
+    """The runs of each `IBS_SCENE` corpus; scene s of corpus c is `c{c}s{s}`, seeded
+    `seed + 100 c + s`."""
+    scenes = range(scenes_per_corpus)
+    for c in range(corpora):
+        yield list(scene_runs(IBS_SCENE, [seed + 100 * c + s for s in scenes],
+                              [f"c{c}s{s}" for s in scenes]))
+
+
 def corpus_ap50(corpora: int, scenes_per_corpus: int = 3,
                 seed: int = 0) -> Iterator[tuple[float, float]]:
-    """(AP50 with IBS, AP50 with plain NMS) of each corpus in turn; scene s of
-    corpus c is seeded `seed + 100 c + s`."""
+    """(AP50 with IBS, AP50 with plain NMS) of each corpus of `corpus_runs` in turn."""
+    for runs in corpus_runs(corpora, scenes_per_corpus, seed):
+        yield (evaluate_runs(runs, use_ibs=True).ap50, evaluate_runs(runs, use_ibs=False).ap50)
+
+
+def scene_cvs(scenes: int, seed: int = 0) -> Iterator[tuple[float, float, float]]:
+    """(raw, GMM-crop, EIP-tile) area CV of each `SCALE_SCENE` in turn, as `scale_stats`
+    measures them; scene i is `s{seed + i}`, seeded `seed + i`."""
     config = PipelineConfig()
-    for corpus in range(corpora):
-        runs = []
-        for s in range(scenes_per_corpus):
-            scene_seed = seed + corpus * 100 + s
-            runs.append(run_scene(SceneSpec(**IBS_SCENE, rng_seed=scene_seed),
-                                  OracleSpec(rng_seed=scene_seed), config,
-                                  image_id=f"c{corpus}s{s}"))
-        yield (evaluate_runs(runs, config, use_ibs=True).ap50,
-               evaluate_runs(runs, config, use_ibs=False).ap50)
+    tiles = eip_regions(SCALE_SCENE["image_size"], config.detector_size)
+    seeds = range(seed, seed + scenes)
+    for run in scene_runs(SCALE_SCENE, seeds, (f"s{s}" for s in seeds)):
+        raw = [(a.box, a.class_id) for a in run.annotations]
+        gmm = scale_stats(run.crops, raw)
+        eip = scale_stats(refine_image(tiles, run.annotations, config), raw)
+        yield gmm.cv_raw, gmm.cv_cropped, eip.cv_cropped
 
 
 def sign_test_p(wins: int, losses: int) -> float:
@@ -62,76 +86,73 @@ def sign_test_p(wins: int, losses: int) -> float:
     return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
-def scene_cvs(scenes: int, seed: int = 0) -> Iterator[tuple[float, float, float]]:
-    """(raw, GMM-crop, EIP-tile) area CV of each scene in turn, as `scale_stats` measures
-    them; scene i is seeded `seed + i`."""
-    config = PipelineConfig()
-    tiles = eip_regions(SCALE_SCENE["image_size"], config.detector_size)
-    for scene_seed in range(seed, seed + scenes):
-        run = run_scene(SceneSpec(**SCALE_SCENE, rng_seed=scene_seed),
-                        OracleSpec(rng_seed=scene_seed), config)
-        raw = [(a.box, a.class_id) for a in run.annotations]
-        gmm = scale_stats(run.crops, raw)
-        eip = scale_stats(refine_image(tiles, run.annotations, config), raw)
-        yield gmm.cv_raw, gmm.cv_cropped, eip.cv_cropped
+def ibs_summary(pairs: Iterable[tuple[float, float]]) -> dict:
+    """The IBS claim's figures over per-corpus (AP50 with IBS, AP50 with plain NMS)."""
+    ap = np.array(list(pairs))
+    gains = ap[:, 0] - ap[:, 1]
+    wins, losses = int((gains > 0).sum()), int((gains < 0).sum())
+    return {"corpora": len(ap), "mean AP50 with IBS": ap[:, 0].mean(),
+            "mean AP50 with NMS only": ap[:, 1].mean(), "mean AP50 gain": gains.mean(),
+            "wins": wins, "losses": losses, "ties": len(ap) - wins - losses,
+            "sign test p": sign_test_p(wins, losses)}
 
 
-def ibs(args: argparse.Namespace) -> None:
-    rows = []
-    for corpus, (ap_ibs, ap_plain) in enumerate(
-            corpus_ap50(args.corpora, args.scenes_per_corpus, args.seed)):
-        rows.append((corpus, ap_ibs, ap_plain, ap_ibs - ap_plain))
-        print(f"corpus {corpus:3d}  ap50 ibs {ap_ibs:7.3f}  plain {ap_plain:7.3f}  "
-              f"gain {ap_ibs - ap_plain:+7.3f}")
-
-    gains = np.array([r[3] for r in rows])
-    wins = int((gains > 0).sum())
-    losses = int((gains < 0).sum())
-    p = sign_test_p(wins, losses)
-    print(f"\nmean ap50 with ibs    {np.mean([r[1] for r in rows]):7.3f}")
-    print(f"mean ap50 without ibs {np.mean([r[2] for r in rows]):7.3f}")
-    print(f"mean gain {gains.mean():+07.3f}  wins {wins}  losses {losses}  "
-          f"ties {len(rows) - wins - losses}  sign test p {p:.3e}")
-    if args.csv:
-        serialize.write_csv_atomic(args.csv, ["corpus", "ap50_ibs", "ap50_plain", "gain"], rows)
-        print(f"wrote {args.csv}")
+def scale_summary(cvs: Iterable[tuple[float, float, float]]) -> dict:
+    """The scale claim's figures over per-scene (raw, GMM-crop, EIP-tile) area CVs."""
+    cv = np.array(list(cvs))
+    raw, gmm, eip = np.median(cv, axis=0)
+    return {"scenes": len(cv), "median area CV raw": raw, "median area CV in EIP tiles": eip,
+            "median area CV in GMM crops": gmm,
+            "scenes with GMM below EIP": int((cv[:, 1] < cv[:, 2]).sum())}
 
 
-def scale(args: argparse.Namespace) -> None:
-    rows = []
-    for scene_seed, cvs in enumerate(scene_cvs(args.scenes, args.seed), start=args.seed):
-        rows.append((scene_seed, *cvs))
-        print(f"scene {scene_seed:3d}  cv raw {cvs[0]:6.3f}  cv cropped {cvs[1]:6.3f}  "
-              f"cv eip {cvs[2]:6.3f}")
+def table(summary: dict) -> str:
+    """`summary` as a markdown table: counts as they are, figures to three decimals, or to
+    three significant digits below 0.001."""
+    cells = (v if isinstance(v, int) else f"{v:.3f}" if abs(v) >= 1e-3 else f"{v:.2e}"
+             for v in summary.values())
+    return "\n".join(["| figure | value |", "|---|---|",
+                      *map("| {} | {} |".format, summary, cells)])
 
-    raw, cropped, eip = np.median([r[1:] for r in rows], axis=0)
-    print(f"\nmedian cv raw     {raw:6.3f}")
-    print(f"median cv cropped {cropped:6.3f}")
-    print(f"median cv eip     {eip:6.3f}")
-    print("normalized" if cropped < raw else "NOT normalized")
-    print(f"gmm below eip in {sum(r[2] < r[3] for r in rows)}/{len(rows)} scenes")
-    if args.csv:
-        serialize.write_csv_atomic(args.csv, ["seed", "cv_raw", "cv_cropped", "cv_eip"], rows)
-        print(f"wrote {args.csv}")
+
+def at_least(low: int):
+    """An argparse type: an integer >= `low`, else a usage error that names the flag."""
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= low:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {text!r}")
+    return parse
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=at_least(0), default=0)
+    common.add_argument("--csv", type=str, default=None, help="per-corpus or per-scene rows")
     commands = parser.add_subparsers(dest="command", required=True)
-    ibs_parser = commands.add_parser("ibs", help="AP50 with and without IBS")
-    ibs_parser.add_argument("--corpora", type=int, default=50)
-    ibs_parser.add_argument("--scenes-per-corpus", type=int, default=3)
-    ibs_parser.add_argument("--seed", type=int, default=0)
-    ibs_parser.add_argument("--csv", type=str, default=None, help="per-corpus results")
-    ibs_parser.set_defaults(run=ibs)
-    scale_parser = commands.add_parser("scale", help="area CV raw, GMM crops, EIP tiles")
-    scale_parser.add_argument("--scenes", type=int, default=20)
-    scale_parser.add_argument("--seed", type=int, default=0)
-    scale_parser.add_argument("--csv", type=str, default=None, help="per-scene results")
-    scale_parser.set_defaults(run=scale)
+    ibs_parser = commands.add_parser("ibs", parents=[common], help="AP50 with and without IBS")
+    ibs_parser.add_argument("--corpora", type=at_least(1), default=50)
+    ibs_parser.add_argument("--scenes-per-corpus", type=at_least(1), default=3)
+    scale_parser = commands.add_parser("scale", parents=[common],
+                                       help="area CV raw, GMM crops, EIP tiles")
+    scale_parser.add_argument("--scenes", type=at_least(1), default=20)
     args = parser.parse_args(argv)
-    args.run(args)
+    if args.command == "ibs":
+        pairs = list(corpus_ap50(args.corpora, args.scenes_per_corpus, args.seed))
+        summary, header = ibs_summary(pairs), ["corpus", "ap50_ibs", "ap50_plain", "gain"]
+        rows = [(c, ap_ibs, ap_nms, ap_ibs - ap_nms) for c, (ap_ibs, ap_nms) in enumerate(pairs)]
+    else:
+        cvs = list(scene_cvs(args.scenes, args.seed))
+        summary, header = scale_summary(cvs), ["seed", "cv_raw", "cv_cropped", "cv_eip"]
+        rows = [(s, *cv) for s, cv in enumerate(cvs, start=args.seed)]
+    print(table(summary))
+    if args.csv:
+        serialize.write_csv_atomic(args.csv, header, rows)
+        print(f"wrote {args.csv}")
     return 0
 
 

@@ -166,7 +166,7 @@ def nms(boxes: Sequence[ScoredBox], iou_threshold: float,
 @np.errstate(over="ignore", invalid="ignore")  # see `nms_indices`
 def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.ndarray:
     """IBS keep mask over image-space rows; a row over 1 px outside its region is an error."""
-    rects = np.array([r.rect.as_tuple() for r in regions]).reshape(-1, 4)
+    rects = box_array([r.rect for r in regions])
     own = rects[index]
     outside = ((boxes[:, :2] < own[:, :2] - 1.0) | (boxes[:, 2:] > own[:, 2:] + 1.0)).any(axis=1)
     if outside.any():

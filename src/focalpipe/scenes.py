@@ -20,6 +20,11 @@ from .focal import RefinedCrop, crop_gt_to_detector
 from .fuse import RegionDetections
 
 
+def _whole(v) -> bool:
+    """An `int` or numpy integer, not a `bool`."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SceneSpec:
     image_size: tuple[int, int] = (1600, 1200)
@@ -37,11 +42,11 @@ class SceneSpec:
     def __post_init__(self) -> None:
         (w, h), (b_lo, b_hi) = self.image_size, self.boxes_per_cluster
         (s_lo, s_hi), (m_lo, m_hi) = self.box_size_range, self.size_multiplier_range
-        whole = isinstance(b_lo, (int, np.integer)) and isinstance(b_hi, (int, np.integer))
         for name, ok, rule in (
-                ("n_clusters", self.n_clusters >= 1, ">= 1"),
-                ("classes", self.classes >= 1, ">= 1"),
-                ("boxes_per_cluster", whole and 0 <= b_lo <= b_hi, "integers, 0 <= low <= high"),
+                ("n_clusters", _whole(self.n_clusters) and self.n_clusters >= 1, "an integer >= 1"),
+                ("classes", _whole(self.classes) and self.classes >= 1, "an integer >= 1"),
+                ("boxes_per_cluster", _whole(b_lo) and _whole(b_hi) and 0 <= b_lo <= b_hi,
+                 "integers, 0 <= low <= high"),
                 ("cluster_spread", 0.0 <= self.cluster_spread < inf, "finite and >= 0"),
                 ("box_size_range", 0.0 <= s_lo <= s_hi < inf, "finite, 0 <= low <= high"),
                 ("size_multiplier_range", 0.0 <= m_lo <= m_hi < inf, "finite, 0 <= low <= high"),
@@ -70,8 +75,8 @@ class OracleSpec:
             v = getattr(self, name)
             if not 0.0 <= v < inf:
                 raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not self.n_classes >= 1:
-            raise ValueError(f"n_classes must be >= 1, got {self.n_classes}")
+        if not (_whole(self.n_classes) and self.n_classes >= 1):
+            raise ValueError(f"n_classes must be an integer >= 1, got {self.n_classes}")
 
 
 @dataclass

@@ -6,6 +6,7 @@ to the terminal (bypassing capture) so the run log shows every criterion.
 """
 
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -180,55 +181,51 @@ def test_ibs_suppresses_where_nms_cannot():
     report("IBS suppresses truncated duplicate that NMS keeps", ok, time.perf_counter() - start, 1.0)
 
 
-def test_ibs_ablation_improves_ap50():
-    """50 corpora: mean AP50 gain of IBS over plain NMS, one-sided sign test."""
+@pytest.fixture(scope="module")
+def ibs_claim():
+    """`claims.ibs_summary` of the 50 default corpora, and its run time."""
     start = time.perf_counter()
-    gains = np.asarray([ibs - plain for ibs, plain in claims.corpus_ap50(50)])
-    wins = int((gains > 0).sum())
-    losses = int((gains < 0).sum())
-    p = claims.sign_test_p(wins, losses)
-    ok = gains.mean() > 0 and p < 0.05
-    report(
-        f"IBS ablation: mean AP50 gain {gains.mean():+.3f}, "
-        f"{wins} wins / {losses} losses, sign test p={p:.2e}",
-        ok,
-        time.perf_counter() - start,
-        60.0,
-    )
+    return claims.ibs_summary(claims.corpus_ap50(50)), time.perf_counter() - start
 
 
 @pytest.fixture(scope="module")
-def scale_cvs():
-    """(raw, GMM-crop, EIP-tile) area CVs of 20 multi-scale scenes, and their run time."""
+def scale_claim():
+    """`claims.scale_summary` of the 20 default multi-scale scenes, and its run time."""
     start = time.perf_counter()
-    cvs = np.array(list(claims.scene_cvs(20)))
-    return cvs, time.perf_counter() - start
+    return claims.scale_summary(claims.scene_cvs(20)), time.perf_counter() - start
 
 
-def test_crop_resize_lowers_area_cv(scale_cvs):
+def test_ibs_ablation_improves_ap50(ibs_claim):
+    """50 corpora: mean AP50 gain of IBS over plain NMS, one-sided sign test."""
+    s, elapsed = ibs_claim
+    gain, p = s["mean AP50 gain"], s["sign test p"]
+    report(f"IBS ablation: mean AP50 gain {gain:+.3f}, {s['wins']} wins / {s['losses']} losses, "
+           f"sign test p={p:.2e}", gain > 0 and p < 0.05, elapsed, 60.0)
+
+
+def test_crop_resize_lowers_area_cv(scale_claim):
     """20 multi-scale scenes: median area CV drops after crop-and-resize."""
-    cvs, elapsed = scale_cvs
-    med_raw, med_cropped, _ = np.median(cvs, axis=0)
-    report(
-        f"crop-and-resize lowers median area CV ({med_raw:.3f} -> {med_cropped:.3f})",
-        med_cropped < med_raw,
-        elapsed,
-        30.0,
-    )
+    s, elapsed = scale_claim
+    raw, gmm = s["median area CV raw"], s["median area CV in GMM crops"]
+    report(f"crop-and-resize lowers median area CV ({raw:.3f} -> {gmm:.3f})", gmm < raw,
+           elapsed, 30.0)
 
 
-def test_gmm_crops_normalize_scale_where_eip_tiles_do_not(scale_cvs):
+def test_gmm_crops_normalize_scale_where_eip_tiles_do_not(scale_claim):
     """The same 20 scenes: GMM crops end with a lower median area CV than even tiles."""
-    cvs, elapsed = scale_cvs
-    _, med_gmm, med_eip = np.median(cvs, axis=0)
-    report(
-        f"GMM crops normalize scale where EIP tiles do not: median area CV "
-        f"{med_gmm:.3f} < {med_eip:.3f}, GMM lower in {int((cvs[:, 1] < cvs[:, 2]).sum())}"
-        f"/{len(cvs)} scenes",
-        med_gmm < med_eip,
-        elapsed,
-        30.0,
-    )
+    s, elapsed = scale_claim
+    gmm, eip = s["median area CV in GMM crops"], s["median area CV in EIP tiles"]
+    report(f"GMM crops normalize scale where EIP tiles do not: median area CV {gmm:.3f} < "
+           f"{eip:.3f}, GMM lower in {s['scenes with GMM below EIP']}/{s['scenes']} scenes",
+           gmm < eip, elapsed, 30.0)
+
+
+def test_readme_quotes_the_claim_tables(ibs_claim, scale_claim):
+    """README's claims blocks are `claims.table` of the summaries above; no line of its own."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    for name, (summary, _) in (("ibs", ibs_claim), ("scale", scale_claim)):
+        block = readme.partition(f"<!-- claims:{name} -->\n")[2].partition("\n<!-- /")[0]
+        assert block == claims.table(summary), f"README {name} block:\n{claims.table(summary)}"
 
 
 def test_evaluators_match_brute_force_reference():

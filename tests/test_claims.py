@@ -33,3 +33,21 @@ def test_subcommand_writes_its_csv(argv, header, rows, tmp_path, capsys):
     assert lines[0] == header
     assert len(lines) == 1 + rows
     assert f"wrote {path}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ibs", "--corpora", "0"], "--corpora"),
+    (["ibs", "--scenes-per-corpus", "-1"], "--scenes-per-corpus"),
+    (["ibs", "--seed", "1.5"], "--seed"),
+    (["scale", "--scenes", "0"], "--scenes"),
+    (["scale", "--scenes", "-3"], "--scenes"),
+    (["scale", "--scenes", "x"], "--scenes"),
+    (["scale", "--seed", "-1"], "--seed"),
+])
+def test_rejects_sizes_and_seeds_it_cannot_run(argv, flag, capsys):
+    """A size below 1 or a negative seed is a usage error naming the flag, not a `nan`
+    summary or a traceback from numpy."""
+    with pytest.raises(SystemExit) as exit_info:
+        claims.main(argv)
+    assert exit_info.value.code == 2
+    assert f"argument {flag}: must be an integer >= " in capsys.readouterr().err

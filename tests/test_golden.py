@@ -1,5 +1,5 @@
 """Golden digests: the SHA-256 of every output of the fixed-seed CLI runs, and of the COCO
-reports of `corpus_ap50(5)`, against the figures committed in `golden.json`.
+reports of `claims.corpus_runs(5)`, against the figures committed in `golden.json`.
 
 A change that alters an output in the same way on every rerun passes the rerun checks; it
 fails here. A change that means to alter outputs re-records them and says which changed and
@@ -20,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from focalpipe.cli import main
+from focalpipe.pipeline import evaluate_runs
+
+from test_claims import claims
 
 GOLDEN = Path(__file__).resolve().with_name("golden.json")
 CORPUS_AP50 = "corpus_ap50(5): repr of each coco_eval report"
@@ -58,9 +61,7 @@ def environment() -> dict:
 
 def digests() -> dict[str, str]:
     """Output path (under its command's directory) -> SHA-256 of its bytes, and one entry
-    for the COCO reports, with and without IBS, of each corpus of `corpus_ap50(5)`."""
-    from test_claims import claims
-
+    for the COCO reports, with and without IBS, of each corpus of `claims.corpus_runs(5)`."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -70,20 +71,8 @@ def digests() -> dict[str, str]:
             files = sorted(p for p in (root / name).rglob("*") if p.is_file())
             out.update({p.relative_to(root).as_posix(): sha256(p.read_bytes()) for p in files})
 
-    reports = []
-    evaluate_runs = claims.evaluate_runs
-
-    def recording(*args, **kwargs):
-        report = evaluate_runs(*args, **kwargs)
-        reports.append(repr(report))
-        return report
-
-    claims.evaluate_runs = recording
-    try:
-        assert len(list(claims.corpus_ap50(5))) == 5
-    finally:
-        claims.evaluate_runs = evaluate_runs
-    assert len(reports) == 10
+    reports = [repr(evaluate_runs(runs, use_ibs=use_ibs)) for runs in claims.corpus_runs(5)
+               for use_ibs in (True, False)]
     out[CORPUS_AP50] = sha256("\n".join(reports).encode())
     return out
 

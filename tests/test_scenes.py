@@ -142,6 +142,7 @@ def crops_for(scene, config=PipelineConfig()):
 class TestSceneSpec:
     @pytest.mark.parametrize("name,value", [
         ("n_clusters", 0), ("n_clusters", -1), ("classes", 0),
+        ("n_clusters", 2.5), ("n_clusters", True), ("classes", 2.5), ("classes", True),
         ("boxes_per_cluster", (5, 2)), ("boxes_per_cluster", (-1, 2)),
         ("boxes_per_cluster", (2.0, 5)),
         ("cluster_spread", -5.0), ("cluster_spread", math.nan), ("cluster_spread", math.inf),
@@ -162,6 +163,11 @@ class TestSceneSpec:
                          image_size=(1, 1))
         assert generate_scene(spec).annotations == []
 
+    def test_counts_take_numpy_integers(self):
+        spec = SceneSpec(n_clusters=np.int64(2), classes=np.int32(2), rng_seed=1)
+        assert generate_scene(spec) == generate_scene(SceneSpec(n_clusters=2, classes=2,
+                                                                rng_seed=1))
+
     def test_every_project_spec_constructs(self, monkeypatch):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
         module_spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
@@ -178,7 +184,7 @@ class TestOracleSpec:
         ("localization_noise", -2.0), ("localization_noise", math.nan),
         ("localization_noise", math.inf), ("score_std", -0.05), ("score_std", math.nan),
         ("false_positive_rate", -1.0), ("false_positive_rate", math.inf),
-        ("n_classes", 0), ("n_classes", -1),
+        ("n_classes", 0), ("n_classes", -1), ("n_classes", 2.5), ("n_classes", True),
         ("score_mean_tp", 1.5), ("miss_rate", math.nan), ("class_flip_rate_truncated", -0.1),
     ])
     def test_rejects_out_of_range(self, name, value):
@@ -190,6 +196,7 @@ class TestOracleSpec:
     def test_accepts_bounds(self):
         OracleSpec(localization_noise=0.0, score_std=0.0, false_positive_rate=0.0, n_classes=1,
                    score_mean_tp=1.0, miss_rate=0.0, class_flip_rate_truncated=1.0)
+        OracleSpec(n_classes=np.int64(1))
 
 
 class TestOracleDetect:
