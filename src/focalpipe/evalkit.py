@@ -43,6 +43,7 @@ AREA_RANGES = {
     "large": (MEDIUM_MAX, float("inf")),
 }
 COCO_KEYS = [(t, a) for t in COCO_IOU_THRESHOLDS for a in AREA_RANGES]  # (0.5, "all") first
+RECALL_GRID = np.arange(101) / 100.0  # exact i/100: linspace drifts one ulp at some
 TP, FP, UNCOUNTED = 1, 0, -1
 
 
@@ -173,9 +174,9 @@ def _resolve_contested(outcome, contested, tri_d, tri_g, tri_v, thr, g_ignore, d
     best-IoU unmatched unignored candidate, else absorb into an ignored one."""
     starts = np.searchsorted(tri_d, np.arange(outcome.shape[1] + 1)).tolist()
     tri_g, tri_v = tri_g.tolist(), tri_v.tolist()
-    for k in np.flatnonzero(contested.any(axis=1)).tolist():
+    for k in contested.any(axis=1).nonzero()[0].tolist():
         t, matched = thr[k], set()
-        for d in np.flatnonzero(contested[k]).tolist():
+        for d in contested[k].nonzero()[0].tolist():
             span = slice(starts[d], starts[d + 1])
             free = [j for j, v in zip(tri_g[span], tri_v[span]) if v >= t and j not in matched]
             j = next((j for j in free if not g_ignore[k, j]), free[0] if free else None)
@@ -190,9 +191,9 @@ def _curves(m: _ClassMatch) -> tuple[np.ndarray, ...]:
     """The descending score order (a stable sort of the pooled order), the outcomes in it,
     and the precision and recall after each detection, one row per key. One that does not
     count repeats the point before it (or 0, 0): no AP sample moves."""
-    order = np.argsort(-m.scores, kind="stable")
+    order = (-m.scores).argsort(kind="stable")
     outcome = m.outcome[:, order]
-    tp, fp = (np.cumsum(outcome == o, axis=1) for o in (TP, FP))
+    tp, fp = ((outcome == o).cumsum(axis=1) for o in (TP, FP))
     return order, outcome, tp / np.maximum(tp + fp, 1), tp / np.maximum(m.n_positive, 1)[:, None]
 
 
@@ -202,12 +203,13 @@ def _ap_interpolated_101(m: _ClassMatch) -> list[Optional[float]]:
     # monotone envelope from the right, and 0 for a recall never reached
     padded = np.concatenate([precision, np.zeros((len(precision), 1))], axis=1)
     env = np.maximum.accumulate(padded[:, ::-1], axis=1)[:, ::-1]
-    # exact i/100 values (linspace drifts one ulp at some, which matters when recall lands
-    # exactly on one); with b thresholds at or below it, a recall is below i exactly if b <= i
-    b = np.searchsorted(np.arange(101) / 100.0, recall, side="right")
-    idx = np.bincount((b + 102 * np.arange(len(b))[:, None]).ravel(), minlength=102 * len(b))
-    sampled = np.take_along_axis(env, idx.reshape(-1, 102).cumsum(axis=1)[:, :101], axis=1)
-    return [float(ap) if p else None for ap, p in zip(sampled.mean(axis=1), m.n_positive)]
+    # exact i/100 matter: with b grid points at or below it, a recall is below i exactly if b <= i
+    b = RECALL_GRID.searchsorted(recall, side="right")
+    rows = np.arange(len(b))[:, None]
+    idx = np.bincount((b + 102 * rows).ravel(), minlength=102 * len(b))
+    sampled = env.take(idx.reshape(-1, 102).cumsum(axis=1)[:, :101] + env.shape[1] * rows)
+    aps = np.add.reduce(sampled, axis=1) / 101  # the sum and division of `mean(axis=1)`
+    return [float(ap) if p else None for ap, p in zip(aps, m.n_positive)]
 
 
 def _ap_all_points(m: _ClassMatch) -> float:
@@ -219,13 +221,13 @@ def _ap_all_points(m: _ClassMatch) -> float:
     mpre = np.concatenate([[0.0], precision[0], [0.0]])
     mpre = np.maximum.accumulate(mpre[::-1])[::-1]
     changes = np.where(mrec[1:] != mrec[:-1])[0]
-    return float(np.sum((mrec[changes + 1] - mrec[changes]) * mpre[changes + 1]))
+    return float(((mrec[changes + 1] - mrec[changes]) * mpre[changes + 1]).sum())
 
 
 def _mean_over_classes(values: Sequence[float]) -> float:
     """100 times the mean of the per-class values that are not NaN, or 0 if none is."""
     present = [v for v in values if v == v]
-    return 100.0 * float(np.mean(present)) if present else 0.0
+    return 100.0 * float(np.add.reduce(present) / len(present)) if present else 0.0
 
 
 def coco_eval(dets: DetectionSet, gts: GroundTruthSet, max_dets: int = 500) -> EvalReport:
@@ -248,7 +250,7 @@ def _report(matches: Mapping[int, _ClassMatch]) -> EvalReport:
     aps = np.array([[np.nan if ap is None else ap for ap in _ap_interpolated_101(m)]
                     for m in matches.values()]).reshape(shape).transpose(2, 0, 1).copy()
     ap50, ap75 = (aps[0, :, COCO_IOU_THRESHOLDS.index(t)] for t in (0.5, 0.75))
-    ap, ap_small, ap_medium, ap_large = (_mean_over_classes(a.mean(axis=1)) for a in aps)
+    ap, ap_small, ap_medium, ap_large = map(_mean_over_classes, np.add.reduce(aps, 2) / shape[1])
     return EvalReport(ap, _mean_over_classes(ap50), _mean_over_classes(ap75), ap_small, ap_medium,
                       ap_large, {c: 100.0 * v for c, v in zip(matches, ap50.tolist()) if v == v})
 

@@ -118,17 +118,19 @@ def refine_gt(
     if not 0.0 < keep_threshold <= 1.0:
         raise ValueError("keep_threshold must be in (0, 1]")
     r = region.rect
-    bx1, by1, bx2, by2 = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T
+    # (2, n) corner rows vs (2, 1) region columns; negating before the cast keeps int 0 at +0.0
+    b_lo, b_hi = np.asarray(boxes, dtype=np.float64).reshape(-1, 4).T.reshape(2, 2, -1).copy()
+    edges = np.array((r.x1, r.y1, r.x2, r.y2, -r.x1, -r.y1, -r.x1, -r.y1), dtype=np.float64)
+    (r_lo, r_hi), shift = edges[:4].reshape(2, 2, 1), edges[4:, None]
     # max(a, b) keeps a unless b > a: np.maximum may pick the other of -0.0 and 0.0
-    x1, y1 = np.where(r.x1 > bx1, r.x1, bx1), np.where(r.y1 > by1, r.y1, by1)
-    x2, y2 = np.where(r.x2 < bx2, r.x2, bx2), np.where(r.y2 < by2, r.y2, by2)
+    lo, hi = np.where(r_lo > b_lo, r_lo, b_lo), np.where(r_hi < b_hi, r_hi, b_hi)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        original = (bx2 - bx1) * (by2 - by1)
+        (bw, bh), (w, h), (x_in, y_in) = b_hi - b_lo, hi - lo, lo < hi
+        original = bw * bh
         zero_area = original <= 0
-        fraction = (x2 - x1) * (y2 - y1) / original
-        rows = np.flatnonzero(~zero_area & (x1 < x2) & (y1 < y2) & ~(fraction < keep_threshold))
-        corners = np.stack([x1[rows] + -r.x1, y1[rows] + -r.y1,
-                            x2[rows] + -r.x1, y2[rows] + -r.y1])
+        fraction = w * h / original
+        rows = (~zero_area & x_in & y_in & ~(fraction < keep_threshold)).nonzero()[0]
+        corners = np.concatenate((lo.take(rows, 1), hi.take(rows, 1))) + shift
     gt = [(Box(a, b, c, d), class_ids[i], f) for a, b, c, d, i, f
           in zip(*corners.tolist(), rows.tolist(), fraction[rows].tolist())]
     return RefinedCrop(region, gt, dropped_zero_area=int(np.count_nonzero(zero_area)))

@@ -129,8 +129,8 @@ def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
     suppressing pairs."""
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError("iou_threshold must be in [0, 1]")
-    order = np.argsort(-scores, kind="stable")  # ties keep the earlier index
-    rank = np.argsort(order)
+    order = (-scores).argsort(kind="stable")  # ties keep the earlier index
+    rank = order.argsort()
     groups = classes if per_class else np.zeros(len(classes), dtype=np.int64)
     pairs = [(np.empty(0, dtype=np.intp),) * 2]  # each suppressing pair's ranks, high first
     for i, j, v in overlap_pairs(boxes, groups, above=iou_threshold):
@@ -140,8 +140,8 @@ def nms_indices(boxes: np.ndarray, classes: np.ndarray, scores: np.ndarray,
     # a row no pair suppresses is kept, and its partners die
     sure = np.bincount(second, minlength=len(order))[first] == 0
     dead = np.bincount(second[sure], minlength=len(order)) > 0
-    rest = np.flatnonzero(~sure & ~dead[first])  # pairs whose higher row is undecided
-    rest = rest[np.argsort(first[rest])]
+    rest = (~sure & ~dead[first]).nonzero()[0]  # pairs whose higher row is undecided
+    rest = rest[first[rest].argsort()]
     dead = bytearray(dead.tobytes())
     # greedy in rank order: a row's suppressors rank above it, so their pairs come first
     for f, s in zip(first[rest].tolist(), second[rest].tolist()):
@@ -176,9 +176,9 @@ def _ibs_keep(regions, boxes, classes, scores, index, cfg: FuseConfig) -> np.nda
                          f"{region.region_id} rect {region.rect}")
     near = (pairwise_iou(rects, rects) > cfg.ibs_region_iou) & ~np.eye(len(rects), dtype=bool)
     # c outranks d iff rank[c] < rank[d]: higher score first, then lower region
-    rank = np.argsort(np.lexsort((index, -scores)))
+    rank = np.lexsort((index, -scores)).argsort()
     # one sweep by (class rank, region), a key that cannot overflow; clips outside are empty
-    mine, (target, comp) = np.flatnonzero(near.any(axis=1)[index]), np.nonzero(near[:, index])
+    mine, (target, comp) = near.any(axis=1)[index].nonzero()[0], near[:, index].nonzero()
     rect = rects[target]
     clips = np.minimum(np.maximum(boxes[comp], rect[:, [0, 1, 0, 1]]), rect[:, [2, 3, 2, 3]])
     groups = classes if cfg.per_class else np.zeros(len(classes), dtype=np.int64)
@@ -219,7 +219,7 @@ def _merge(regions, boxes, classes, scores, index, cfg: FuseConfig):
         if apply_ibs:  # IBS runs among the NMS survivors alone
             columns = (c[kept] for c in (boxes, classes, scores, index))
             rows = kept[_ibs_keep(regions, *columns, cfg)]
-        rows = rows[np.argsort(-scores[rows], kind="stable")]
+        rows = rows[(-scores[rows]).argsort(kind="stable")]
         return boxes[rows], classes[rows], scores[rows]
 
     return survivors

@@ -245,7 +245,7 @@ def fit_em(
         log_joint = _log_joint(x, weights[running], means[running], variances[running],
                                density_power)
         log_norm = _logsumexp(log_joint, _exp)
-        ll = np.sum(log_norm, axis=1)
+        ll = log_norm.sum(axis=1)
         for i, value in zip(running.tolist(), ll.tolist()):
             history[i].append(value)
         log_joint -= log_norm[:, None]
@@ -263,8 +263,8 @@ def fit_em(
         if not len(running):
             break
 
-    final = np.sum(_logsumexp(_log_joint(x, weights, means, variances, density_power), _exp),
-                   axis=1).tolist()
+    final = _logsumexp(_log_joint(x, weights, means, variances, density_power),
+                       _exp).sum(axis=1).tolist()
     runs = [MixtureModel(weights[i], means[i], variances[i], log_likelihood=final[i],
                          ll_history=history[i] + [final[i]], density_power=density_power)
             for i in range(r)]

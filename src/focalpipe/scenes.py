@@ -47,12 +47,14 @@ class SceneSpec:
                 ("classes", _whole(self.classes) and self.classes >= 1, "an integer >= 1"),
                 ("boxes_per_cluster", _whole(b_lo) and _whole(b_hi) and 0 <= b_lo <= b_hi,
                  "integers, 0 <= low <= high"),
-                ("cluster_spread", 0.0 <= self.cluster_spread < inf, "finite and >= 0"),
+                ("cluster_spread", 0.0 <= self.cluster_spread < inf, "a finite number >= 0"),
                 ("box_size_range", 0.0 <= s_lo <= s_hi < inf, "finite, 0 <= low <= high"),
                 ("size_multiplier_range", 0.0 <= m_lo <= m_hi < inf, "finite, 0 <= low <= high"),
-                ("image_size", w > 0 and h > 0, "positive")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+                ("image_size", w > 0 and h > 0, "positive"),
+                ("rng_seed", _whole(self.rng_seed) and self.rng_seed >= 0, "an integer >= 0")):
+            v = getattr(self, name)  # no field takes a bool, which a range test reads as 0 or 1
+            if not ok or bool in map(type, v if isinstance(v, tuple) else (v,)):
+                raise ValueError(f"{name} must be {rule}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -68,15 +70,14 @@ class OracleSpec:
 
     def __post_init__(self) -> None:
         for name in ("score_mean_tp", "miss_rate", "class_flip_rate_truncated"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+            if isinstance(v := getattr(self, name), bool) or not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {v}")
         for name in ("localization_noise", "score_std", "false_positive_rate"):
-            v = getattr(self, name)
-            if not 0.0 <= v < inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {v}")
-        if not (_whole(self.n_classes) and self.n_classes >= 1):
-            raise ValueError(f"n_classes must be an integer >= 1, got {self.n_classes}")
+            if isinstance(v := getattr(self, name), bool) or not 0.0 <= v < inf:
+                raise ValueError(f"{name} must be a finite number >= 0, got {v}")
+        for name, low in (("n_classes", 1), ("rng_seed", 0)):
+            if not (_whole(v := getattr(self, name)) and v >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {v}")
 
 
 @dataclass

@@ -2,7 +2,9 @@
 
 This is ground-truth refinement as first written: one annotation at a time
 through `area`, `intersect` and `Box.translate`. The package's column form
-must give the same crop, value and type, on float input.
+must give the same crop, value and type, on float input. On integer rect edges
+the values must be equal, signed zeros included, but this form keeps an `int`
+where `max` or `min` picks the rect's edge, and the package gives a `float`.
 """
 
 from __future__ import annotations

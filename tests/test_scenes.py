@@ -150,21 +150,24 @@ class TestSceneSpec:
         ("box_size_range", (10.0, math.nan)), ("size_multiplier_range", (-1.0, 1.0)),
         ("size_multiplier_range", (1.0, math.inf)),
         ("image_size", (0, 100)), ("image_size", (100, -5)),
+        ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", True), ("cluster_spread", True),
+        ("box_size_range", (True, 10.0)), ("size_multiplier_range", (0.5, True)),
     ])
     def test_rejects_out_of_range(self, name, value):
         """Each field outside its range is an error naming it, not a failure deep inside
-        numpy or `Box` (`n_clusters=0` was a ZeroDivisionError)."""
+        numpy or `Box` (`n_clusters=0` was a ZeroDivisionError, `rng_seed=-1` numpy's
+        "expected non-negative integer"); a bool is no number, though it compares as 0 or 1."""
         with pytest.raises(ValueError, match=f"^{name} must be"):
             SceneSpec(**{name: value})
 
     def test_accepts_bounds(self):
         spec = SceneSpec(n_clusters=1, classes=1, boxes_per_cluster=(0, 0), cluster_spread=0.0,
                          box_size_range=(0.0, 0.0), size_multiplier_range=(0.0, 0.0),
-                         image_size=(1, 1))
+                         image_size=(1, 1), rng_seed=0)
         assert generate_scene(spec).annotations == []
 
     def test_counts_take_numpy_integers(self):
-        spec = SceneSpec(n_clusters=np.int64(2), classes=np.int32(2), rng_seed=1)
+        spec = SceneSpec(n_clusters=np.int64(2), classes=np.int32(2), rng_seed=np.int64(1))
         assert generate_scene(spec) == generate_scene(SceneSpec(n_clusters=2, classes=2,
                                                                 rng_seed=1))
 
@@ -186,17 +189,21 @@ class TestOracleSpec:
         ("false_positive_rate", -1.0), ("false_positive_rate", math.inf),
         ("n_classes", 0), ("n_classes", -1), ("n_classes", 2.5), ("n_classes", True),
         ("score_mean_tp", 1.5), ("miss_rate", math.nan), ("class_flip_rate_truncated", -0.1),
+        ("rng_seed", -1), ("rng_seed", 2.5), ("rng_seed", True),
+        ("miss_rate", True), ("score_mean_tp", True), ("class_flip_rate_truncated", False),
+        ("localization_noise", True), ("score_std", False), ("false_positive_rate", True),
     ])
     def test_rejects_out_of_range(self, name, value):
         """Each field outside its range is an error naming it, not a run that ignores it
-        (a negative or NaN noise ran as no noise) or fails later inside numpy."""
+        (a negative or NaN noise ran as no noise) or fails later inside numpy (a negative or
+        fractional seed, at the first `oracle_detect`)."""
         with pytest.raises(ValueError, match=f"^{name} must be"):
             OracleSpec(**{name: value})
 
     def test_accepts_bounds(self):
         OracleSpec(localization_noise=0.0, score_std=0.0, false_positive_rate=0.0, n_classes=1,
-                   score_mean_tp=1.0, miss_rate=0.0, class_flip_rate_truncated=1.0)
-        OracleSpec(n_classes=np.int64(1))
+                   score_mean_tp=1.0, miss_rate=0.0, class_flip_rate_truncated=1.0, rng_seed=0)
+        OracleSpec(n_classes=np.int64(1), rng_seed=np.int64(2**63 - 1))
 
 
 class TestOracleDetect:
